@@ -178,16 +178,22 @@ def shoot(
     hit_zero.terminal = True
     hit_zero.direction = -1
 
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        (v0, w0),
-        method="RK45",
-        rtol=tol,
-        atol=1e-290,
-        t_eval=t_eval,
-        events=hit_zero,
-    )
+    try:
+        sol = solve_ivp(
+            rhs,
+            (t0, t1),
+            (v0, w0),
+            method="RK45",
+            rtol=tol,
+            atol=1e-290,
+            t_eval=t_eval,
+            events=hit_zero,
+        )
+    except OverflowError as exc:
+        raise NumericalError(
+            "powers of r in the shooting equation overflow at "
+            f"N'+tau = {np_ + tau} on [{math.exp(t0)}, {math.exp(t1)}]"
+        ) from exc
     if sol.status == 1:
         raise NumericalError(
             "solution crossed zero before r_max; tolerance too loose or "

@@ -14,9 +14,13 @@ lower bound for the full index).
 Assembly follows a flux-form finite-difference scheme: cell conductances
 of (r^(N'-1) psi')' evaluated at geometric cell midpoints keep the
 stiffness symmetric, and the potential and mass are lumped by the
-trapezoid rule.  The Rayleigh bound of the weighted Hardy inequality is
-computed separately with exact piecewise-linear finite elements, because
-only a conforming discretization guarantees the one-sided bound
+trapezoid rule.  The negative count is an exact LDL^T inertia count and
+the low spectrum comes from LAPACK bisection (see ``tridiag``).
+
+The Rayleigh bound of the weighted Hardy inequality is computed
+separately with exact piecewise-linear finite elements in t = log r,
+where the quotient has constant coefficients and no power of r is ever
+formed; only a conforming discretization guarantees the one-sided bound
 min >= (N'-2)^2/4 on every annulus.
 """
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import ProblemParams, SchrodingerParams, derive, gamma_of_p
+from .params import ProblemParams, SchrodingerParams, gamma_of_p, hardy_constant
 from .transforms import (
     TransformKind,
     dual_apply,
@@ -87,7 +91,8 @@ class FormAssembly:
     def standardized(self) -> tuple[np.ndarray, np.ndarray]:
         """Mass-scaled standard form of the pencil (stiffness-potential, mass)."""
         d = (self.stiffness_diag - self.potential_diag) / self.mass_diag
-        e = self.stiffness_off / np.sqrt(self.mass_diag[:-1] * self.mass_diag[1:])
+        root = np.sqrt(self.mass_diag)
+        e = self.stiffness_off / (root[:-1] * root[1:])
         return d, e
 
     def inertia_scaled(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +110,8 @@ class FormAssembly:
         lump = 0.5 * (self.nodes[2:] - self.nodes[:-2])
         weight = interior ** (N - 3.0 + theta) * lump
         d = (self.stiffness_diag - self.potential_diag) / weight
-        e = self.stiffness_off / np.sqrt(weight[:-1] * weight[1:])
+        root = np.sqrt(weight)
+        e = self.stiffness_off / (root[:-1] * root[1:])
         return d, e
 
 
@@ -272,39 +278,25 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     """Discrete minimum of the weighted Hardy Rayleigh quotient on [a, b].
 
     Minimizes integral(r^(N-1+theta) psi'^2) / integral(r^(N-3+theta) psi^2)
-    over piecewise-linear psi vanishing at a and b, with all element
-    integrals exact.  Conformity makes the result a minimum over a
-    subspace of the continuum space, hence always >= (N'-2)^2/4, and it
-    decreases toward that constant as b/a grows.
+    over psi vanishing at a and b.  In t = log r with
+    phi = r^((N'-2)/2) psi the quotient is exactly
+    (N'-2)^2/4 + integral(phi_t^2) / integral(phi^2), so phi is taken
+    piecewise linear on n interior nodes uniform in t, with exact element
+    integrals and constant coefficients.  Conformity makes the result a
+    minimum over a subspace of the continuum space, hence always at least
+    (N'-2)^2/4 + (pi/L)^2 with L = log(b/a), and it decreases toward
+    (N'-2)^2/4 as b/a grows.
     """
-    n_prime = N + theta
-    if not n_prime > 2.0:
-        raise InvalidParameterError("need N + theta > 2")
+    level = hardy_constant(N + theta)
     if not (0.0 < a < b):
         raise InvalidParameterError("need 0 < a < b")
     if n < 8:
         raise InvalidParameterError("need at least 8 interior nodes")
-    nodes = np.geomspace(a, b, n + 2)
-    r0, r1 = nodes[:-1], nodes[1:]
-    dr = r1 - r0
-
-    def moments(mu: float) -> np.ndarray:
-        if mu == -1.0:
-            return np.log(r1 / r0)
-        return (r1 ** (mu + 1.0) - r0 ** (mu + 1.0)) / (mu + 1.0)
-
-    w_cell = moments(n_prime - 1.0)
-    conduct = w_cell / dr**2
-    stiff_diag = conduct[:-1] + conduct[1:]
-    stiff_off = -conduct[1:-1]
-
-    mu = n_prime - 3.0
-    i0, i1, i2 = moments(mu), moments(mu + 1.0), moments(mu + 2.0)
-    m_right = (r1 * r1 * i0 - 2.0 * r1 * i1 + i2) / dr**2  # hat decreasing on cell
-    m_left = (r0 * r0 * i0 - 2.0 * r0 * i1 + i2) / dr**2  # hat increasing on cell
-    m_cross = ((r0 + r1) * i1 - r0 * r1 * i0 - i2) / dr**2
-    mass_diag = m_left[:-1] + m_right[1:]
-    mass_off = m_cross[1:-1]
+    h = math.log(b / a) / (n + 1)
+    mass_diag = np.full(n, 4.0 * h / 6.0)
+    mass_off = np.full(n - 1, h / 6.0)
+    stiff_diag = 2.0 / h + level * mass_diag
+    stiff_off = -1.0 / h + level * mass_off
     return tridiag.min_eigenvalue_pencil(stiff_diag, stiff_off, mass_diag, mass_off)
 
 

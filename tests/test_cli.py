@@ -168,6 +168,29 @@ def test_sweep_partial_failures_recorded(tmp_path, capsys):
     assert lines[2].split(",")[6] == ""  # good row has empty error cell
 
 
+def test_sweep_spectrum_row_on_a_wide_annulus_at_large_n(tmp_path, capsys):
+    # r^(N'-1) spans 1e+-174 on [1e-6, 1e6]: the mass scaling must not overflow
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "mode = spectrum\nN = 30\ntheta = 0\nl = 0\np = 3\na = 1e-6\nb = 1e6\nn = 1000\n"
+    )
+    code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    cells = dict(zip(header, row))
+    assert cells["error"] == ""
+    assert float(cells["f_p"]) < float(cells["hardy_level"])
+    assert cells["negative_count"] == "0"
+
+
+def test_shoot_exponent_overflow_exit_code(capsys):
+    env = run_json(
+        ["shoot", "--N", "100", "--theta", "0", "--l", "0", "--p", "2"], capsys, expect_code=3
+    )
+    assert env["error"]["type"] == "numerical_failure"
+    assert "N'+tau" in env["error"]["message"]
+
+
 def test_sweep_infinity_is_empty_cell(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("mode = exponents\nnprime = 9\ntau = 0\n")

@@ -6,6 +6,7 @@ import pytest
 from emdenlab import (
     DecayClass,
     InvalidParameterError,
+    NumericalError,
     Ordering,
     ProblemParams,
     RadialFunction,
@@ -225,3 +226,8 @@ def test_sphere_constant_check():
     res = shoot(PARAMS_11, kappa=1.0, r_max=1e6, tol=1e-10)
     level = f_eval(PARAMS_11.p, 11.0, 0.0) / PARAMS_11.p
     assert res.asymptotic_constant ** (PARAMS_11.p - 1.0) == pytest.approx(level, rel=1e-2)
+
+
+def test_shoot_exponent_overflow_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="N'\\+tau = 100"):
+        shoot(ProblemParams(100, 0.0, 0.0, 2.0), 1.0, 1e6)

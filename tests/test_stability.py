@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from emdenlab import (
     InvalidParameterError,
@@ -134,6 +135,34 @@ def test_eigensolver_dirichlet_sanity():
         assert lam == pytest.approx(float(k * k), rel=1e-3)
 
 
+def _mp_count_below(d, e, x):
+    # Sturm count at 60 digits: an oracle independent of float64 pivots
+    import mpmath
+
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        q = mpmath.mpf(d[0]) - x
+        count = int(q < 0)
+        for di, ei in zip(d[1:], e):
+            q = mpmath.mpf(di) - x - mpmath.mpf(ei) ** 2 / q
+            count += int(q < 0)
+    return count
+
+
+@pytest.mark.parametrize("N, p", [(11, 7.0), (15, 3.0)])
+def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
+    # graded mass-scaled pencils where LAPACK bisection at its default
+    # tolerance loses the low end; the pinned tolerance must not
+    pytest.importorskip("mpmath")
+    params = ProblemParams(N, 0.0, 0.0, p)
+    v = profile_on(params, 1e-3, 1e3, 3000)
+    d, e = assemble_forms(params, v, 1e-3, 1e3, 2000).standardized()
+    for j, lam in enumerate(tridiag.smallest_eigenvalues(d, e, 4)):
+        gap = 1e-9 * abs(lam)
+        assert _mp_count_below(d, e, lam - gap) == j
+        assert _mp_count_below(d, e, lam + gap) == j + 1
+
+
 def test_eigenvector_matches_q_value():
     # q_value on an eigenvector-interpolated test function reproduces
     # eigenvalue * mass norm to discretization accuracy
@@ -142,8 +171,10 @@ def test_eigenvector_matches_q_value():
     v = profile_on(params, a, b, n + 500)
     asm = assemble_forms(params, v, a, b, n)
     d, e = asm.standardized()
-    lam = tridiag.smallest_eigenvalues(d, e, 1)[0]
-    y = tridiag.eigenvector(d, e, lam)
+    eigs, vecs = eigh_tridiagonal(
+        d, e, select="i", select_range=(0, 0), lapack_driver="stebz", tol=tridiag.STEBZ_TOL
+    )
+    lam, y = eigs[0], vecs[:, 0]
     # undo the mass scaling: pencil eigenvector is M^(-1/2) y
     x = y / np.sqrt(asm.mass_diag)
     values = np.zeros(n + 2)
@@ -202,6 +233,28 @@ def test_hardy_rayleigh_min_bounds():
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] <= 2.25 * 1.05
     assert hardy_rayleigh_min(0.0, 4, 1e-2, 1e2, 1000) >= 1.0
+
+
+@pytest.mark.parametrize(
+    "N, a, b, n",
+    [
+        (5, 1.0, 1e4, 3000),
+        (4, 1e-2, 1e2, 1000),
+        (11, 1e-3, 1e3, 1000),
+        (11, 1.0, 1e6, 1000),
+        (15, 1e-2, 1e2, 1000),
+    ],
+)
+def test_hardy_rayleigh_min_matches_closed_form(N, a, b, n):
+    # P1 elements in t = log r: the discrete minimum of the constant
+    # coefficient pencil is known exactly and sits above the continuum one
+    L = math.log(b / a)
+    h = L / (n + 1)
+    c = math.cos(math.pi * h / L)
+    level = hardy_constant(float(N))
+    val = hardy_rayleigh_min(0.0, N, a, b, n)
+    assert val == pytest.approx(level + 6.0 / h**2 * (1.0 - c) / (2.0 + c), rel=1e-9)
+    assert val >= level + (math.pi / L) ** 2
 
 
 def test_hardy_rayleigh_matches_liouville_value():
