@@ -28,7 +28,6 @@ from .params import (
     f_eval,
     gamma_of_p,
     hardy_constant,
-    sigma_of,
 )
 from .radial_ode import (
     DecayClass,
@@ -89,7 +88,6 @@ __all__ = [
     "crossing_by_bisection",
     "classify_p",
     "hardy_constant",
-    "sigma_of",
     "TransformKind",
     "TransformedParams",
     "kelvin_params",

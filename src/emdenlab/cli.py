@@ -4,7 +4,8 @@ Subcommands: exponents, classify, shoot, spectrum, transform, sweep.
 Every command prints a JSON report envelope on stdout (or a flat CSV with
 --format csv); shoot additionally writes its solution table to --out, and
 sweep emits a CSV matrix.  Exit codes: 0 success, 2 invalid input,
-3 numerical failure.
+3 numerical failure.  Every command but exponents needs --p;
+exponents reports the regime of p only when --p is given.
 
 Outputs are deterministic: identical inputs with the same tool version
 produce byte-identical bytes.  The envelope's timestamp is therefore null
@@ -15,8 +16,11 @@ as an empty cell in CSV.
 Sweep configuration is a flat key-value text file, one ``key = value``
 per line, ``#`` for comments.  Values may be a scalar, a comma list
 (``0,0.5,1``), or ``start:stop:count`` for an inclusive linear range.
-Keys for ``mode = exponents``: nprime, tau.  Keys for ``mode =
-spectrum``: N, theta, l, p, a, b, n.
+Keys for ``mode = exponents`` (the default): nprime, tau, each a list.
+Keys for ``mode = spectrum``: N (an integer), theta and l (required
+scalars), p (a list), a, b (scalars, default 1e-3 and 1e3) and n (an
+integer, default 2000).  A missing file, an unknown key, a missing
+required key or a malformed value is invalid input (exit 2).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -41,7 +46,7 @@ from .params import (
     hardy_constant,
 )
 from .radial_ode import shoot, v_infinity
-from .stability import radial_morse_index
+from .stability import SpectrumReport, radial_morse_index
 from .transforms import (
     TransformKind,
     dual_params,
@@ -51,6 +56,15 @@ from .transforms import (
 )
 
 INFINITY_TOKEN = "infinity"
+
+#: Command-line values that make up a ProblemParams.
+_PARAMS = ("N", "theta", "l", "p")
+
+#: Accepted keys per sweep mode, besides ``mode`` itself.
+_SWEEP_KEYS = {
+    "exponents": ("nprime", "tau"),
+    "spectrum": ("N", "theta", "l", "p", "a", "b", "n"),
+}
 
 
 def _jsonable(x):
@@ -78,28 +92,17 @@ def _timestamp():
     return int(epoch) if epoch is not None else None
 
 
-def _envelope(command: str, inputs: dict, derived: dict | None, results: dict) -> dict:
+def _envelope(args, inputs: tuple[str, ...], derived: dict | None, results: dict) -> dict:
+    """Report envelope of ``args.command``; ``inputs`` names the echoed arguments."""
     return {
         "tool": "emdenlab",
         "version": __version__,
-        "command": command,
-        "inputs": _jsonable(inputs),
+        "command": args.command,
+        "inputs": _jsonable({name: getattr(args, name) for name in inputs}),
         "derived": _jsonable(derived) if derived is not None else None,
         "results": _jsonable(results),
         "timestamp": _timestamp(),
     }
-
-
-def _emit(envelope: dict, fmt: str, out: str | None):
-    if fmt == "json":
-        text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _flatten_csv(envelope)
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _flatten_csv(envelope: dict) -> str:
@@ -148,16 +151,52 @@ def _derived_block(params: ProblemParams, with_p: bool = True) -> dict:
     }
 
 
-def _problem_params(args) -> ProblemParams:
+def _problem_params(args, p: float | None) -> ProblemParams:
+    if p is None:
+        raise InvalidParameterError(f"--p is required for {args.command}")
     if args.N is None or args.theta is None or args.l is None:
         raise InvalidParameterError("--N, --theta and --l are required")
-    p = args.p if getattr(args, "p", None) is not None else 2.0
     return ProblemParams(N=args.N, theta=args.theta, l=args.l, p=p)
+
+
+def _number(key: str, text: str, integer: bool = False) -> float | int:
+    """The number written as ``text`` for ``key``; malformed text is invalid input."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidParameterError(f"{key}: expected a number, got {text.strip()!r}") from None
+    if not integer:
+        return value
+    if not value.is_integer():
+        raise InvalidParameterError(f"{key}: expected an integer, got {text.strip()!r}")
+    return int(value)
+
+
+def _spectrum(
+    params: ProblemParams, profile: str, a: float, b: float, n: int, tol: float | None
+) -> SpectrumReport:
+    """Radial Morse count on [a, b] about the ``v_infinity`` or ``shoot:<kappa>`` profile.
+
+    ``tol`` is the shooting tolerance; the singular profile does not use it.
+    """
+    if profile == "v_infinity":
+        pad = 1.0 + 1e-9
+        grid = RadialGrid.logspaced(a / pad, b * pad, max(n, 256))
+        v = v_infinity(params, grid)
+    elif profile.startswith("shoot:"):
+        kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
+        v = shoot(params, kappa=kappa, r_max=b * 2.0, tol=tol).solution
+    else:
+        raise InvalidParameterError(
+            "profile must be 'v_infinity' or 'shoot:<kappa>'"
+        )
+    return radial_morse_index(params, v, a, b, n)
 
 
 def cmd_exponents(args) -> dict:
     has_p = args.p is not None
-    params = ProblemParams(args.N, args.theta, args.l, args.p if has_p else 2.0)
+    # Without --p the placeholder power feeds only m_exp and c0, reported as null.
+    params = _problem_params(args, args.p if has_p else 2.0)
     if not params.standard_regime:
         raise InvalidParameterError(
             "exponent report requires the standard regime N + theta > 2, l - theta > -2"
@@ -165,8 +204,8 @@ def cmd_exponents(args) -> dict:
     ind = derive(params)
     exps = critical_exponents(ind.n_prime, ind.tau)
     results = {
-        "serrin": ind.serrin,
-        "sobolev": ind.sobolev,
+        "serrin": exps.serrin,
+        "sobolev": exps.sobolev,
         "p_tilde_c": exps.p_tilde_c,
         "p_minus": exps.p_minus,
         "p_plus": exps.p_plus,
@@ -174,20 +213,17 @@ def cmd_exponents(args) -> dict:
         "hardy_level": hardy_constant(ind.n_prime),
         "quadratic_coeffs": list(exps.quadratic_coeffs),
     }
-    inputs = {"N": args.N, "theta": args.theta, "l": args.l, "p": args.p}
     if has_p:
         cls = classify_p(params)
         results["c0"] = ind.c0
         results["f_p"] = f_eval(params.p, ind.n_prime, ind.tau)
         results["regime"] = cls.label.value
         results["condition_weight_balance"] = cls.condition_weight_balance
-    return _envelope("exponents", inputs, _derived_block(params, with_p=has_p), results)
+    return _envelope(args, _PARAMS, _derived_block(params, with_p=has_p), results)
 
 
 def cmd_classify(args) -> dict:
-    if args.p is None:
-        raise InvalidParameterError("--p is required for classify")
-    params = _problem_params(args)
+    params = _problem_params(args, args.p)
     cls = classify_p(params)
     results = {
         "regime": cls.label.value,
@@ -197,14 +233,11 @@ def cmd_classify(args) -> dict:
         "removability_upper": _or_infinity(cls.removability_upper),
         "removability_applies": cls.removability_applies,
     }
-    inputs = {"N": args.N, "theta": args.theta, "l": args.l, "p": args.p}
-    return _envelope("classify", inputs, _derived_block(params), results)
+    return _envelope(args, _PARAMS, _derived_block(params), results)
 
 
 def cmd_shoot(args) -> dict:
-    if args.p is None:
-        raise InvalidParameterError("--p is required for shoot")
-    params = _problem_params(args)
+    params = _problem_params(args, args.p)
     result = shoot(
         params,
         kappa=args.kappa,
@@ -234,76 +267,43 @@ def cmd_shoot(args) -> dict:
         "c0": ind.c0,
         "csv": args.out,
     }
-    inputs = {
-        "N": args.N,
-        "theta": args.theta,
-        "l": args.l,
-        "p": args.p,
-        "kappa": args.kappa,
-        "rmax": args.rmax,
-        "rmin": args.rmin,
-        "tol": args.tol,
-    }
-    return _envelope("shoot", inputs, _derived_block(params), results)
+    inputs = (*_PARAMS, "kappa", "rmax", "rmin", "tol")
+    return _envelope(args, inputs, _derived_block(params), results)
 
 
 def cmd_spectrum(args) -> dict:
-    if args.p is None:
-        raise InvalidParameterError("--p is required for spectrum")
-    params = _problem_params(args)
-    profile = args.profile
-    if profile == "v_infinity":
-        pad = 1.0 + 1e-9
-        grid = RadialGrid.logspaced(args.a / pad, args.b * pad, max(args.n, 256))
-        v = v_infinity(params, grid)
-    elif profile.startswith("shoot:"):
-        kappa = float(profile.split(":", 1)[1])
-        result = shoot(params, kappa=kappa, r_max=args.b * 2.0, tol=args.tol)
-        v = result.solution
-    else:
-        raise InvalidParameterError(
-            "profile must be 'v_infinity' or 'shoot:<kappa>'"
-        )
-    report = radial_morse_index(params, v, args.a, args.b, args.n)
+    params = _problem_params(args, args.p)
+    report = _spectrum(params, args.profile, args.a, args.b, args.n, args.tol)
     results = {
         "a": args.a,
         "b": args.b,
         "n": args.n,
-        "profile": profile,
+        "profile": args.profile,
         "negative_count": report.negative_count,
         "min_eigenvalue": report.min_eigenvalue,
         "negative_tol": report.negative_tol,
         "eigenvalues": list(report.eigenvalues),
     }
-    inputs = {
-        "N": args.N,
-        "theta": args.theta,
-        "l": args.l,
-        "p": args.p,
-        "profile": profile,
-        "a": args.a,
-        "b": args.b,
-        "n": args.n,
-    }
-    return _envelope("spectrum", inputs, _derived_block(params), results)
+    inputs = (*_PARAMS, "profile", "a", "b", "n")
+    return _envelope(args, inputs, _derived_block(params), results)
 
 
 def cmd_transform(args) -> dict:
     kind = TransformKind(args.kind)
     if kind is TransformKind.SIGMA:
-        if args.alpha is None or args.ell is None or args.p is None:
+        if args.N is None or args.alpha is None or args.ell is None or args.p is None:
             raise InvalidParameterError("sigma transform needs --N, --alpha, --ell, --p")
         sp = SchrodingerParams(N=args.N, alpha=args.alpha, ell=args.ell, p=args.p)
         image = sigma_params(sp).params
-        inputs = {"kind": args.kind, "N": args.N, "alpha": args.alpha, "ell": args.ell, "p": args.p}
+        inputs = ("kind", "N", "alpha", "ell", "p")
         checks = {
             "sigma": sp.sigma,
             "sigma_quadratic_residual": sp.sigma**2 - (sp.N - 2.0) * sp.sigma + sp.ell,
         }
         derived = None
     else:
-        params = _problem_params(args)
-        inputs = {"kind": args.kind, "N": args.N, "theta": args.theta, "l": args.l, "p": args.p}
+        params = _problem_params(args, args.p)
+        inputs = ("kind", *_PARAMS)
         derived = _derived_block(params)
         if kind is TransformKind.KELVIN:
             image = kelvin_params(params).params
@@ -323,7 +323,7 @@ def cmd_transform(args) -> dict:
                 "schrodinger": {"N": sp.N, "alpha": sp.alpha, "ell": sp.ell, "p": sp.p},
                 "identity_checks": {"sigma": sp.sigma},
             }
-            return _envelope("transform", inputs, derived, results)
+            return _envelope(args, inputs, derived, results)
         else:
             raise InvalidParameterError(f"unsupported transform kind {args.kind}")
     results = {
@@ -333,16 +333,17 @@ def cmd_transform(args) -> dict:
         "image_standard_regime": image.standard_regime,
         "identity_checks": checks,
     }
-    return _envelope("transform", inputs, derived, results)
+    return _envelope(args, inputs, derived, results)
 
 
-def _parse_values(text: str) -> list[float]:
+def _parse_values(key: str, text: str) -> list[float]:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidParameterError(f"range must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _number(key, parts[0]), _number(key, parts[1])
+        count = _number(f"{key} range count", parts[2], integer=True)
         if count < 0:
             raise InvalidParameterError("range count must be >= 0")
         if count == 0:
@@ -352,13 +353,17 @@ def _parse_values(text: str) -> list[float]:
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
     if "," in text:
-        return [float(v) for v in text.split(",") if v.strip()]
-    return [float(text)]
+        return [_number(key, v) for v in text.split(",") if v.strip()]
+    return [_number(key, text)]
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read sweep config: {exc}") from None
     config: dict[str, str] = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -373,68 +378,60 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def cmd_sweep(args) -> str:
+    """CSV text of a sweep: one row per input cell, failures recorded per row."""
     config = _read_config(args.config)
-    mode = config.get("mode", "exponents")
+    mode = config.pop("mode", "exponents")
+    if mode not in _SWEEP_KEYS:
+        raise InvalidParameterError(f"unknown sweep mode {mode!r}")
+    unknown = sorted(set(config) - set(_SWEEP_KEYS[mode]))
+    if unknown:
+        raise InvalidParameterError(f"unknown keys for mode = {mode}: {', '.join(unknown)}")
+
+    def values(key):
+        return _parse_values(key, config[key]) if config.get(key) else []
+
+    if mode == "exponents":
+        inputs = ["n_prime", "tau"]
+        outputs = ["serrin", "sobolev", "p_tilde_c", "p_c"]
+        grid = list(itertools.product(values("nprime"), values("tau")))
+
+        def compute(n_prime, tau):
+            exps = critical_exponents(n_prime, tau)
+            return [exps.serrin, exps.sobolev, exps.p_tilde_c, exps.p_c]
+
+    else:
+        inputs = ["N", "theta", "l", "p"]
+        outputs = ["f_p", "hardy_level", "negative_count", "min_eigenvalue"]
+        missing = [key for key in ("N", "theta", "l") if key not in config]
+        if missing:
+            raise InvalidParameterError(f"mode = spectrum needs {', '.join(missing)}")
+        N = _number("N", config["N"], integer=True)
+        theta, l = _number("theta", config["theta"]), _number("l", config["l"])
+        a = _number("a", config.get("a", "1e-3"))
+        b = _number("b", config.get("b", "1e3"))
+        n = _number("n", config.get("n", "2000"), integer=True)
+        grid = [(N, theta, l, p) for p in values("p")]
+
+        def compute(N, theta, l, p):
+            params = ProblemParams(N=N, theta=theta, l=l, p=p)
+            report = _spectrum(params, "v_infinity", a, b, n, tol=None)
+            return [
+                f_eval(p, params.n_prime, params.tau),
+                hardy_constant(params.n_prime),
+                report.negative_count,
+                report.min_eigenvalue,
+            ]
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if mode == "exponents":
-        writer.writerow(["n_prime", "tau", "serrin", "sobolev", "p_tilde_c", "p_c", "error"])
-        nprimes = _parse_values(config["nprime"]) if config.get("nprime") else []
-        taus = _parse_values(config["tau"]) if config.get("tau") else []
-        for n_prime in nprimes:
-            for tau in taus:
-                row: list[str] = [repr(float(n_prime)), repr(float(tau))]
-                try:
-                    exps = critical_exponents(n_prime, tau)
-                    serrin = (n_prime + tau) / (n_prime - 2.0)
-                    sobolev = (n_prime + 2.0 + 2.0 * tau) / (n_prime - 2.0)
-                    row += [
-                        repr(serrin),
-                        repr(sobolev),
-                        repr(exps.p_tilde_c),
-                        "" if exps.p_c is None else repr(exps.p_c),
-                        "",
-                    ]
-                except EmdenlabError as exc:
-                    row += ["", "", "", "", str(exc)]
-                writer.writerow(row)
-    elif mode == "spectrum":
-        writer.writerow(["N", "theta", "l", "p", "f_p", "hardy_level", "negative_count", "min_eigenvalue", "error"])
-        N = int(float(config["N"]))
-        theta = float(config["theta"])
-        l = float(config["l"])
-        a = float(config.get("a", 1e-3))
-        b = float(config.get("b", 1e3))
-        n = int(float(config.get("n", 2000)))
-        p_values = _parse_values(config["p"]) if config.get("p") else []
-        for p in p_values:
-            row = [str(N), repr(theta), repr(l), repr(float(p))]
-            try:
-                params = ProblemParams(N=N, theta=theta, l=l, p=p)
-                ind = derive(params)
-                pad = 1.0 + 1e-9
-                grid = RadialGrid.logspaced(a / pad, b * pad, max(n, 256))
-                v = v_infinity(params, grid)
-                report = radial_morse_index(params, v, a, b, n)
-                row += [
-                    repr(f_eval(p, ind.n_prime, ind.tau)),
-                    repr(hardy_constant(ind.n_prime)),
-                    str(report.negative_count),
-                    repr(report.min_eigenvalue),
-                    "",
-                ]
-            except EmdenlabError as exc:
-                row += ["", "", "", "", str(exc)]
-            writer.writerow(row)
-    else:
-        raise InvalidParameterError(f"unknown sweep mode {mode!r}")
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return text
+    writer.writerow([*inputs, *outputs, "error"])
+    for point in grid:
+        try:
+            row = [*point, *compute(*point), None]
+        except EmdenlabError as exc:
+            row = [*point, *[None] * len(outputs), str(exc)]
+        writer.writerow([_csv_cell(cell) for cell in row])
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,32 +496,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        result = args.fn(args)
         if args.command == "sweep":
-            cmd_sweep(args)
+            text = result
+        elif args.format == "json":
+            text = json.dumps(result, sort_keys=True, indent=2) + "\n"
         else:
-            envelope = args.fn(args)
-            # shoot reserves --out for its solution table; its envelope
-            # always goes to stdout
-            out = None if args.command == "shoot" else args.out
-            _emit(envelope, args.format, out)
-    except InvalidParameterError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"type": "invalid_input", "message": str(exc)}},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        return 2
-    except NumericalError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"type": "numerical_failure", "message": str(exc)}},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        return 3
+            text = _flatten_csv(result)
+        # shoot reserves --out for its solution table; its envelope
+        # always goes to stdout
+        out = None if args.command == "shoot" else args.out
+        if out:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (InvalidParameterError, NumericalError) as exc:
+        invalid = isinstance(exc, InvalidParameterError)
+        error = {"type": "invalid_input" if invalid else "numerical_failure", "message": str(exc)}
+        sys.stdout.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+        return 2 if invalid else 3
     return 0
 
 

@@ -114,10 +114,13 @@ class CriticalExponents:
     N' > 10 + 4*tau and then lies strictly above the Sobolev exponent;
     ``p_c`` equals ``p_plus`` there and is None (meaning +infinity) for
     2 < N' <= 10 + 4*tau.  Infinity is always this explicit None, never a
-    float sentinel.  ``quadratic_coeffs`` are the coefficients (a, b, c)
-    of the equivalent quadratic a*p**2 - b*p + c = 0.
+    float sentinel.  ``serrin`` and ``sobolev`` are the ends of the window
+    that holds ``p_minus``.  ``quadratic_coeffs`` are the coefficients
+    (a, b, c) of the equivalent quadratic a*p**2 - b*p + c = 0.
     """
 
+    serrin: float
+    sobolev: float
     p_minus: float
     p_plus: float | None
     p_c: float | None
@@ -177,16 +180,16 @@ class Classification:
     removability_applies: bool
 
 
+def _serrin_sobolev(n_prime: float, tau: float) -> tuple[float, float]:
+    """Serrin exponent (N'+tau)/(N'-2) and Sobolev exponent (N'+2+2*tau)/(N'-2)."""
+    return (n_prime + tau) / (n_prime - 2.0), (n_prime + 2.0 + 2.0 * tau) / (n_prime - 2.0)
+
+
 def derive(params: ProblemParams) -> DerivedIndices:
     """Compute the derived indices of a parameter set."""
     np_, tau = params.n_prime, params.tau
     m = (2.0 + tau) / (params.p - 1.0)
-    if np_ == 2.0:
-        serrin: float | None = None
-        sobolev: float | None = None
-    else:
-        serrin = (np_ + tau) / (np_ - 2.0)
-        sobolev = (np_ + 2.0 + 2.0 * tau) / (np_ - 2.0)
+    serrin, sobolev = (None, None) if np_ == 2.0 else _serrin_sobolev(np_, tau)
     base = m * (np_ - 2.0 - m)
     c0 = base ** (1.0 / (params.p - 1.0)) if (np_ > 2.0 and base > 0.0) else None
     return DerivedIndices(n_prime=np_, tau=tau, m_exp=m, serrin=serrin, sobolev=sobolev, c0=c0)
@@ -245,17 +248,8 @@ def hardy_constant(n_prime: float) -> float:
     return (n_prime - 2.0) ** 2 / 4.0
 
 
-def sigma_of(schrodinger: SchrodingerParams) -> float:
-    """Exponent sigma = (N-2)/2 - sqrt((N-2)^2/4 - ell) of the change of variables.
-
-    It is the smaller root of sigma^2 - (N-2)*sigma + ell = 0.
-    """
-    return schrodinger.sigma
-
-
-def _bisect_crossing(n_prime: float, tau: float, lo: float, hi: float) -> float:
-    """Bisection root of f(p) = (N'-2)^2/4 on a sign-changing bracket."""
-    level = (n_prime - 2.0) ** 2 / 4.0
+def _bisect_crossing(n_prime: float, tau: float, level: float, lo: float, hi: float) -> float:
+    """Bisection root of f(p) = level on a sign-changing bracket."""
     glo = f_eval(lo, n_prime, tau) - level if lo > 1.0 else -level
     ghi = f_eval(hi, n_prime, tau) - level
     if glo == 0.0:
@@ -291,11 +285,10 @@ def crossing_by_bisection(n_prime: float, tau: float, which: str = "plus") -> fl
     """
     if not (n_prime > 2.0 and tau > -2.0):
         raise InvalidParameterError("need N' > 2 and tau > -2")
-    serrin = (n_prime + tau) / (n_prime - 2.0)
-    sobolev = (n_prime + 2.0 + 2.0 * tau) / (n_prime - 2.0)
-    level = (n_prime - 2.0) ** 2 / 4.0
+    serrin, sobolev = _serrin_sobolev(n_prime, tau)
+    level = hardy_constant(n_prime)
     if which == "minus":
-        return _bisect_crossing(n_prime, tau, serrin, sobolev)
+        return _bisect_crossing(n_prime, tau, level, serrin, sobolev)
     if which != "plus":
         raise InvalidParameterError("which must be 'plus' or 'minus'")
     if not n_prime > 10.0 + 4.0 * tau:
@@ -307,7 +300,7 @@ def crossing_by_bisection(n_prime: float, tau: float, which: str = "plus") -> fl
         hi *= 2.0
     else:
         raise NumericalError("could not bracket the upper crossing")
-    return _bisect_crossing(n_prime, tau, sobolev, hi)
+    return _bisect_crossing(n_prime, tau, level, sobolev, hi)
 
 
 def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
@@ -332,9 +325,8 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
     a = (n_prime - 2.0) * (n_prime - 4.0 * tau - 10.0)
     b = 2.0 * (n_prime - 2.0) ** 2 - 4.0 * (tau + 2.0) * (tau + n_prime)
     c = (n_prime - 2.0) ** 2
-    serrin = (n_prime + tau) / (n_prime - 2.0)
-    sobolev = (n_prime + 2.0 + 2.0 * tau) / (n_prime - 2.0)
-    level = c / 4.0
+    serrin, sobolev = _serrin_sobolev(n_prime, tau)
+    level = hardy_constant(n_prime)
 
     if a == 0.0:
         p_minus = c / b
@@ -389,6 +381,8 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
 
     p_c = p_plus if a > 0.0 else None
     return CriticalExponents(
+        serrin=serrin,
+        sobolev=sobolev,
         p_minus=p_minus,
         p_plus=p_plus,
         p_c=p_c,
@@ -421,8 +415,7 @@ def classify_p(params: ProblemParams) -> Classification:
     p = params.p
     np_, tau = params.n_prime, params.tau
     exps = critical_exponents(np_, tau)
-    ind = derive(params)
-    serrin, sobolev = ind.serrin, ind.sobolev
+    serrin, sobolev = exps.serrin, exps.sobolev
 
     sobolev_exact = math.isclose(p, sobolev, rel_tol=1e-12, abs_tol=0.0)
     if sobolev_exact:

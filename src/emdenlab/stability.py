@@ -88,12 +88,16 @@ class FormAssembly:
     interval: tuple[float, float]
     n: int
 
-    def standardized(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mass-scaled standard form of the pencil (stiffness-potential, mass)."""
-        d = (self.stiffness_diag - self.potential_diag) / self.mass_diag
-        root = np.sqrt(self.mass_diag)
+    def _congruence(self, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stiffness-potential scaled by diag(weight)^(-1/2) on both sides."""
+        d = (self.stiffness_diag - self.potential_diag) / weight
+        root = np.sqrt(weight)
         e = self.stiffness_off / (root[:-1] * root[1:])
         return d, e
+
+    def standardized(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mass-scaled standard form of the pencil (stiffness-potential, mass)."""
+        return self._congruence(self.mass_diag)
 
     def inertia_scaled(self) -> tuple[np.ndarray, np.ndarray]:
         """Congruence scaling of stiffness-potential by the r^(N'-3) weight.
@@ -108,11 +112,7 @@ class FormAssembly:
         N, theta = self.params.N, self.params.theta
         interior = self.nodes[1:-1]
         lump = 0.5 * (self.nodes[2:] - self.nodes[:-2])
-        weight = interior ** (N - 3.0 + theta) * lump
-        d = (self.stiffness_diag - self.potential_diag) / weight
-        root = np.sqrt(weight)
-        e = self.stiffness_off / (root[:-1] * root[1:])
-        return d, e
+        return self._congruence(interior ** (N - 3.0 + theta) * lump)
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def radial_morse_index(
     hd, he = asm.inertia_scaled()
     scale = float(np.max(np.abs(hd))) + (2.0 * float(np.max(np.abs(he))) if he.size else 0.0)
     tol = NEGATIVE_TOL_FACTOR * scale
-    negative = int(tridiag.count_below(hd, he, -tol))
+    negative = tridiag.count_below(hd, he, -tol)
     # Reported eigenvalues belong to the (stiffness - potential, mass) pencil.
     d, e = asm.standardized()
     k = n_eigenvalues if n_eigenvalues is not None else max(negative + 8, 16)

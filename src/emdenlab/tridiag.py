@@ -31,27 +31,22 @@ def _pivmin(e: np.ndarray) -> float:
     return np.finfo(float).tiny * max(1.0, emax)
 
 
-def count_below(d: np.ndarray, e: np.ndarray, shifts) -> np.ndarray | int:
-    """Number of eigenvalues of tridiag(d, e) strictly below each shift.
+def count_below(d: np.ndarray, e: np.ndarray, shift: float) -> int:
+    """Number of eigenvalues of tridiag(d, e) strictly below shift.
 
-    Vectorized over shifts: one sweep of the LDL^T pivot recurrence per
-    matrix row, array arithmetic across all shifts at once.
+    Counts the negative LDL^T pivots of tridiag(d, e) - shift (Sylvester
+    inertia), one row at a time in Python floats.
     """
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(d, dtype=float).tolist()
     e = np.asarray(e, dtype=float)
-    scalar = np.isscalar(shifts) or np.ndim(shifts) == 0
-    x = np.atleast_1d(np.asarray(shifts, dtype=float))
     piv = _pivmin(e)
-    dx = d[:, None] - x[None, :]
-    e2 = e * e
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = dx[0]
-        count = (q < 0.0).astype(np.int64)
-        for i in range(1, d.size):
-            # copysign floors |q| at the pivot minimum (exact zeros go positive)
-            q = dx[i] - e2[i - 1] / np.copysign(np.maximum(np.abs(q), piv), q)
-            count += q < 0.0
-    return int(count[0]) if scalar else count
+    q = d[0] - shift
+    count = int(q < 0.0)
+    for di, ei2 in zip(d[1:], (e * e).tolist()):
+        # copysign floors |q| at the pivot minimum (exact zeros go positive)
+        q = (di - shift) - ei2 / math.copysign(max(abs(q), piv), q)
+        count += q < 0.0
+    return count
 
 
 def smallest_eigenvalues(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:

@@ -49,6 +49,25 @@ def test_exponents_invalid_input_is_machine_readable(capsys):
     assert err["error"]["type"] == "invalid_input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "--N", "11", "--theta", "0"],
+        ["exponents", "--N", "11", "--l", "0"],
+        ["transform", "--kind", "kelvin", "--N", "5", "--theta", "0", "--l", "0"],
+        ["transform", "--kind", "dual", "--N", "5", "--theta", "0", "--l", "0"],
+        ["transform", "--kind", "sigma_inverse", "--N", "5", "--theta", "0", "--l", "0"],
+        ["transform", "--kind", "sigma", "--alpha", "0", "--ell", "2", "--p", "3"],
+    ],
+    ids=["exponents-no-l", "exponents-no-theta", "kelvin-no-p", "dual-no-p",
+         "sigma-inverse-no-p", "sigma-no-N"],
+)
+def test_missing_argument_is_invalid_input(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "invalid_input"
+
+
 def test_classify_command(capsys):
     env = run_json(["classify", "--N", "11", "--theta", "0", "--l", "0", "--p", "3"], capsys)
     assert env["results"]["regime"] == "removability_window"
@@ -166,6 +185,33 @@ def test_sweep_partial_failures_recorded(tmp_path, capsys):
     assert lines[1].split(",")[2] == ""  # failed row keeps only the inputs
     assert "N'" in lines[1] or "need" in lines[1]
     assert lines[2].split(",")[6] == ""  # good row has empty error cell
+
+
+SPECTRUM_SWEEP = "mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 3\nn = 200\n"
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, None),  # no such file
+        (SPECTRUM_SWEEP.replace("theta = 0\n", ""), None),
+        ("mode = exponents\nnprime = abc\ntau = 0\n", None),
+        ("mode = exponents\nnprime = 11:15:2.5\ntau = 0\n", None),
+        (SPECTRUM_SWEEP.replace("N = 11", "N = 11.7"), None),
+        (SPECTRUM_SWEEP + "profile = shoot:1\n", None),
+        (None, ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
+                "--profile", "shoot:abc"]),
+    ],
+    ids=["missing-file", "missing-key", "not-a-number", "fractional-count",
+         "fractional-N", "unknown-key", "profile-kappa"],
+)
+def test_malformed_sweep_or_profile_is_invalid_input(config, argv, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    code, out = run_cli(argv or ["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "invalid_input"
 
 
 def test_sweep_spectrum_row_on_a_wide_annulus_at_large_n(tmp_path, capsys):

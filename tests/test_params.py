@@ -17,7 +17,6 @@ from emdenlab import (
     f_eval,
     gamma_of_p,
     hardy_constant,
-    sigma_of,
 )
 
 
@@ -238,9 +237,9 @@ def test_hardy_constant():
 
 
 def test_sigma_of():
-    assert sigma_of(SchrodingerParams(5, 0.0, 0.0, 3.0)) == 0.0
-    assert sigma_of(SchrodingerParams(5, 0.0, 2.0, 3.0)) == pytest.approx(1.0, abs=1e-14)
-    assert sigma_of(SchrodingerParams(3, 0.0, 0.2, 2.0)) == pytest.approx(
+    assert SchrodingerParams(5, 0.0, 0.0, 3.0).sigma == 0.0
+    assert SchrodingerParams(5, 0.0, 2.0, 3.0).sigma == pytest.approx(1.0, abs=1e-14)
+    assert SchrodingerParams(3, 0.0, 0.2, 2.0).sigma == pytest.approx(
         0.5 - math.sqrt(0.05), abs=1e-14
     )
     with pytest.raises(InvalidParameterError):

@@ -149,6 +149,31 @@ def _mp_count_below(d, e, x):
     return count
 
 
+def test_count_below_matches_dense_eigenvalues():
+    rng = np.random.default_rng(2024)
+    checked = diagonal_shifts = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        d = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+        e[rng.random(n - 1) < 0.2] = 0.0  # split into decoupled blocks
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lam = np.linalg.eigvalsh(T)
+        gap = 1e-6 * np.linalg.norm(T, 2)
+        # a shift equal to d[0] makes the first pivot exactly zero
+        shifts = [*rng.uniform(lam[0] - 1.0, lam[-1] + 1.0, 6), *d[:3]]
+        for j, s in enumerate(shifts):
+            if np.min(np.abs(lam - s)) < gap:
+                continue
+            assert tridiag.count_below(d, e, float(s)) == np.count_nonzero(lam < s)
+            checked += 1
+            diagonal_shifts += j >= 6
+    assert checked > 1000 and diagonal_shifts > 300
+    # exact zero pivot in the middle row: q1 = (1 - 0) - 1/1 = 0
+    d, e = np.ones(3), np.ones(2)
+    assert tridiag.count_below(d, e, 0.0) == 1  # eigenvalues 1-sqrt(2), 1, 1+sqrt(2)
+
+
 @pytest.mark.parametrize("N, p", [(11, 7.0), (15, 3.0)])
 def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
     # graded mass-scaled pencils where LAPACK bisection at its default
