@@ -16,11 +16,18 @@ as an empty cell in CSV.
 Sweep configuration is a flat key-value text file, one ``key = value``
 per line, ``#`` for comments.  Values may be a scalar, a comma list
 (``0,0.5,1``), or ``start:stop:count`` for an inclusive linear range.
-Keys for ``mode = exponents`` (the default): nprime, tau, each a list.
-Keys for ``mode = spectrum``: N (an integer), theta and l (required
-scalars), p (a list), a, b (scalars, default 1e-3 and 1e3) and n (an
-integer, default 2000).  A missing file, an unknown key, a missing
-required key or a malformed value is invalid input (exit 2).
+Keys for ``mode = exponents`` (the default): nprime, tau, each a
+required list.  Keys for ``mode = spectrum``: N (an integer), theta and
+l (required scalars), p (a required list), a, b (scalars, default 1e-3
+and 1e3) and n (an integer, default 2000).  A missing file, an unknown
+key, a missing required key, a key given twice or a malformed value is
+invalid input (exit 2).
+
+The spectrum's ``eigenvalues`` and ``min_eigenvalue`` are eigenvalues of
+the stability form in t = log r, phi = r^((N'-2)/2) psi, relative to
+integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr): dimensionless, and
+(4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) about v_infinity, with
+L = log(b/a) and h = L/(n+1).
 """
 
 from __future__ import annotations
@@ -65,6 +72,8 @@ _SWEEP_KEYS = {
     "exponents": ("nprime", "tau"),
     "spectrum": ("N", "theta", "l", "p", "a", "b", "n"),
 }
+#: Keys a sweep of each mode cannot do without.
+_SWEEP_REQUIRED = {"exponents": ("nprime", "tau"), "spectrum": ("N", "theta", "l", "p")}
 
 
 def _jsonable(x):
@@ -372,8 +381,10 @@ def _read_config(path: str) -> dict[str, str]:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}"
                 )
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in config:
+                raise InvalidParameterError(f"{path}:{lineno}: duplicate key {key!r}")
+            config[key] = value
     return config
 
 
@@ -386,6 +397,9 @@ def cmd_sweep(args) -> str:
     unknown = sorted(set(config) - set(_SWEEP_KEYS[mode]))
     if unknown:
         raise InvalidParameterError(f"unknown keys for mode = {mode}: {', '.join(unknown)}")
+    missing = [key for key in _SWEEP_REQUIRED[mode] if key not in config]
+    if missing:
+        raise InvalidParameterError(f"mode = {mode} needs {', '.join(missing)}")
 
     def values(key):
         return _parse_values(key, config[key]) if config.get(key) else []
@@ -402,9 +416,6 @@ def cmd_sweep(args) -> str:
     else:
         inputs = ["N", "theta", "l", "p"]
         outputs = ["f_p", "hardy_level", "negative_count", "min_eigenvalue"]
-        missing = [key for key in ("N", "theta", "l") if key not in config]
-        if missing:
-            raise InvalidParameterError(f"mode = spectrum needs {', '.join(missing)}")
         N = _number("N", config["N"], integer=True)
         theta, l = _number("theta", config["theta"]), _number("l", config["l"])
         a = _number("a", config.get("a", "1e-3"))

@@ -83,6 +83,8 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     amplitude c0 = (m*(N'-2-m))^(1/(p-1)) is positive.  ``dtype`` selects
     the sampling precision; pass ``numpy.longdouble`` when downstream
     residual checks need headroom below the float64 quantization floor.
+    Raises NumericalError where v or v' would leave the normal range of
+    that dtype on the grid.
     """
     ind = derive(params)
     if not params.standard_regime:
@@ -95,8 +97,18 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     r = grid.points.astype(dtype)
     np_, tau, p = [np.asarray(x, dtype=dtype) for x in (ind.n_prime, ind.tau, params.p)]
     m = (2.0 * one + tau) / (p - one)
-    c0 = (m * (np_ - 2.0 * one - m)) ** (one / (p - one))
-    values = c0 * r ** (-m)
+    # c0 r^(-m) = (s/r)^m with s = c0^(1/m): no intermediate power of r
+    # under- or overflows unless v itself does, which is checked in logs
+    s = (m * (np_ - 2.0 * one - m)) ** (one / (2.0 * one + tau))
+    info = np.finfo(r.dtype)
+    log_v = m * (np.log(s) - np.log(r[[0, -1]]))  # at both ends
+    log_dv = log_v[0] + np.log(m) - np.log(r[0])  # |v'| at the inner end
+    if log_v[-1] < np.log(info.tiny) or max(log_v[0], log_dv) > np.log(info.max):
+        raise NumericalError(
+            f"c0 r^(-m) leaves the {r.dtype} range at N' = {ind.n_prime}, "
+            f"tau = {ind.tau} on [{grid.r_min}, {grid.r_max}]"
+        )
+    values = (s / r) ** m
     deriv = -m * values / r
     return RadialFunction(grid=grid, values=values, derivative=deriv)
 

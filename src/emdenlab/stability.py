@@ -4,24 +4,27 @@ The stability form of a solution v of the weighted equation is
 
     Q_v(psi) = integral( |x|^theta |grad psi|^2 - p |x|^l |v|^(p-1) psi^2 ),
 
-over compactly supported test functions.  Restricting to radial psi on an
-annulus [a, b] and discretizing on a log grid turns Q_v into a symmetric
-tridiagonal pencil (stiffness - potential, mass); the number of negative
-pencil eigenvalues estimates the Morse index from below (radial test
-functions only -- nonradial directions are not probed, so the count is a
-lower bound for the full index).
+over compactly supported test functions.  For radial psi on an annulus
+[a, b], the Emden-Fowler change t = log r, phi = r^((N'-2)/2) psi turns
+it exactly into
 
-Assembly follows a flux-form finite-difference scheme: cell conductances
-of (r^(N'-1) psi')' evaluated at geometric cell midpoints keep the
-stiffness symmetric, and the potential and mass are lumped by the
-trapezoid rule.  The negative count is an exact LDL^T inertia count and
-the low spectrum comes from LAPACK bisection (see ``tridiag``).
+    integral( phi_t^2 + ((N'-2)^2/4 - p r^(2+tau) |v|^(p-1)) phi^2 dt ),
 
-The Rayleigh bound of the weighted Hardy inequality is computed
-separately with exact piecewise-linear finite elements in t = log r,
-where the quotient has constant coefficients and no power of r is ever
-formed; only a conforming discretization guarantees the one-sided bound
-min >= (N'-2)^2/4 on every annulus.
+a Schrodinger form with O(1) coefficients for the singular profile and
+no power r^(N'-1) anywhere.  Central differences on nodes uniform in t
+give one symmetric tridiagonal matrix; its negative eigenvalues estimate
+the Morse index from below (radial test functions only -- nonradial
+directions are not probed, so the count is a lower bound for the full
+index).  The negative count is an exact LDL^T inertia count and the low
+spectrum comes from LAPACK bisection, both on that matrix (see
+``tridiag``).  About v_infinity the potential is the constant f(p), so
+the eigenvalues are (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) with
+L = log(b/a).
+
+The Rayleigh bound of the weighted Hardy inequality uses the same
+variables but exact piecewise-linear finite elements instead of
+differences: only a conforming discretization guarantees the one-sided
+bound min >= (N'-2)^2/4 on every annulus.
 """
 
 from __future__ import annotations
@@ -72,52 +75,26 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class FormAssembly:
-    """Tridiagonal pencil of the stability form on an annulus.
+    """Stability form on an annulus as one symmetric tridiagonal matrix.
 
-    ``stiffness_diag``/``stiffness_off`` hold the weighted Dirichlet
-    stiffness over the n interior nodes, ``potential_diag`` the lumped
-    linearized potential and ``mass_diag`` the lumped weighted mass.
+    ``diag``/``off`` hold the central-difference matrix of
+    -phi_tt + ((N'-2)^2/4 - p r^(2+tau) |v|^(p-1)) phi on the n interior
+    nodes, uniform in t = log r with step ``h``.  Its eigenvalues are
+    those of Q_v relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).
     """
 
     params: ProblemParams
     nodes: np.ndarray
-    stiffness_diag: np.ndarray
-    stiffness_off: np.ndarray
-    potential_diag: np.ndarray
-    mass_diag: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+    h: float
     interval: tuple[float, float]
     n: int
-
-    def _congruence(self, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stiffness-potential scaled by diag(weight)^(-1/2) on both sides."""
-        d = (self.stiffness_diag - self.potential_diag) / weight
-        root = np.sqrt(weight)
-        e = self.stiffness_off / (root[:-1] * root[1:])
-        return d, e
-
-    def standardized(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mass-scaled standard form of the pencil (stiffness-potential, mass)."""
-        return self._congruence(self.mass_diag)
-
-    def inertia_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Congruence scaling of stiffness-potential by the r^(N'-3) weight.
-
-        The potential of the singular profile is exactly f(p) times this
-        weight, so in the scaled matrix every genuine negative direction
-        has O(1) magnitude regardless of where on the annulus it lives.
-        Congruence preserves inertia, making this the numerically safe
-        basis for the negative count on wide annuli (where mass-pencil
-        eigenvalues span many orders of magnitude).
-        """
-        N, theta = self.params.N, self.params.theta
-        interior = self.nodes[1:-1]
-        lump = 0.5 * (self.nodes[2:] - self.nodes[:-2])
-        return self._congruence(interior ** (N - 3.0 + theta) * lump)
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Low end of the pencil spectrum and the negative-eigenvalue count.
+    """Low end of the stability spectrum and the negative-eigenvalue count.
 
     ``eigenvalues`` lists the smallest eigenvalues (always including every
     negative one); ``negative_count`` is the exact inertia count below the
@@ -131,41 +108,39 @@ class SpectrumReport:
     negative_tol: float
 
 
-def assemble_forms(
-    params: ProblemParams, v: RadialFunction, a: float, b: float, n: int
-) -> FormAssembly:
-    """Assemble the stability pencil for v on the annulus [a, b].
-
-    Uses n interior nodes of a log grid with Dirichlet ends.  v must cover
-    [a, b]; its values are taken by log-linear interpolation at the nodes.
-    """
+def _log_step(a: float, b: float, n: int) -> float:
+    """Step in t = log r of n interior nodes uniform in t on [a, b]."""
     if not (0.0 < a < b):
         raise InvalidParameterError("need 0 < a < b")
     if n < 8:
         raise InvalidParameterError("need at least 8 interior nodes")
+    return math.log(b / a) / (n + 1)
+
+
+def assemble_forms(
+    params: ProblemParams, v: RadialFunction, a: float, b: float, n: int
+) -> FormAssembly:
+    """Assemble the stability form for v on the annulus [a, b].
+
+    Uses n interior nodes of a log grid with Dirichlet ends.  v must cover
+    [a, b]; its values are taken by log-linear interpolation at the nodes.
+    """
+    h = _log_step(a, b, n)
     nodes = np.geomspace(a, b, n + 2)
     try:
         vv = v.interp(nodes)
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"v missing values on [{a}, {b}]: {exc}") from exc
 
-    N, theta, l, p = params.N, params.theta, params.l, params.p
-    dr = np.diff(nodes)
-    mids = np.sqrt(nodes[:-1] * nodes[1:])
-    conduct = mids ** (N - 1.0 + theta) / dr
-    stiff_diag = conduct[:-1] + conduct[1:]
-    stiff_off = -conduct[1:-1]
-    lump = 0.5 * (nodes[2:] - nodes[:-2])
-    interior = nodes[1:-1]
-    pot_diag = p * interior ** (N - 1.0 + l) * np.abs(vv[1:-1]) ** (p - 1.0) * lump
-    mass_diag = interior ** (N - 1.0 + theta) * lump
+    tau, p = params.tau, params.p
+    level = (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
+    potential = p * nodes[1:-1] ** (2.0 + tau) * np.abs(vv[1:-1]) ** (p - 1.0)
     return FormAssembly(
         params=params,
         nodes=nodes,
-        stiffness_diag=stiff_diag,
-        stiffness_off=stiff_off,
-        potential_diag=pot_diag,
-        mass_diag=mass_diag,
+        diag=2.0 / h**2 + level - potential,
+        off=np.full(n - 1, -1.0 / h**2),
+        h=h,
         interval=(float(a), float(b)),
         n=int(n),
     )
@@ -179,32 +154,26 @@ def radial_morse_index(
     n: int,
     n_eigenvalues: int | None = None,
 ) -> SpectrumReport:
-    """Negative-count and low spectrum of the stability pencil on [a, b].
+    """Negative count and low spectrum of the stability form on [a, b].
 
     Eigenvalues below -1e-9 * (matrix scale) count as negative; the
     tolerance separates genuine instability from discretization noise.
     """
     asm = assemble_forms(params, v, a, b, n)
-    # Inertia (the Morse count) on the congruence-scaled form, where noise
-    # and signal are uniformly separated across the annulus.
-    hd, he = asm.inertia_scaled()
-    scale = float(np.max(np.abs(hd))) + (2.0 * float(np.max(np.abs(he))) if he.size else 0.0)
+    d, e = asm.diag, asm.off
+    scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
     tol = NEGATIVE_TOL_FACTOR * scale
-    negative = tridiag.count_below(hd, he, -tol)
-    # Reported eigenvalues belong to the (stiffness - potential, mass) pencil.
-    d, e = asm.standardized()
+    negative = tridiag.count_below(d, e, -tol)
     k = n_eigenvalues if n_eigenvalues is not None else max(negative + 8, 16)
     k = min(int(k), int(n))
     if negative > k:
         raise NumericalError("negative eigenvalues exceed the extracted spectrum")
     eigs = tridiag.smallest_eigenvalues(d, e, k)
-    # Sylvester inertia: the pencil has exactly as many strictly negative
-    # eigenvalues as the form, so the list must contain at least that many
-    # (it may show a few extra within the noise band around zero).
+    # The inertia count and the bisection see the same matrix, so the list
+    # must hold at least that many negative eigenvalues (it may show a few
+    # extra within the noise band around zero).
     if int(np.count_nonzero(eigs < 0.0)) < negative:
-        raise NumericalError(
-            "inertia count disagrees with the extracted pencil spectrum"
-        )
+        raise NumericalError("inertia count disagrees with the extracted spectrum")
     return SpectrumReport(
         eigenvalues=eigs,
         negative_count=negative,
@@ -288,11 +257,7 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     (N'-2)^2/4 as b/a grows.
     """
     level = hardy_constant(N + theta)
-    if not (0.0 < a < b):
-        raise InvalidParameterError("need 0 < a < b")
-    if n < 8:
-        raise InvalidParameterError("need at least 8 interior nodes")
-    h = math.log(b / a) / (n + 1)
+    h = _log_step(a, b, n)
     mass_diag = np.full(n, 4.0 * h / 6.0)
     mass_off = np.full(n - 1, h / 6.0)
     stiff_diag = 2.0 / h + level * mass_diag

@@ -3,11 +3,15 @@
 Inertia counts come from LDL^T pivots (Sturm sequences), for a standard
 matrix and for a pencil (A, M).  The k smallest eigenvalues of a standard
 matrix come from LAPACK ``dstebz`` bisection with an absolute tolerance
-near underflow, which keeps high relative accuracy on the graded
-matrices of the stability assembly (Barlow & Demmel, SIAM J. Numer.
-Anal. 27, 1990); the default tolerance does not.  The smallest pencil
-eigenvalue is found by bisection on the pencil inertia.  All routines are
-pure functions of their inputs, so repeated calls are bit-reproducible.
+near underflow.  The default tolerance is eps times the Gershgorin
+width: it resolves the low end only to an absolute eps * ||T|| (a few
+1e-9 on a stability matrix with 2/h^2 = 1e7) and loses the small
+eigenvalues of a graded matrix altogether.  The pinned tolerance keeps
+every eigenvalue to full relative accuracy whatever the scale or grading
+(Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  The smallest pencil
+eigenvalue is found by bisection on the pencil inertia.  All routines
+are pure functions of their inputs, so repeated calls are
+bit-reproducible.
 """
 
 from __future__ import annotations

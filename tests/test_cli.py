@@ -201,9 +201,14 @@ SPECTRUM_SWEEP = "mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 3\nn = 200\n"
         (SPECTRUM_SWEEP + "profile = shoot:1\n", None),
         (None, ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
                 "--profile", "shoot:abc"]),
+        (SPECTRUM_SWEEP.replace("p = 3\n", ""), None),
+        ("mode = exponents\ntau = 0\n", None),
+        ("mode = exponents\nnprime = 11\n", None),
+        ("mode = exponents\nnprime = 11\nnprime = 12\ntau = 0\n", None),
     ],
     ids=["missing-file", "missing-key", "not-a-number", "fractional-count",
-         "fractional-N", "unknown-key", "profile-kappa"],
+         "fractional-N", "unknown-key", "profile-kappa", "spectrum-no-p",
+         "exponents-no-nprime", "exponents-no-tau", "duplicate-key"],
 )
 def test_malformed_sweep_or_profile_is_invalid_input(config, argv, tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
@@ -212,6 +217,14 @@ def test_malformed_sweep_or_profile_is_invalid_input(config, argv, tmp_path, cap
     code, out = run_cli(argv or ["sweep", "--config", str(cfg)], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "invalid_input"
+
+
+def test_duplicate_sweep_key_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode = exponents\nnprime = 11\nnprime = 12\ntau = 0\n")
+    code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == f"{cfg}:3: duplicate key 'nprime'"
 
 
 def test_sweep_spectrum_row_on_a_wide_annulus_at_large_n(tmp_path, capsys):
@@ -235,6 +248,17 @@ def test_shoot_exponent_overflow_exit_code(capsys):
     )
     assert env["error"]["type"] == "numerical_failure"
     assert "N'+tau" in env["error"]["message"]
+
+
+def test_spectrum_profile_outside_the_float_range_exit_code(capsys):
+    env = run_json(
+        ["spectrum", "--N", "100", "--theta", "0", "--l", "0", "--p", "1.0408",
+         "--a", "1e-12", "--b", "1e12", "--n", "2000"],
+        capsys,
+        expect_code=3,
+    )
+    assert env["error"]["type"] == "numerical_failure"
+    assert "N' = 100.0, tau = 0.0" in env["error"]["message"]
 
 
 def test_sweep_infinity_is_empty_cell(tmp_path, capsys):

@@ -6,6 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from emdenlab import (
     InvalidParameterError,
+    NumericalError,
     ProblemParams,
     RadialFunction,
     RadialGrid,
@@ -95,15 +96,86 @@ def test_spectrum_dichotomy_core_cases():
     assert wider.negative_count > narrow.negative_count
 
 
-def test_spectrum_matches_liouville_count():
+@pytest.mark.parametrize(
+    "N, p, a, b, n",
+    [
+        (11, 3.0, 1e-3, 1e3, 4000),
+        # large N': a scheme in r shifts the Hardy level by O((h N')^2)
+        (50, 1.1, 1e-6, 1e6, 2000),
+        (100, 1.0408, 1e-3, 1e3, 2000),
+        # v_infinity reaches 1e-285 at r = 1e10, where r^(-m) alone underflows
+        (60, 1.06, 1e-2, 1e10, 4000),
+    ],
+    ids=["N11", "N50", "N100", "N60-near-underflow"],
+)
+def test_spectrum_matches_liouville_count(N, p, a, b, n):
     # negative count of the singular-profile form equals the sinusoid count
     # floor(L * sqrt(f - level) / pi) on [a, b], L = log(b/a)
-    params = ProblemParams(11, 0.0, 0.0, 3.0)
-    v = profile_on(params, 1e-3, 1e3, 6000)
-    rep = radial_morse_index(params, v, 1e-3, 1e3, 4000)
-    L = math.log(1e6)
-    expect = math.floor(L * math.sqrt(f_eval(3.0, 11.0, 0.0) - hardy_constant(11.0)) / math.pi)
+    params = ProblemParams(N, 0.0, 0.0, p)
+    v = profile_on(params, a, b, 6000)
+    rep = radial_morse_index(params, v, a, b, n)
+    L = math.log(b / a)
+    expect = math.floor(L * math.sqrt(f_eval(p, N, 0.0) - hardy_constant(N)) / math.pi)
     assert rep.negative_count == expect
+
+
+@pytest.mark.parametrize(
+    "N, p, a, b, n", [(11, 3.0, 1e-2, 1e2, 1000), (50, 1.1, 1e-6, 1e6, 2000)]
+)
+def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
+    # sampled on the nodes themselves, v_infinity makes the potential the
+    # constant f(p): the matrix is -D_h^2 + level - f(p), whose eigenvalues
+    # are (4/h^2) sin^2(k pi h / 2L) + level - f(p)
+    params = ProblemParams(N, 0.0, 0.0, p)
+    v = v_infinity(params, RadialGrid(np.geomspace(a, b, n + 2)))
+    rep = radial_morse_index(params, v, a, b, n)
+    L = math.log(b / a)
+    h = L / (n + 1)
+    k = np.arange(1, rep.eigenvalues.size + 1)
+    shift = hardy_constant(N) - f_eval(p, N, 0.0)
+    exact = 4.0 / h**2 * np.sin(k * math.pi * h / (2.0 * L)) ** 2 + shift
+    np.testing.assert_allclose(rep.eigenvalues, exact, rtol=1e-10, atol=0.0)
+
+
+def test_singular_profile_counts_across_the_domain():
+    # seeded draws over N' up to 101, p from just above Serrin, annuli up to
+    # b/a = 1e24 and n from 8: each spectrum either matches the discrete
+    # closed form's count or v_infinity raises its typed range error (and a
+    # RuntimeWarning anywhere fails the test)
+    rng = np.random.default_rng(4)
+    counted = raised = 0
+    for _ in range(40):
+        N, theta, tau = int(rng.integers(3, 101)), rng.uniform(-0.5, 1.0), rng.uniform(-1.5, 3.0)
+        n_prime = N + theta
+        p = (n_prime + tau) / (n_prime - 2.0) * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0))
+        decades, centre = rng.uniform(1.0, 24.0), rng.uniform(-6.0, 6.0)
+        a, b = 10.0 ** (centre - decades / 2), 10.0 ** (centre + decades / 2)
+        n = int(rng.integers(8, 2000))
+        params = ProblemParams(N, theta, theta + tau, p)
+        try:
+            v = v_infinity(params, RadialGrid(np.geomspace(a, b, n + 2)))
+        except NumericalError as exc:
+            assert "leaves the float64 range" in str(exc)
+            raised += 1
+            continue
+        rep = radial_morse_index(params, v, a, b, n)
+        L = math.log(b / a)
+        h = L / (n + 1)
+        k = np.arange(1, n + 1)
+        exact = (
+            4.0 / h**2 * np.sin(k * math.pi * h / (2.0 * L)) ** 2
+            + hardy_constant(n_prime) - f_eval(p, n_prime, tau)
+        )
+        assert rep.negative_count == np.count_nonzero(exact < -rep.negative_tol)
+        counted += 1
+    assert counted >= 20 and raised >= 5
+
+
+def test_singular_profile_outside_the_float_range_is_a_numerical_error():
+    # c0 r^(-m) drops below the smallest normal float64 before r = 1e12
+    params = ProblemParams(100, 0.0, 0.0, 1.0408)
+    with pytest.raises(NumericalError, match=r"N' = 100.0, tau = 0.0 on \[0.000999"):
+        profile_on(params, 1e-3, 1e12, 4000)
 
 
 def test_sign_dichotomy_across_powers():
@@ -176,12 +248,16 @@ def test_count_below_matches_dense_eigenvalues():
 
 @pytest.mark.parametrize("N, p", [(11, 7.0), (15, 3.0)])
 def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
-    # graded mass-scaled pencils where LAPACK bisection at its default
-    # tolerance loses the low end; the pinned tolerance must not
+    # congruence by diag(r^(N'-2)) grades the stability matrix over 1e+-39
+    # on [1e-3, 1e3]; LAPACK bisection at its default tolerance loses the
+    # low end of such matrices by orders of magnitude, the pinned one must not
     pytest.importorskip("mpmath")
     params = ProblemParams(N, 0.0, 0.0, p)
     v = profile_on(params, 1e-3, 1e3, 3000)
-    d, e = assemble_forms(params, v, 1e-3, 1e3, 2000).standardized()
+    asm = assemble_forms(params, v, 1e-3, 1e3, 2000)
+    weight = asm.nodes[1:-1] ** (N - 2.0)
+    d = asm.diag * weight
+    e = asm.off * np.sqrt(weight[:-1] * weight[1:])
     for j, lam in enumerate(tridiag.smallest_eigenvalues(d, e, 4)):
         gap = 1e-9 * abs(lam)
         assert _mp_count_below(d, e, lam - gap) == j
@@ -191,22 +267,22 @@ def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
 def test_eigenvector_matches_q_value():
     # q_value on an eigenvector-interpolated test function reproduces
     # eigenvalue * mass norm to discretization accuracy
-    params = ProblemParams(11, 0.0, 0.0, 3.0)
+    N, p = 11, 3.0
+    params = ProblemParams(N, 0.0, 0.0, p)
     a, b, n = 1e-2, 1e2, 3000
     v = profile_on(params, a, b, n + 500)
     asm = assemble_forms(params, v, a, b, n)
-    d, e = asm.standardized()
     eigs, vecs = eigh_tridiagonal(
-        d, e, select="i", select_range=(0, 0), lapack_driver="stebz", tol=tridiag.STEBZ_TOL
+        asm.diag, asm.off, select="i", select_range=(0, 0), lapack_driver="stebz",
+        tol=tridiag.STEBZ_TOL,
     )
     lam, y = eigs[0], vecs[:, 0]
-    # undo the mass scaling: pencil eigenvector is M^(-1/2) y
-    x = y / np.sqrt(asm.mass_diag)
+    # undo the Emden-Fowler scaling: the eigenvector holds phi = r^((N'-2)/2) psi
     values = np.zeros(n + 2)
-    values[1:-1] = x
+    values[1:-1] = y * asm.nodes[1:-1] ** (-(N - 2.0) / 2.0)
     psi = TestFunction(RadialGrid(asm.nodes), values)
     q = q_value(params, v, psi)
-    mass = float(np.sum(asm.mass_diag * x * x))
+    mass = asm.h * float(np.sum(y * y))
     assert q == pytest.approx(lam * mass, rel=1e-2)
 
 
