@@ -38,6 +38,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -66,6 +67,9 @@ INFINITY_TOKEN = "infinity"
 
 #: Command-line values that make up a ProblemParams.
 _PARAMS = ("N", "theta", "l", "p")
+
+#: A negative number in exponent notation, which argparse mistakes for an option.
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 #: Accepted keys per sweep mode, besides ``mode`` itself.
 _SWEEP_KEYS = {
@@ -275,6 +279,9 @@ def cmd_shoot(args) -> dict:
         "ordering_vs_singular": result.ordering_vs_singular.value,
         "c0": ind.c0,
         "csv": args.out,
+        "diagnostics": {
+            k: getattr(result, k) for k in ("nfev", "zeta_residual", "log_amplitude_residual")
+        },
     }
     inputs = (*_PARAMS, "kappa", "rmax", "rmin", "tol")
     return _envelope(args, inputs, _derived_block(params), results)
@@ -504,8 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # attach such a value to its option: "--theta -1e-05" -> "--theta=-1e-05"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
         if args.command == "sweep":

@@ -71,10 +71,6 @@ class RadialGrid:
         return self._logs
 
     @property
-    def log_step(self) -> float:
-        return float((self._logs[-1] - self._logs[0]) / (self.points.size - 1))
-
-    @property
     def decades(self) -> float:
         return float(np.log10(self.r_max / self.r_min))
 

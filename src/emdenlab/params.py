@@ -186,12 +186,19 @@ def _serrin_sobolev(n_prime: float, tau: float) -> tuple[float, float]:
 
 
 def derive(params: ProblemParams) -> DerivedIndices:
-    """Compute the derived indices of a parameter set."""
+    """Compute the derived indices; NumericalError where c0 leaves the float range."""
     np_, tau = params.n_prime, params.tau
     m = (2.0 + tau) / (params.p - 1.0)
     serrin, sobolev = (None, None) if np_ == 2.0 else _serrin_sobolev(np_, tau)
     base = m * (np_ - 2.0 - m)
-    c0 = base ** (1.0 / (params.p - 1.0)) if (np_ > 2.0 and base > 0.0) else None
+    c0 = None
+    if np_ > 2.0 and base > 0.0:
+        try:
+            c0 = base ** (1.0 / (params.p - 1.0))
+        except OverflowError:
+            c0 = math.inf
+        if not 0.0 < c0 < math.inf:
+            raise NumericalError(f"c0 leaves the float range at N' = {np_}, p = {params.p}")
     return DerivedIndices(n_prime=np_, tau=tau, m_exp=m, serrin=serrin, sobolev=sobolev, c0=c0)
 
 

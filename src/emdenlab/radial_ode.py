@@ -11,7 +11,10 @@ module provides
 * a shooting integrator for the regular solution with v(0) = kappa,
   started from a two-term series at a tiny radius (the ODE is singular
   at the origin) and advanced by an adaptive embedded Runge-Kutta 4(5)
-  pair on the variables (v, r^(N'-1) v') in t = log r,
+  pair in t = log r on the Emden-Fowler state y = log(r^m v),
+  s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
+  s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, and the
+  fixed point (log c0, log m) is the singular solution,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
 * asymptotic-constant extraction (the limit of r^m v(r)), decay
   classification, and a centered-difference residual used as the
@@ -32,7 +35,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import DerivedIndices, ProblemParams, derive, f_eval
+from .params import ProblemParams, derive, f_eval
 
 #: Series start radius relative to the intrinsic kappa scale.
 SERIES_START_FACTOR = 1e-6
@@ -40,11 +43,14 @@ SERIES_START_FACTOR = 1e-6
 SLOW_DRIFT_TOL = 5e-3
 #: Relative mismatch of the fitted tail exponent against N'-2 for fast decay.
 FAST_EXPONENT_TOL = 2e-2
-#: Ordering noise band in units of the integration tolerance.  The true gap
-#: between the regular and singular solutions decays algebraically below
-#: machine precision in the far tail, so sign comparisons there only probe
-#: integration noise; genuine crossings have O(1) relative amplitude.
-ORDERING_NOISE_FACTOR = 1e3
+#: Ordering noise band on log(v / (c0 r^(-m))) in units of the integration
+#: tolerance.  The true gap between the regular and singular solutions
+#: decays algebraically below machine precision in the far tail, so sign
+#: comparisons there only probe integration noise; genuine crossings have
+#: O(1) relative amplitude.  On the (y, s) state that noise stays below
+#: 20 tol for N' up to 100, while a first overshoot above c0 damped by
+#: e^-12 over half a turn is still about 900 tol.
+ORDERING_NOISE_FACTOR = 1e2
 
 
 class DecayClass(str, Enum):
@@ -61,7 +67,12 @@ class Ordering(str, Enum):
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Output of a shooting run with initial value kappa at the origin."""
+    """Output of a shooting run with initial value kappa at the origin.
+
+    ``nfev`` counts right-hand-side evaluations; ``zeta_residual`` = |zeta - m|
+    and ``log_amplitude_residual`` = |y - log c0| are the end state's
+    distances from the singular fixed point, both near 0 on slow decay.
+    """
 
     params: ProblemParams
     kappa: float
@@ -70,6 +81,9 @@ class ShootingResult:
     converged: bool
     classification: DecayClass
     ordering_vs_singular: Ordering
+    nfev: int
+    zeta_residual: float
+    log_amplitude_residual: float
 
     def __post_init__(self):
         if not self.kappa > 0.0:
@@ -113,20 +127,6 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     return RadialFunction(grid=grid, values=values, derivative=deriv)
 
 
-def _series_state(kappa: float, r: float, ind: DerivedIndices, p: float):
-    """Two-term origin series for (v, flux w = r^(N'-1) v').
-
-    Integrating the flux form once with vanishing flux at the origin gives
-    w(r) ~ -kappa^p r^(N'+tau)/(N'+tau), hence
-    v(r) ~ kappa - kappa^p r^(2+tau)/((2+tau)(N'+tau)).
-    """
-    np_, tau = ind.n_prime, ind.tau
-    rpow = r ** (2.0 + tau)
-    v = kappa - kappa**p * rpow / ((2.0 + tau) * (np_ + tau))
-    w = -(kappa**p) * rpow * r ** (np_ - 2.0) / (np_ + tau)
-    return v, w
-
-
 def shoot(
     params: ProblemParams,
     kappa: float,
@@ -143,7 +143,7 @@ def shoot(
     Output is sampled on ``grid`` when given, else on a log grid from
     ``r_min`` (default: the series start radius) to ``r_max`` with
     ``points_per_decade`` nodes per decade.  ``tol`` is the local relative
-    tolerance of the adaptive integrator.  The hypothesis p above the
+    and absolute tolerance on the state (y, s).  The hypothesis p above the
     Sobolev exponent is enforced; there the solution is positive, strictly
     decreasing, and r^m v(r) tends to the singular amplitude c0.
     """
@@ -172,55 +172,38 @@ def shoot(
         raise InvalidParameterError("grid extends beyond r_max")
     r_start = min(r_start, grid.r_min)
 
-    np_, tau, p = ind.n_prime, ind.tau, params.p
-    v0, w0 = _series_state(kappa, r_start, ind, p)
+    np_, tau, p, m = ind.n_prime, ind.tau, params.p, ind.m_exp
     t_eval = grid.log_points
     t0 = min(math.log(r_start), float(t_eval[0]))
-    t1 = float(t_eval[-1])
+    # Two-term origin series v = kappa (1 - q/((2+tau)(N'+tau))) and
+    # r v' = -kappa q/(N'+tau), with q = kappa^(p-1) r^(2+tau).
+    log_q = (p - 1.0) * math.log(kappa) + (2.0 + tau) * t0
+    head = math.log1p(-math.exp(log_q) / ((2.0 + tau) * (np_ + tau)))
+    state0 = (m * t0 + math.log(kappa) + head, log_q - math.log(np_ + tau) - head)
 
-    def rhs(t, y):
-        v, w = y
-        dv = w * math.exp((2.0 - np_) * t)
-        dw = -math.exp((np_ + tau) * t) * (abs(v) ** (p - 1.0)) * v
-        return (dv, dw)
-
-    def hit_zero(t, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
+    def rhs(t, state):
+        y, s = state
+        zeta = math.exp(s)
+        return (m - zeta, math.exp((p - 1.0) * y - s) - (np_ - 2.0) + zeta)
 
     try:
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            (v0, w0),
-            method="RK45",
-            rtol=tol,
-            atol=1e-290,
-            t_eval=t_eval,
-            events=hit_zero,
-        )
+        sol = solve_ivp(rhs, (t0, float(t_eval[-1])), state0, method="RK45",
+                        rtol=tol, atol=tol, t_eval=t_eval)
     except OverflowError as exc:
-        raise NumericalError(
-            "powers of r in the shooting equation overflow at "
-            f"N'+tau = {np_ + tau} on [{math.exp(t0)}, {math.exp(t1)}]"
-        ) from exc
-    if sol.status == 1:
-        raise NumericalError(
-            "solution crossed zero before r_max; tolerance too loose or "
-            "p outside the shooting hypothesis"
-        )
+        # e^s overflows once the state leaves the cone v > 0, v' < 0
+        raise NumericalError("shooting left v > 0, v' < 0; tolerance too loose") from exc
     if not sol.success:
         raise NumericalError(f"integrator failed: {sol.message}")
 
-    values = sol.y[0]
-    flux = sol.y[1]
-    if values.size != t_eval.size:
+    y, s = sol.y
+    if y.size != t_eval.size:
         raise NumericalError("integrator returned a truncated solution")
+    if not np.all(np.isfinite(sol.y)):
+        raise NumericalError("non-finite state encountered in shooting output")
+    values = np.exp(y - m * t_eval)
     if np.any(values <= 0.0):
         raise NumericalError("negative or zero values encountered in shooting output")
-    deriv = flux * grid.points ** (1.0 - np_)
+    deriv = -values * np.exp(s) / grid.points
     if np.any(deriv > 0.0):
         raise NumericalError("shooting output is not decreasing")
 
@@ -232,16 +215,14 @@ def shoot(
     else:
         # Too short for a trustworthy tail fit: report the naive endpoint
         # estimate and flag the run inconclusive.
-        estimate = float(values[-1] * grid.r_max**ind.m_exp)
+        estimate = float(np.exp(y[-1]))
         converged = False
         classification = DecayClass.INCONCLUSIVE
 
-    singular = v_infinity(params, grid)
-    band = ORDERING_NOISE_FACTOR * tol * singular.values
-    meaningfully_above = values > singular.values + band
-    meaningfully_below = values < singular.values - band
-    if np.any(meaningfully_above):
-        ordering = Ordering.CROSSES if np.any(meaningfully_below) else Ordering.ABOVE
+    gap = y - math.log(ind.c0)  # log(v / (c0 r^(-m)))
+    band = ORDERING_NOISE_FACTOR * tol
+    if np.any(gap > band):
+        ordering = Ordering.CROSSES if np.any(gap < -band) else Ordering.ABOVE
     else:
         # Never meaningfully above the singular solution; ties within the
         # noise band count toward "below".
@@ -255,6 +236,9 @@ def shoot(
         converged=converged,
         classification=classification,
         ordering_vs_singular=ordering,
+        nfev=int(sol.nfev),
+        zeta_residual=abs(math.exp(s[-1]) - m),
+        log_amplitude_residual=abs(float(gap[-1])),
     )
 
 

@@ -242,12 +242,34 @@ def test_sweep_spectrum_row_on_a_wide_annulus_at_large_n(tmp_path, capsys):
     assert cells["negative_count"] == "0"
 
 
-def test_shoot_exponent_overflow_exit_code(capsys):
+def test_shoot_at_n_prime_100(capsys):
+    env = run_json(["shoot", "--N", "100", "--theta", "0", "--l", "0", "--p", "2"], capsys)
+    results = env["results"]
+    assert math.isfinite(results["asymptotic_constant"])
+    assert results["asymptotic_constant"] == pytest.approx(results["c0"], rel=1e-6)
+    diagnostics = results["diagnostics"]
+    assert isinstance(diagnostics["nfev"], int) and diagnostics["nfev"] > 0
+    assert diagnostics["zeta_residual"] < 1e-6
+    assert diagnostics["log_amplitude_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("p", ["1.005", "1.00102041"], ids=["overflow", "underflow"])
+def test_singular_amplitude_outside_the_float_range_exit_code(p, capsys):
     env = run_json(
-        ["shoot", "--N", "100", "--theta", "0", "--l", "0", "--p", "2"], capsys, expect_code=3
+        ["exponents", "--N", "100", "--theta", "0", "--l", "-1.9", "--p", p], capsys, expect_code=3
     )
     assert env["error"]["type"] == "numerical_failure"
-    assert "N'+tau" in env["error"]["message"]
+
+
+def test_negative_value_in_exponent_notation_is_a_value(capsys):
+    spaced = ["classify", "--N", "18", "--theta", "-9.189673215287408e-05",
+              "--l", "-1.19", "--p", "11.9"]
+    joined = ["classify", "--N", "18", "--theta=-9.189673215287408e-05",
+              "--l", "-1.19", "--p", "11.9"]
+    code, out = run_cli(spaced, capsys)
+    assert code == 0, out
+    assert json.loads(out)["inputs"]["theta"] == -9.189673215287408e-05
+    assert run_cli(joined, capsys) == (0, out)
 
 
 def test_spectrum_profile_outside_the_float_range_exit_code(capsys):

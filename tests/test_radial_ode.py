@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from emdenlab import (
     f_eval,
     kelvin_apply,
     kelvin_params,
+    radial_ode,
     rescale,
     residual,
     shoot,
@@ -228,6 +230,88 @@ def test_sphere_constant_check():
     assert res.asymptotic_constant ** (PARAMS_11.p - 1.0) == pytest.approx(level, rel=1e-2)
 
 
-def test_shoot_exponent_overflow_is_a_numerical_error():
-    with pytest.raises(NumericalError, match="N'\\+tau = 100"):
-        shoot(ProblemParams(100, 0.0, 0.0, 2.0), 1.0, 1e6)
+@pytest.mark.parametrize("p", [2.0, 1.2, 1.045], ids=["p2", "p1.2", "p1.045-near-sobolev"])
+def test_shoot_reaches_n_prime_100(p):
+    # r^(N'+tau) leaves the float range on [1e-6, 1e6] at N' = 100, and
+    # near Sobolev so does c0 r^(-m): no power of r may be formed
+    params = ProblemParams(100, 0.0, 0.0, p)
+    res = shoot(params, 1.0, 1e6, tol=1e-10)
+    assert res.converged
+    assert res.classification is DecayClass.SLOW_DECAY
+    assert abs(res.asymptotic_constant / derive(params).c0 - 1.0) <= 1e-6
+    focus = f_eval(p, 100.0, 0.0) > 98.0**2 / 4.0
+    assert res.ordering_vs_singular is (Ordering.CROSSES if focus else Ordering.BELOW)
+
+
+def test_state_leaving_the_cone_is_a_numerical_error(monkeypatch):
+    real = radial_ode.solve_ivp
+
+    def start_outside(fun, t_span, y0, **kwargs):
+        return real(fun, t_span, (y0[0], 800.0), **kwargs)  # zeta = e^800
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", start_outside)
+    with pytest.raises(NumericalError, match="v > 0, v' < 0"):
+        shoot(PARAMS_11, kappa=1.0, r_max=1e4)
+
+
+def test_shoot_diagnostics():
+    res = shoot(PARAMS_11, kappa=1.0, r_max=1e6, tol=1e-10)
+    assert 0 < res.nfev < 5000
+    # the end state sits on the singular fixed point (log c0, log m)
+    assert res.zeta_residual < 1e-6
+    assert res.log_amplitude_residual < 1e-6
+    again = shoot(PARAMS_11, kappa=1.0, r_max=1e6, tol=1e-10)
+    assert (again.nfev, again.zeta_residual, again.log_amplitude_residual) == (
+        res.nfev, res.zeta_residual, res.log_amplitude_residual
+    )
+
+
+R_MAX, TOL = 1e6, 1e-10
+
+
+def _resolvable_draws(seed: int, count: int):
+    """Seeded draws whose ordering and amplitude the shot can decide.
+
+    With w = r^m v and t = log r, w - c0 obeys x'' + (N'-2-2m) x' +
+    (p-1) m (N'-2-m) x = 0 to first order, discriminant (N'-2)^2 - 4 f(p).
+    A draw is kept when its tail decays by e^-18 before R_MAX and, on the
+    focus side, its first overshoot above c0 is damped by at most e^-12
+    over half a turn, so it stands out of the ordering band.
+    """
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        N = rng.randint(3, 100)
+        theta, tau = rng.uniform(0.0, 0.5), rng.uniform(-0.5, 1.0)
+        np_ = N + theta
+        sobolev = (np_ + 2.0 + 2.0 * tau) / (np_ - 2.0)
+        # every other draw stays close above Sobolev, where the focus side lies
+        p = 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(0.02, 2.5 if len(draws) % 2 else 0.4))
+        kappa = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        m = (2.0 + tau) / (p - 1.0)
+        f = p * m * (np_ - 2.0 - m)
+        disc = (np_ - 2.0) ** 2 - 4.0 * f
+        damping = np_ - 2.0 - 2.0 * m
+        rho = 0.5 * (damping - math.sqrt(max(disc, 0.0)))
+        omega = 0.5 * math.sqrt(max(-disc, 0.0))
+        scale = kappa ** (-(p - 1.0) / (2.0 + tau))
+        if rho * math.log(R_MAX / scale) < 18.0:
+            continue
+        if omega > 0.0 and math.pi * rho / omega > 12.0:
+            continue
+        c0 = (m * (np_ - 2.0 - m)) ** (1.0 / (p - 1.0))
+        draws.append((ProblemParams(N, theta, theta + tau, p), kappa, disc < 0.0, c0))
+    return draws
+
+
+def test_ordering_matches_the_linearisation_discriminant_up_to_n_prime_100():
+    draws = _resolvable_draws(seed=6, count=24)
+    assert sum(params.n_prime > 48.0 for params, *_ in draws) >= 3
+    assert {focus for _, _, focus, _ in draws} == {True, False}
+    for params, kappa, focus, c0 in draws:
+        res = shoot(params, kappa, R_MAX, tol=TOL)
+        label = f"N'={params.n_prime}, tau={params.tau}, p={params.p}, kappa={kappa}"
+        assert res.converged and res.classification is DecayClass.SLOW_DECAY, label
+        want = Ordering.CROSSES if focus else Ordering.BELOW
+        assert res.ordering_vs_singular is want, label
+        assert abs(res.asymptotic_constant / c0 - 1.0) <= 1e-6, label
