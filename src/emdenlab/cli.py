@@ -43,7 +43,6 @@ import sys
 
 from . import __version__
 from .errors import EmdenlabError, InvalidParameterError, NumericalError
-from .grids import RadialGrid
 from .params import (
     ProblemParams,
     SchrodingerParams,
@@ -54,7 +53,7 @@ from .params import (
     hardy_constant,
 )
 from .radial_ode import shoot, v_infinity
-from .stability import SpectrumReport, radial_morse_index
+from .stability import SpectrumReport, log_nodes, radial_morse_index
 from .transforms import (
     TransformKind,
     dual_params,
@@ -193,9 +192,7 @@ def _spectrum(
     ``tol`` is the shooting tolerance; the singular profile does not use it.
     """
     if profile == "v_infinity":
-        pad = 1.0 + 1e-9
-        grid = RadialGrid.logspaced(a / pad, b * pad, max(n, 256))
-        v = v_infinity(params, grid)
+        v = v_infinity(params, log_nodes(a, b, n))
     elif profile.startswith("shoot:"):
         kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
         v = shoot(params, kappa=kappa, r_max=b * 2.0, tol=tol).solution

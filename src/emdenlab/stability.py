@@ -117,16 +117,27 @@ def _log_step(a: float, b: float, n: int) -> float:
     return math.log(b / a) / (n + 1)
 
 
+def log_nodes(a: float, b: float, n: int) -> RadialGrid:
+    """The n interior nodes and both ends of the assembly grid on [a, b].
+
+    The nodes are uniform in t = log r.  A profile given on exactly this
+    grid enters ``assemble_forms`` without interpolation error.
+    """
+    _log_step(a, b, n)
+    return RadialGrid.logspaced(a, b, n + 2)
+
+
 def assemble_forms(
     params: ProblemParams, v: RadialFunction, a: float, b: float, n: int
 ) -> FormAssembly:
     """Assemble the stability form for v on the annulus [a, b].
 
-    Uses n interior nodes of a log grid with Dirichlet ends.  v must cover
-    [a, b]; its values are taken by log-linear interpolation at the nodes.
+    Uses the n interior nodes of ``log_nodes`` with Dirichlet ends.  v must
+    cover [a, b]; its values are taken by log-linear interpolation at the
+    nodes.
     """
     h = _log_step(a, b, n)
-    nodes = np.geomspace(a, b, n + 2)
+    nodes = log_nodes(a, b, n).points
     try:
         vv = v.interp(nodes)
     except InvalidParameterError as exc:
@@ -255,6 +266,14 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     minimum over a subspace of the continuum space, hence always at least
     (N'-2)^2/4 + (pi/L)^2 with L = log(b/a), and it decreases toward
     (N'-2)^2/4 as b/a grows.
+
+    The constant-coefficient pencil has the closed-form smallest eigenvalue
+    (N'-2)^2/4 + (12/h^2) s / (3 - 2s) with s = sin^2(pi / (2(n+1))),
+    i.e. (6/h^2)(1 - cos x)/(2 + cos x) at x = pi/(n+1) without the
+    cancellation in 1 - cos x.  It is certified against the assembled
+    pencil by two inertia counts: none below value - band and exactly one
+    below value + band, band = 64 eps (1/h^2 + (N'-2)^2/4).  A failed
+    certificate raises ``NumericalError``.
     """
     level = hardy_constant(N + theta)
     h = _log_step(a, b, n)
@@ -262,7 +281,19 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     mass_off = np.full(n - 1, h / 6.0)
     stiff_diag = 2.0 / h + level * mass_diag
     stiff_off = -1.0 / h + level * mass_off
-    return tridiag.min_eigenvalue_pencil(stiff_diag, stiff_off, mass_diag, mass_off)
+    s = math.sin(math.pi / (2.0 * (n + 1))) ** 2
+    value = level + 12.0 / h**2 * s / (3.0 - 2.0 * s)
+    band = 64.0 * float(np.finfo(float).eps) * (1.0 / h**2 + level)
+    counts = [
+        tridiag.count_below_pencil(stiff_diag, stiff_off, mass_diag, mass_off, shift)
+        for shift in (value - band, value + band)
+    ]
+    if counts != [0, 1]:
+        raise NumericalError(
+            f"Hardy pencil certificate failed: {counts[0]} eigenvalues below "
+            f"{value - band!r} and {counts[1]} below {value + band!r} (expected 0 and 1)"
+        )
+    return value
 
 
 def invariance_check(

@@ -8,10 +8,10 @@ width: it resolves the low end only to an absolute eps * ||T|| (a few
 1e-9 on a stability matrix with 2/h^2 = 1e7) and loses the small
 eigenvalues of a graded matrix altogether.  The pinned tolerance keeps
 every eigenvalue to full relative accuracy whatever the scale or grading
-(Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  The smallest pencil
-eigenvalue is found by bisection on the pencil inertia.  All routines
-are pure functions of their inputs, so repeated calls are
-bit-reproducible.
+(Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  No pencil
+eigenvalue is computed here: the pencil count certifies one known in
+closed form, with no eigenvalue just below it and one just above it.  All routines are pure functions of
+their inputs, so repeated calls are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .errors import NumericalError
 #: Absolute bisection tolerance for ``dstebz``: near underflow, so every
 #: eigenvalue is resolved to full relative accuracy.
 STEBZ_TOL = 2.0 * np.finfo(float).tiny
-
-_MAX_BISECT = 200
 
 
 def _pivmin(e: np.ndarray) -> float:
@@ -92,46 +90,3 @@ def count_below_pencil(
         if q < 0.0:
             count += 1
     return count
-
-
-def min_eigenvalue_pencil(
-    ad: np.ndarray,
-    ae: np.ndarray,
-    md: np.ndarray,
-    me: np.ndarray,
-) -> float:
-    """Smallest eigenvalue of the pencil (A, M), both symmetric tridiagonal.
-
-    M must be strictly diagonally dominant positive definite (true for the
-    piecewise-linear mass matrices assembled here).
-    """
-    ad = np.asarray(ad, dtype=float)
-    ae = np.asarray(ae, dtype=float)
-    md = np.asarray(md, dtype=float)
-    me = np.asarray(me, dtype=float)
-    radius = np.zeros_like(md)
-    if me.size:
-        radius[:-1] += np.abs(me)
-        radius[1:] += np.abs(me)
-    m_floor = float(np.min(md - radius))
-    if m_floor <= 0.0:
-        raise NumericalError("mass matrix is not strictly diagonally dominant")
-    a_norm = np.zeros_like(ad) + np.abs(ad)
-    if ae.size:
-        a_norm[:-1] += np.abs(ae)
-        a_norm[1:] += np.abs(ae)
-    bound = float(np.max(a_norm)) / m_floor
-    lo, hi = -bound - 1.0, bound + 1.0
-    for _ in range(_MAX_BISECT):
-        mag = max(abs(lo), abs(hi))
-        width_tol = max(1e-13 * mag, 4.0 * math.ulp(mag))
-        if hi - lo <= width_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if count_below_pencil(ad, ae, md, me, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    else:
-        raise NumericalError("pencil bisection did not converge")
-    return 0.5 * (lo + hi)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from emdenlab import f_eval, hardy_constant
 from emdenlab.cli import main
 
 
@@ -105,6 +106,22 @@ def test_spectrum_command(capsys):
     )
     assert env["results"]["negative_count"] >= 1
     assert env["results"]["eigenvalues"][0] == env["results"]["min_eigenvalue"]
+
+
+def test_spectrum_count_of_a_steep_profile_matches_liouville(capsys):
+    # m = 100/3: v_infinity is sampled on the assembly nodes themselves, so
+    # no interpolation between offset samples raises the potential
+    env = run_json(
+        [
+            "spectrum", "--N", "60", "--theta", "0", "--l", "0", "--p", "1.06",
+            "--a", "1e-2", "--b", "1e10", "--n", "2000",
+        ],
+        capsys,
+    )
+    liouville = math.log(1e12) * math.sqrt(f_eval(1.06, 60, 0.0) - hardy_constant(60)) / math.pi
+    expect = math.floor(liouville)
+    assert expect == 48
+    assert env["results"]["negative_count"] == expect
 
 
 def test_spectrum_shoot_profile(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from emdenlab import (
     InvalidParameterError,
@@ -358,6 +358,59 @@ def test_hardy_rayleigh_min_matches_closed_form(N, a, b, n):
     assert val >= level + (math.pi / L) ** 2
 
 
+def _hardy_pencil(n_prime, a, b, n):
+    # the P1 pencil of hardy_rayleigh_min in t = log r, as dense matrices
+    h = math.log(b / a) / (n + 1)
+    level = hardy_constant(n_prime)
+    mass = (h / 6.0) * (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+    stiff = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h + level * mass
+    band = 64.0 * np.finfo(float).eps * (1.0 / h**2 + level)
+    return stiff, mass, band
+
+
+def test_hardy_rayleigh_min_matches_dense_generalized_eigensolver():
+    # seeded draws over N' in [2.05, 100.5], b/a in [1.5, 1e24], n in
+    # [8, 400]: LAPACK's dense generalized solver agrees within the band
+    # that the two inertia counts certify
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n_prime = rng.uniform(2.05, 100.5)
+        N = max(2, math.floor(n_prime))
+        ratio = 10.0 ** rng.uniform(math.log10(1.5), 24.0)
+        a = 10.0 ** rng.uniform(-6.0, 6.0)
+        n = int(rng.integers(8, 401))
+        stiff, mass, band = _hardy_pencil(n_prime, a, a * ratio, n)
+        dense = eigh(stiff, mass, eigvals_only=True, subset_by_index=[0, 0])[0]
+        value = hardy_rayleigh_min(n_prime - N, N, a, a * ratio, n)
+        assert abs(dense - value) <= band, (n_prime, ratio, n)
+
+
+@pytest.mark.parametrize("wrong", [0, 1, 2], ids=["never", "always-one", "two"])
+def test_hardy_rayleigh_min_rejects_a_failed_certificate(wrong, monkeypatch):
+    # the closed form is returned only if the pencil inertia brackets it
+    monkeypatch.setattr(tridiag, "count_below_pencil", lambda *args: wrong)
+    with pytest.raises(NumericalError, match="certificate"):
+        hardy_rayleigh_min(0.0, 5, 1.0, 1e4, 100)
+
+
+def test_hardy_rayleigh_min_across_the_domain():
+    # N' from just above 2 to 100.5, b/a up to 1e24 and n down to 8: a
+    # finite value above the continuum bound level + (pi/L)^2 (and any
+    # RuntimeWarning fails the test)
+    rng = np.random.default_rng(11)
+    cases = [(100, 0.5, 1.0, 1e24, 8), (2, 0.05, 1.0, 1.5, 8), (100, 0.5, 1e-12, 1e12, 4000)]
+    for _ in range(20):
+        N = int(rng.integers(2, 101))
+        decades, centre = rng.uniform(math.log10(1.5), 24.0), rng.uniform(-6.0, 6.0)
+        cases.append((N, rng.uniform(0.05, 0.5), 10.0 ** (centre - decades / 2),
+                      10.0 ** (centre + decades / 2), int(10.0 ** rng.uniform(math.log10(8), 3.5))))
+    for N, theta, a, b, n in cases:
+        val = hardy_rayleigh_min(theta, N, a, b, n)
+        L = math.log(b / a)
+        assert math.isfinite(val)
+        assert val >= (hardy_constant(N + theta) + (math.pi / L) ** 2) * (1.0 - 1e-12)
+
+
 def test_hardy_rayleigh_matches_liouville_value():
     val = hardy_rayleigh_min(0.0, 5, 1.0, 1e4, 3000)
     L = math.log(1e4)
@@ -433,12 +486,13 @@ def test_stable_estimate_bounded_ratio_across_scales():
 
 
 def test_pencil_solver_on_generalized_problem():
-    # -psi'' = lambda * w(x) psi with w = 1: pencil route equals standard route
+    # -psi'' = lambda * w(x) psi with w = 1 on (0, 1): the pencil inertia
+    # puts exactly one eigenvalue within rel 1e-4 of pi^2 and none below
     n = 800
     h = 1.0 / (n + 1)
     ad = np.full(n, 2.0 / h)
     ae = np.full(n - 1, -1.0 / h)
     md = np.full(n, 4.0 * h / 6.0)
     me = np.full(n - 1, h / 6.0)
-    lam = tridiag.min_eigenvalue_pencil(ad, ae, md, me)
-    assert lam == pytest.approx(math.pi**2, rel=1e-4)
+    assert tridiag.count_below_pencil(ad, ae, md, me, math.pi**2 * (1.0 - 1e-4)) == 0
+    assert tridiag.count_below_pencil(ad, ae, md, me, math.pi**2 * (1.0 + 1e-4)) == 1
