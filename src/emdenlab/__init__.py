@@ -8,7 +8,7 @@ discretized stability spectra for
 and its Hardy-potential Schrodinger form.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import EmdenlabError, InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid

@@ -52,6 +52,8 @@ class RadialGrid:
     def logspaced(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
         if not (0.0 < r_min < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
+        if not int(n) >= 2:
+            raise InvalidParameterError("grid needs at least two points")
         return cls(np.geomspace(r_min, r_max, int(n)))
 
     @property

@@ -37,7 +37,8 @@ from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
 from .params import ProblemParams, derive, f_eval
 
-#: Series start radius relative to the intrinsic kappa scale.
+#: Series start radius relative to the intrinsic kappa scale, lowered near
+#: tau = -2 where the origin series converges only very close to 0.
 SERIES_START_FACTOR = 1e-6
 #: Relative drift per decade below which the scaled tail counts as converged.
 SLOW_DRIFT_TOL = 5e-3
@@ -161,7 +162,13 @@ def shoot(
 
     scale = kappa ** (-(params.p - 1.0) / (2.0 + ind.tau))
     if r_start is None:
-        r_start = SERIES_START_FACTOR * scale
+        # q = (r/scale)^(2+tau) drives the series; capping q/((2+tau)(N'+tau))
+        # at sqrt(tol) keeps the dropped O(q^2) term below tol near tau = -2
+        log_cap = (0.5 * math.log(tol) + math.log((2.0 + ind.tau) * (ind.n_prime + ind.tau))
+                   ) / (2.0 + ind.tau)
+        r_start = scale * min(SERIES_START_FACTOR, math.exp(min(log_cap, 0.0)))
+        if not r_start > 0.0:
+            raise NumericalError(f"series start radius underflows at tau = {ind.tau}")
     if grid is None:
         lo = r_min if r_min is not None else r_start
         if not (0.0 < lo < r_max):

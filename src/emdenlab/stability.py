@@ -6,20 +6,19 @@ The stability form of a solution v of the weighted equation is
 
 over compactly supported test functions.  For radial psi on an annulus
 [a, b], the Emden-Fowler change t = log r, phi = r^((N'-2)/2) psi turns
-it exactly into
-
-    integral( phi_t^2 + ((N'-2)^2/4 - p r^(2+tau) |v|^(p-1)) phi^2 dt ),
-
-a Schrodinger form with O(1) coefficients for the singular profile and
-no power r^(N'-1) anywhere.  Central differences on nodes uniform in t
-give one symmetric tridiagonal matrix; its negative eigenvalues estimate
-the Morse index from below (radial test functions only -- nonradial
-directions are not probed, so the count is a lower bound for the full
-index).  The negative count is an exact LDL^T inertia count and the low
-spectrum comes from LAPACK bisection, both on that matrix (see
-``tridiag``).  About v_infinity the potential is the constant f(p), so
-the eigenvalues are (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) with
-L = log(b/a).
+it exactly into integral( phi_t^2 + ((N'-2)^2/4 - P) phi^2 dt ) with the
+O(1) potential P = p r^(2+tau) |v|^(p-1), formed in logs on v's own nodes
+and linear in t between them; no power r^(N'-1) appears anywhere.
+Central differences on nodes uniform in t give one symmetric tridiagonal
+matrix T; its negative eigenvalues estimate the Morse index from below
+(radial test functions only, so the count is a lower bound for the full
+index).  The count is an exact LDL^T inertia count and the low spectrum
+comes from LAPACK bisection (see ``tridiag``).  About v_infinity P is
+the constant f(p), so the eigenvalues are (4/h^2) sin^2(k pi h / 2L) +
+(N'-2)^2/4 - f(p) with L = log(b/a).  Form values are evaluated in t by
+the same rule (h phi^T T phi on the assembly nodes); the Kelvin, dual and
+sigma maps send (P, phi) to itself or to its reflection t -> -t, so
+``invariance_check`` agrees to rounding.
 
 The Rayleigh bound of the weighted Hardy inequality uses the same
 variables but exact piecewise-linear finite elements instead of
@@ -117,6 +116,35 @@ def _log_step(a: float, b: float, n: int) -> float:
     return math.log(b / a) / (n + 1)
 
 
+def _potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:
+    """p r^power |f|^(p-1) at r: formed in logs on f's nodes, linear in t.
+
+    ``power`` is 2+tau on the weighted side and 2+alpha on the Hardy side.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # f = 0 gives P = 0
+        P = p * np.exp(power * f.grid.log_points + (p - 1.0) * np.log(np.abs(f.values)))
+    if not np.all(np.isfinite(P)):
+        raise NumericalError(f"potential p r^{power} |f|^{p - 1.0} leaves the float range")
+    return RadialFunction(f.grid, P).interp(r)
+
+
+def _form_value(level: float, P: np.ndarray, psi: TestFunction, power: float) -> float:
+    """sum(diff(phi)^2 / diff(t)) + trapezoid((level - P) phi^2, t), phi = r^power psi.
+
+    phi is formed in logs, so only a form value out of range raises.
+    """
+    t = psi.grid.log_points
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        phi = np.sign(psi.values) * np.exp(power * t + np.log(np.abs(psi.values)))
+        value = float(np.sum(np.diff(phi) ** 2 / np.diff(t))
+                      + np.trapezoid((level - P) * phi**2, t))
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"form value leaves the float range on [{psi.grid.r_min}, {psi.grid.r_max}]"
+        )
+    return value
+
+
 def log_nodes(a: float, b: float, n: int) -> RadialGrid:
     """The n interior nodes and both ends of the assembly grid on [a, b].
 
@@ -133,19 +161,16 @@ def assemble_forms(
     """Assemble the stability form for v on the annulus [a, b].
 
     Uses the n interior nodes of ``log_nodes`` with Dirichlet ends.  v must
-    cover [a, b]; its values are taken by log-linear interpolation at the
-    nodes.
+    cover [a, b]; the potential is taken from v by ``_potential``.
     """
     h = _log_step(a, b, n)
     nodes = log_nodes(a, b, n).points
     try:
-        vv = v.interp(nodes)
+        potential = _potential(params.p, 2.0 + params.tau, v, nodes)[1:-1]
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"v missing values on [{a}, {b}]: {exc}") from exc
 
-    tau, p = params.tau, params.p
     level = (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
-    potential = p * nodes[1:-1] ** (2.0 + tau) * np.abs(vv[1:-1]) ** (p - 1.0)
     return FormAssembly(
         params=params,
         nodes=nodes,
@@ -211,47 +236,23 @@ def _log_second_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _require_support(v: RadialFunction, psi: TestFunction):
-    slack = 1.0 + 1e-12
-    if psi.grid.r_min * slack < v.grid.r_min or psi.grid.r_max > v.grid.r_max * slack:
-        raise InvalidParameterError("support mismatch: psi grid exceeds v domain")
-
-
 def q_value(params: ProblemParams, v: RadialFunction, psi: TestFunction) -> float:
-    """Trapezoid value of the radial stability form Q_v(psi).
+    """Q_v(psi) in t: phi = r^((N'-2)/2) psi, level (N'-2)^2/4, P from v.
 
-    Quadratic in psi: q_value(c*psi) = c^2 * q_value(psi).  The angular
-    area factor is omitted consistently on all routes.
+    Quadratic in psi; the angular area factor is omitted on all routes.
     """
-    _require_support(v, psi)
-    t = psi.grid.log_points
-    r = psi.grid.points
-    psi_prime = _log_derivative(psi.values, t) / r
-    vv = v.interp(r)
-    N, theta, l, p = params.N, params.theta, params.l, params.p
-    integrand = (
-        r ** (N - 1.0 + theta) * psi_prime**2
-        - p * r ** (N - 1.0 + l) * np.abs(vv) ** (p - 1.0) * psi.values**2
-    )
-    return float(np.trapezoid(integrand * r, t))
+    half = (params.n_prime - 2.0) / 2.0
+    P = _potential(params.p, 2.0 + params.tau, v, psi.grid.points)
+    return _form_value(half**2, P, psi, half)
 
 
 def q_value_schrodinger(
     schrodinger: SchrodingerParams, u: RadialFunction, phi: TestFunction
 ) -> float:
-    """Trapezoid value of the Hardy-potential stability form."""
-    _require_support(u, phi)
-    t = phi.grid.log_points
-    r = phi.grid.points
-    phi_prime = _log_derivative(phi.values, t) / r
-    uu = u.interp(r)
-    N, alpha, ell, p = schrodinger.N, schrodinger.alpha, schrodinger.ell, schrodinger.p
-    integrand = r ** (N - 1.0) * (
-        phi_prime**2
-        - ell * phi.values**2 / r**2
-        - p * r**alpha * np.abs(uu) ** (p - 1.0) * phi.values**2
-    )
-    return float(np.trapezoid(integrand * r, t))
+    """Hardy-potential form in t: chi = r^((N-2)/2) phi, level (N-2)^2/4 - ell."""
+    half = (schrodinger.N - 2.0) / 2.0
+    P = _potential(schrodinger.p, 2.0 + schrodinger.alpha, u, phi.grid.points)
+    return _form_value(half**2 - schrodinger.ell, P, phi, half)
 
 
 def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> float:
@@ -307,23 +308,21 @@ def invariance_check(
     Returns (q_source, q_image) where the image uses the transform's own
     test-function map: Kelvin sends psi to |x|^(N'-2) psi on the inverted
     grid, the dual transform carries psi unchanged, and the sigma map
-    divides by r^sigma and evaluates the Hardy-potential form.  The two
-    values agree up to quadrature accuracy.
+    divides by r^sigma and evaluates the Hardy-potential form.  In t every
+    map sends the form's (P, phi) to (P(-t), phi(-t)) or leaves it as it
+    is, so the two values agree to rounding.
     """
     kind = TransformKind(kind)
     q_source = q_value(params, v, psi)
-    if kind is TransformKind.KELVIN:
-        image = kelvin_params(params).params
-        v_im = kelvin_apply(v, params)
-        psi_raw = kelvin_apply(RadialFunction(psi.grid, psi.values), params)
-        psi_im = TestFunction(grid=psi_raw.grid, values=psi_raw.values)
-        return q_source, q_value(image, v_im, psi_im)
-    if kind is TransformKind.DUAL:
-        image = dual_params(params).params
-        v_im = dual_apply(v)
-        psi_raw = dual_apply(RadialFunction(psi.grid, psi.values))
-        psi_im = TestFunction(grid=psi_raw.grid, values=psi_raw.values)
-        return q_source, q_value(image, v_im, psi_im)
+    if kind in (TransformKind.KELVIN, TransformKind.DUAL):
+        image, apply = {
+            TransformKind.KELVIN: (kelvin_params, lambda f: kelvin_apply(f, params)),
+            TransformKind.DUAL: (dual_params, dual_apply),
+        }[kind]
+        psi_im = apply(RadialFunction(psi.grid, psi.values))
+        return q_source, q_value(
+            image(params).params, apply(v), TestFunction(psi_im.grid, psi_im.values)
+        )
     if kind is TransformKind.SIGMA:
         schrodinger = sigma_inverse(params)
         u = sigma_apply(v, params)
@@ -364,7 +363,6 @@ def stable_estimate_check(
         )
     if float(np.max(np.abs(psi.values))) > 1.0 + 1e-12:
         raise InvalidParameterError("test function must satisfy |psi| <= 1")
-    _require_support(v, psi)
 
     N, theta, l = params.N, params.theta, params.l
     t = psi.grid.log_points

@@ -278,6 +278,18 @@ def test_singular_amplitude_outside_the_float_range_exit_code(p, capsys):
     assert env["error"]["type"] == "numerical_failure"
 
 
+def test_shoot_near_tau_minus_two(capsys):
+    # tau = -1.927: the fixed start radius once put log1p's argument below -1
+    env = run_json(["shoot", "--N", "3", "--theta=1.25957", "--l=-0.667567", "--p", "2.6319"],
+                   capsys)
+    assert env["results"]["classification"] == "slow_decay"
+    assert env["results"]["asymptotic_constant"] == pytest.approx(env["results"]["c0"], rel=0.05)
+    env = run_json(["shoot", "--N", "5", "--theta", "0", "--l=-1.99", "--p", "1.5"], capsys,
+                   expect_code=3)
+    assert env["error"]["type"] == "numerical_failure"
+    assert "tau = -1.99" in env["error"]["message"]
+
+
 def test_negative_value_in_exponent_notation_is_a_value(capsys):
     spaced = ["classify", "--N", "18", "--theta", "-9.189673215287408e-05",
               "--l", "-1.19", "--p", "11.9"]

@@ -106,6 +106,32 @@ def test_shoot_series_start_oracle():
     assert dev < 1e-9
 
 
+@pytest.mark.parametrize("N, l, p", [(5, -1.9, 3.0), (5, -1.9, 1.5), (11, -1.97, 3.0)])
+def test_series_start_near_tau_minus_two(N, l, p):
+    # at r = 1e-6 scale the series parameter q = (r/scale)^(2+tau) is 0.25
+    # (tau = -1.9) or 0.66 (tau = -1.97); the start radius drops until the
+    # dropped O(q^2) term is below tol, so halving it moves nothing
+    params = ProblemParams(N, 0.0, l, p)
+    base = shoot(params, kappa=1.0, r_max=1e6)
+    grid = base.solution.grid
+    halved = shoot(params, kappa=1.0, r_max=1e6, grid=grid, r_start=0.5 * grid.r_min)
+    dev = np.max(np.abs(halved.solution.values / base.solution.values - 1.0))
+    assert dev < 1e-9
+
+
+def test_series_start_is_unchanged_away_from_tau_minus_two():
+    # where the 1e-6 factor already wins the start radius is bit-identical
+    params = ProblemParams(5, 0.0, -0.5, 3.0)
+    scale = 2.0 ** (-(params.p - 1.0) / 1.5)
+    run = shoot(params, kappa=2.0, r_max=1e3)
+    assert run.solution.grid.r_min == radial_ode.SERIES_START_FACTOR * scale
+
+
+def test_series_start_underflow_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="tau = -1.99"):
+        shoot(ProblemParams(5, 0.0, -1.99, 1.5), kappa=1.0, r_max=1e6)
+
+
 def test_scaling_law():
     lam = (PARAMS_11.p - 1.0) / (derive(PARAMS_11).tau + 2.0)
     base = shoot(PARAMS_11, kappa=1.0, r_max=1e5, tol=1e-10)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,20 +11,28 @@ from emdenlab import (
     ProblemParams,
     RadialFunction,
     RadialGrid,
+    SchrodingerParams,
     TestFunction,
     assemble_forms,
     critical_exponents,
     derive,
+    dual_apply,
+    dual_params,
     f_eval,
     hardy_constant,
     hardy_rayleigh_min,
     invariance_check,
+    kelvin_apply,
+    kelvin_params,
     q_value,
+    q_value_schrodinger,
     radial_morse_index,
+    shoot,
     stable_estimate_check,
     v_infinity,
 )
 from emdenlab import tridiag
+from emdenlab.stability import log_nodes
 
 
 def bump(t, t0, t1):
@@ -44,6 +53,18 @@ def profile_on(params, a, b, n):
     pad = 1.0 + 1e-9
     grid = RadialGrid.logspaced(a / pad, b * pad, n)
     return v_infinity(params, grid)
+
+
+def wiggly_profile(rng, params, grid):
+    # A r^(-m) (1 + w sin(k t)) with p A^(p-1) a random multiple of the level:
+    # P = p r^(2+tau) v^(p-1) is O(1) and straddles the level while v is
+    # exponential in t = log r
+    m = (2.0 + params.tau) / (params.p - 1.0)
+    level = (params.n_prime - 2.0) ** 2 / 4.0
+    amp = (rng.uniform(0.3, 2.0) * max(level, 0.5) / params.p) ** (1.0 / (params.p - 1.0))
+    w, k = rng.uniform(0.0, 0.5), rng.uniform(0.2, 2.0)
+    t = grid.log_points
+    return RadialFunction(grid, amp * np.exp(-m * t) * (1.0 + w * np.sin(k * t)))
 
 
 def test_assemble_zero_profile_is_positive_definite():
@@ -286,6 +307,26 @@ def test_eigenvector_matches_q_value():
     assert q == pytest.approx(lam * mass, rel=1e-2)
 
 
+def test_q_value_of_an_eigenvector_is_its_eigenvalue_times_its_mass():
+    # with v sampled on the assembly nodes the form value is h phi^T T phi
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        params = ProblemParams(int(rng.integers(3, 60)), 0.0, 0.0, rng.uniform(1.2, 6.0))
+        a, b, n = 10.0 ** rng.uniform(-3.0, -1.0), 10.0 ** rng.uniform(1.0, 3.0), 1000
+        nodes = log_nodes(a, b, n)
+        v = wiggly_profile(rng, params, nodes)
+        asm = assemble_forms(params, v, a, b, n)
+        eigs, vecs = eigh_tridiagonal(
+            asm.diag, asm.off, select="i", select_range=(0, 0), lapack_driver="stebz",
+            tol=tridiag.STEBZ_TOL,
+        )
+        lam, y = eigs[0], vecs[:, 0]
+        values = np.zeros(n + 2)
+        values[1:-1] = y * asm.nodes[1:-1] ** (-(params.n_prime - 2.0) / 2.0)
+        q = q_value(params, v, TestFunction(nodes, values))
+        assert q == pytest.approx(lam * asm.h * float(np.sum(y * y)), rel=1e-10)
+
+
 def test_q_value_basics():
     params = ProblemParams(11, 0.0, 0.0, 7.0)
     v = profile_on(params, 1e-2, 1e2, 4000)
@@ -322,6 +363,46 @@ def test_q_value_support_mismatch():
     psi = bump_test_function(0.1, 100.0, 301)
     with pytest.raises(InvalidParameterError):
         q_value(params, v, psi)
+
+
+def test_out_of_range_form_value_is_a_numerical_error():
+    # N = 100 on [1e-6, 1e6]: an O(1) bump has a form value near 1e588 and
+    # |v| = 1e200 at p = 3 a potential near 1e400, while bump * r^-49 has
+    # phi = bump, whose value is finite although r^49 psi^2 would overflow
+    params = ProblemParams(100, 0.0, 0.0, 2.0)
+    grid = RadialGrid.logspaced(1e-6, 1e6, 2001)
+    zero = RadialFunction(grid, np.zeros(grid.n))
+    shape = bump(grid.log_points, grid.log_points[0], grid.log_points[-1])
+    with pytest.raises(NumericalError, match="float range"):
+        q_value(params, zero, TestFunction(grid, shape))
+    with pytest.raises(NumericalError, match="float range"):
+        q_value_schrodinger(SchrodingerParams(100, 0.0, 0.0, 2.0), zero, TestFunction(grid, shape))
+    huge = RadialFunction(grid, np.full(grid.n, 1e200))
+    with pytest.raises(NumericalError, match="potential"):
+        radial_morse_index(ProblemParams(100, 0.0, 0.0, 3.0), huge, 1e-3, 1e3, 100)
+    value = q_value(params, zero, TestFunction(grid, shape * grid.points**-49.0))
+    t = grid.log_points
+    kinetic = float(np.sum(np.diff(shape) ** 2 / np.diff(t)))
+    assert value == pytest.approx(kinetic + 49.0**2 * np.trapezoid(shape**2, t), rel=1e-12)
+
+
+def test_shoot_profile_spectrum_matches_a_dense_reference():
+    # the CLI's shoot:<kappa> spectrum samples the profile at 128 points per
+    # decade; P is O(1) and smooth in t where v ~ r^(-m) is exponential, so
+    # the low eigenvalues match a profile sampled at 8192 points per decade
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        N, tau, kappa = int(rng.integers(5, 41)), rng.uniform(-0.5, 1.0), rng.uniform(0.5, 2.0)
+        sobolev = derive(ProblemParams(N, 0.0, tau, 2.0)).sobolev
+        params = ProblemParams(N, 0.0, tau, sobolev * (1.0 + rng.uniform(0.02, 1.0)))
+        a, b = 10.0 ** rng.uniform(-1.5, -0.5), 10.0 ** rng.uniform(2.0, 3.0)
+        n = int(rng.integers(500, 2001))
+        coarse = shoot(params, kappa, r_max=2.0 * b).solution
+        dense = shoot(params, kappa, r_max=2.0 * b, points_per_decade=8192).solution
+        got = radial_morse_index(params, coarse, a, b, n, n_eigenvalues=8)
+        ref = radial_morse_index(params, dense, a, b, n, n_eigenvalues=8)
+        assert got.negative_count == ref.negative_count
+        np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=0.0, atol=5e-3)
 
 
 def test_hardy_rayleigh_min_bounds():
@@ -451,6 +532,54 @@ def test_invariance_kelvin_on_singular_solution():
     psi = bump_test_function(0.1, 10.0, 24001)
     qs, qi = invariance_check("kelvin", params, v, psi)
     assert abs(qs - qi) / abs(qs) < 1e-6
+
+
+def test_kelvin_and_dual_image_spectra_match_the_source():
+    # both maps send (P, phi) to (P(-t), phi(-t)) on the reflected nodes, so
+    # the image spectrum on [1/b, 1/a] is the source spectrum to rounding,
+    # also where the profile lies between the nodes
+    rng = np.random.default_rng(808)
+    for _ in range(30):
+        N, theta, tau = int(rng.integers(3, 41)), rng.uniform(-0.5, 1.0), rng.uniform(-1.0, 2.0)
+        params = ProblemParams(N, theta, theta + tau, rng.uniform(1.2, 6.0))
+        decades, centre = rng.uniform(1.0, 4.0), rng.uniform(-1.0, 1.0)
+        a, b = 10.0 ** (centre - decades / 2), 10.0 ** (centre + decades / 2)
+        n = int(rng.integers(100, 800))
+        grid = RadialGrid.logspaced(a / 1.01, b * 1.01, int(rng.integers(50, 3000)))
+        v = wiggly_profile(rng, params, grid)
+        source = radial_morse_index(params, v, a, b, n)
+        for image, v_image in (
+            (kelvin_params(params).params, kelvin_apply(v, params)),
+            (dual_params(params).params, dual_apply(v)),
+        ):
+            rep = radial_morse_index(image, v_image, 1.0 / b, 1.0 / a, n)
+            assert rep.negative_count == source.negative_count
+            np.testing.assert_allclose(rep.eigenvalues[:12], source.eigenvalues[:12], rtol=1e-10)
+
+
+def test_transform_invariance_to_rounding_on_coarse_grids():
+    # coarse draws up to N' = 100, where r-form quadratures differ at
+    # O(h^2): the t-form values agree to rounding, with no RuntimeWarning
+    # whatever the pytest warning filters.  The error is measured against
+    # the form's own scale, its value at P = 0, since the kinetic, level and
+    # potential parts may cancel to a small q (300x in some further draws)
+    rng = np.random.default_rng(2027)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(100):
+            N = int(rng.integers(3, 101))
+            theta, tau = rng.uniform(-0.5, 1.5), rng.uniform(-1.0, 2.0)
+            params = ProblemParams(N, theta, theta + tau, rng.uniform(1.2, 6.0))
+            decades, centre = rng.uniform(0.5, 4.0), rng.uniform(-0.5, 0.5)
+            a, b = 10.0 ** (centre - decades / 2), 10.0 ** (centre + decades / 2)
+            vg = RadialGrid.logspaced(a / 1.5, b * 1.5, int(rng.integers(20, 3001)))
+            v = wiggly_profile(rng, params, vg)
+            pg = RadialGrid.logspaced(a, b, int(rng.integers(20, 3001)))
+            psi = TestFunction(pg, bump(pg.log_points, math.log(a), math.log(b)))
+            scale = q_value(params, RadialFunction(vg, np.zeros(vg.n)), psi)
+            for kind in ("kelvin", "dual", "sigma"):
+                qs, qi = invariance_check(kind, params, v, psi)
+                assert abs(qs - qi) <= 1e-11 * max(abs(qs), scale), (kind, N, qs, qi)
 
 
 def test_stable_estimate_check_basics():

@@ -124,6 +124,13 @@ def test_grid_reflect():
     assert np.max(np.abs(twice.points - grid.points) / grid.points) < 1e-15
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_logspaced_needs_two_points(n):
+    # the same typed error as the constructor, not numpy's ValueError
+    with pytest.raises(InvalidParameterError, match="at least two points"):
+        RadialGrid.logspaced(1.0, 2.0, n)
+
+
 def test_kelvin_apply_maps_singular_to_image_singular():
     params = ProblemParams(5, 0.0, 0.0, 3.0)
     grid = RadialGrid.logspaced(0.1, 10.0, 4001)
