@@ -6,116 +6,53 @@ discretized stability spectra for
     -div(|x|^theta grad v) = |x|^l |v|^(p-1) v
 
 and its Hardy-potential Schrodinger form.
+
+Public names resolve lazily (PEP 562): ``import emdenlab`` loads no
+module of the package, and a name loads only its home module on first
+use.  The exponent algebra and the parameter-level transforms need
+neither numpy nor scipy; grids, profiles and spectra load numpy, the
+low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
 """
+
+import importlib
 
 __version__ = "0.5.0"
 
-from .errors import EmdenlabError, InvalidParameterError, NumericalError
-from .grids import RadialFunction, RadialGrid
-from .params import (
-    Classification,
-    CriticalExponents,
-    DerivedIndices,
-    ProblemParams,
-    RegimeLabel,
-    SchrodingerParams,
-    capital_gamma,
-    classify_p,
-    critical_exponents,
-    crossing_by_bisection,
-    delta,
-    derive,
-    f_eval,
-    gamma_of_p,
-    hardy_constant,
-)
-from .radial_ode import (
-    DecayClass,
-    Ordering,
-    ShootingResult,
-    asymptotic_constant,
-    classify_decay,
-    rescale,
-    residual,
-    shoot,
-    sphere_constant_check,
-    v_infinity,
-)
-from .stability import (
-    FormAssembly,
-    SpectrumReport,
-    TestFunction,
-    assemble_forms,
-    hardy_rayleigh_min,
-    invariance_check,
-    q_value,
-    q_value_schrodinger,
-    radial_morse_index,
-    stable_estimate_check,
-)
-from .transforms import (
-    TransformKind,
-    TransformedParams,
-    dual_apply,
-    dual_params,
-    kelvin_apply,
-    kelvin_params,
-    sigma_apply,
-    sigma_apply_inverse,
-    sigma_inverse,
-    sigma_params,
-)
+#: Home module of every public name.
+_HOMES = {
+    "errors": ("EmdenlabError", "InvalidParameterError", "NumericalError"),
+    "grids": ("RadialGrid", "RadialFunction"),
+    "params": (
+        "ProblemParams", "SchrodingerParams", "DerivedIndices", "CriticalExponents",
+        "Classification", "RegimeLabel", "derive", "f_eval", "gamma_of_p",
+        "capital_gamma", "delta", "critical_exponents", "crossing_by_bisection",
+        "classify_p", "hardy_constant",
+    ),
+    "transforms": (
+        "TransformKind", "TransformedParams", "kelvin_params", "dual_params",
+        "sigma_params", "sigma_inverse", "kelvin_apply", "dual_apply", "sigma_apply",
+        "sigma_apply_inverse",
+    ),
+    "radial_ode": (
+        "ShootingResult", "DecayClass", "Ordering", "v_infinity", "shoot", "rescale",
+        "asymptotic_constant", "classify_decay", "residual", "sphere_constant_check",
+    ),
+    "stability": (
+        "TestFunction", "FormAssembly", "SpectrumReport", "assemble_forms",
+        "radial_morse_index", "q_value", "q_value_schrodinger", "hardy_rayleigh_min",
+        "invariance_check", "stable_estimate_check",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "EmdenlabError",
-    "InvalidParameterError",
-    "NumericalError",
-    "RadialGrid",
-    "RadialFunction",
-    "ProblemParams",
-    "SchrodingerParams",
-    "DerivedIndices",
-    "CriticalExponents",
-    "Classification",
-    "RegimeLabel",
-    "derive",
-    "f_eval",
-    "gamma_of_p",
-    "capital_gamma",
-    "delta",
-    "critical_exponents",
-    "crossing_by_bisection",
-    "classify_p",
-    "hardy_constant",
-    "TransformKind",
-    "TransformedParams",
-    "kelvin_params",
-    "dual_params",
-    "sigma_params",
-    "sigma_inverse",
-    "kelvin_apply",
-    "dual_apply",
-    "sigma_apply",
-    "sigma_apply_inverse",
-    "ShootingResult",
-    "DecayClass",
-    "Ordering",
-    "v_infinity",
-    "shoot",
-    "rescale",
-    "asymptotic_constant",
-    "classify_decay",
-    "residual",
-    "sphere_constant_check",
-    "TestFunction",
-    "FormAssembly",
-    "SpectrumReport",
-    "assemble_forms",
-    "radial_morse_index",
-    "q_value",
-    "q_value_schrodinger",
-    "hardy_rayleigh_min",
-    "invariance_check",
-    "stable_estimate_check",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -40,6 +40,7 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import EmdenlabError, InvalidParameterError, NumericalError
@@ -52,8 +53,6 @@ from .params import (
     f_eval,
     hardy_constant,
 )
-from .radial_ode import shoot, v_infinity
-from .stability import SpectrumReport, log_nodes, radial_morse_index
 from .transforms import (
     TransformKind,
     dual_params,
@@ -61,6 +60,9 @@ from .transforms import (
     sigma_inverse,
     sigma_params,
 )
+
+if TYPE_CHECKING:  # numpy and scipy load only with the commands that need them
+    from .stability import SpectrumReport
 
 INFINITY_TOKEN = "infinity"
 
@@ -191,6 +193,9 @@ def _spectrum(
 
     ``tol`` is the shooting tolerance; the singular profile does not use it.
     """
+    from .radial_ode import shoot, v_infinity
+    from .stability import log_nodes, radial_morse_index
+
     if profile == "v_infinity":
         v = v_infinity(params, log_nodes(a, b, n))
     elif profile.startswith("shoot:"):
@@ -247,6 +252,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_shoot(args) -> dict:
+    from .radial_ode import shoot
+
     params = _problem_params(args, args.p)
     result = shoot(
         params,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 
 # Allowed spread of log-spacing increments (grid invariant).
 LOG_SPACING_TOL = 1e-12
@@ -111,6 +111,15 @@ class RadialFunction:
             if der.shape != vals.shape:
                 raise InvalidParameterError("derivative and grid have different lengths")
             object.__setattr__(self, "derivative", der)
+
+    def times_power(self, power: float) -> np.ndarray:
+        """values * r^power, formed in logs: only a product out of range raises."""
+        with np.errstate(divide="ignore", over="ignore"):  # v = 0 gives 0
+            logs = power * self.grid.log_points + np.log(np.abs(self.values))
+            out = np.sign(self.values) * np.exp(logs)
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(f"values * r^{power} leave the float range")
+        return out
 
     def interp(self, r) -> np.ndarray:
         """Linear-in-log-r interpolation of the values.

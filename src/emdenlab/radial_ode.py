@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
@@ -89,6 +88,13 @@ class ShootingResult:
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise InvalidParameterError("kappa must be positive")
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFunction:
@@ -160,7 +166,12 @@ def shoot(
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
 
-    scale = kappa ** (-(params.p - 1.0) / (2.0 + ind.tau))
+    try:  # the intrinsic length kappa^(-(p-1)/(2+tau))
+        scale = kappa ** (-(params.p - 1.0) / (2.0 + ind.tau))
+    except OverflowError:
+        raise NumericalError(
+            f"length scale of kappa = {kappa} overflows at tau = {ind.tau}"
+        ) from None
     if r_start is None:
         # q = (r/scale)^(2+tau) drives the series; capping q/((2+tau)(N'+tau))
         # at sqrt(tol) keeps the dropped O(q^2) term below tol near tau = -2

@@ -14,17 +14,22 @@ solutions of another while preserving the sign of the stability form:
 
 Parameter-level maps are exact affine arithmetic.  Function-level maps
 act on log-uniform radial grids, where inversion r -> 1/r is a pure
-relabeling of grid points, so no interpolation is ever involved.
+relabeling of grid points, so no interpolation is ever involved.  Their
+power weights are formed in logs (``RadialFunction.times_power``), so
+only an image out of the float range raises, and images are built with
+the input's own class, so this module loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .errors import InvalidParameterError
-from .grids import RadialFunction, RadialGrid
 from .params import ProblemParams, SchrodingerParams
+
+if TYPE_CHECKING:
+    from .grids import RadialFunction
 
 DOMAIN_IDENTITY = "identity"
 DOMAIN_INVERSION = "inversion y = x/|x|^2"
@@ -105,23 +110,20 @@ def kelvin_apply(v: RadialFunction, params: ProblemParams) -> RadialFunction:
     w at node 1/r is r^(N-2+theta) * v(r).  Grids are strictly positive
     by construction, so r = 0 never occurs.
     """
-    exponent = params.N - 2.0 + params.theta
-    weights = v.grid.points**exponent
-    return RadialFunction(grid=v.grid.reflect(), values=(v.values * weights)[::-1])
+    values = v.times_power(params.N - 2.0 + params.theta)
+    return type(v)(grid=v.grid.reflect(), values=values[::-1])
 
 
 def dual_apply(v: RadialFunction) -> RadialFunction:
     """Dual image z(s) = v(1/s): same values on the reflected grid."""
-    return RadialFunction(grid=v.grid.reflect(), values=v.values[::-1])
+    return type(v)(grid=v.grid.reflect(), values=v.values[::-1])
 
 
 def sigma_apply(v: RadialFunction, params: ProblemParams) -> RadialFunction:
     """Hardy-side profile u = r^(-sigma) v on the same grid (sigma = -theta/2)."""
-    s = -params.theta / 2.0
-    return RadialFunction(grid=v.grid, values=v.values * v.grid.points ** (-s))
+    return type(v)(grid=v.grid, values=v.times_power(params.theta / 2.0))
 
 
 def sigma_apply_inverse(u: RadialFunction, schrodinger: SchrodingerParams) -> RadialFunction:
     """Weighted-side profile v = r^sigma u on the same grid."""
-    s = schrodinger.sigma
-    return RadialFunction(grid=u.grid, values=u.values * u.grid.points**s)
+    return type(u)(grid=u.grid, values=u.times_power(schrodinger.sigma))

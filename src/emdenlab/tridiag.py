@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError
 
@@ -53,6 +52,8 @@ def count_below(d: np.ndarray, e: np.ndarray, shift: float) -> int:
 
 def smallest_eigenvalues(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """The k smallest eigenvalues of tridiag(d, e), ascending (LAPACK dstebz)."""
+    from scipy.linalg import eigh_tridiagonal
+
     n = np.size(d)
     if not 1 <= k <= n:
         raise NumericalError(f"cannot extract {k} eigenvalues from order {n}")

@@ -357,3 +357,11 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, out = run_cli(["exponents", "--N", "11", "--theta", "0", "--l", "0"], capsys)
     assert code == 3
     assert json.loads(out)["error"]["type"] == "numerical_failure"
+
+
+def test_shoot_length_scale_overflow_is_a_numerical_failure(capsys):
+    # kappa^(-(p-1)/(2+tau)) = 1e480 at tau = -1.9
+    argv = ["shoot", "--N", "5", "--theta", "0", "--l=-1.9", "--p", "2.6", "--kappa", "1e-30"]
+    err = run_json(argv, capsys, expect_code=3)
+    assert err["error"]["type"] == "numerical_failure"
+    assert "overflows" in err["error"]["message"]

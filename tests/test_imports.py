@@ -1,0 +1,92 @@
+"""Cold imports: each command loads only the modules its computation needs.
+
+Each check runs in a fresh interpreter, since this test process has
+long since loaded numpy and scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import emdenlab
+
+SRC = str(Path(emdenlab.__file__).resolve().parents[1])
+
+#: Runs the statements in argv[1] one by one, stdout silenced, and prints
+#: the numpy and scipy modules loaded after each.
+_PROBE = """
+import contextlib, io, json, sys
+namespace = {}
+loaded = []
+for statement in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(statement, namespace)
+    loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
+print(json.dumps(loaded))
+"""
+
+
+def heavy_modules_after(statements):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(statements)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    return dict(zip(statements, json.loads(out)))
+
+
+def test_parameter_commands_load_neither_numpy_nor_scipy(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("mode = exponents\nnprime = 3:12:4\ntau = -1,0,1\n")
+    commands = [
+        ["exponents", "--N", "11", "--theta", "0", "--l", "0"],
+        ["exponents", "--N", "11", "--theta", "0", "--l", "0", "--p", "7"],
+        ["classify", "--N", "11", "--theta", "0", "--l", "0", "--p", "3"],
+        ["transform", "--kind", "kelvin", "--N", "5", "--theta", "0", "--l", "0", "--p", "3"],
+        ["transform", "--kind", "dual", "--N", "5", "--theta", "0", "--l", "0", "--p", "3"],
+        ["transform", "--kind", "sigma", "--N", "5", "--alpha", "0", "--ell", "2", "--p", "3"],
+        ["transform", "--kind", "sigma_inverse", "--N", "5", "--theta", "1", "--l", "0",
+         "--p", "3"],
+        ["sweep", "--config", str(config)],
+    ]
+    statements = ["import emdenlab", "from emdenlab import cli"]
+    statements += [f"assert cli.main({argv!r}) == 0" for argv in commands]
+    loaded = heavy_modules_after(statements)
+    assert loaded == {statement: [] for statement in statements}
+
+
+def test_spectrum_loads_the_eigensolver_but_not_the_integrator():
+    argv = ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3", "--n", "200"]
+    statement = f"from emdenlab import cli; assert cli.main({argv!r}) == 0"
+    loaded = heavy_modules_after([statement])[statement]
+    assert "scipy.linalg" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_hardy_minimum_loads_no_scipy():
+    statement = "import emdenlab; emdenlab.hardy_rayleigh_min(0.0, 5, 1.0, 1e2, 1000)"
+    loaded = heavy_modules_after([statement])[statement]
+    assert "numpy" in loaded
+    assert not [m for m in loaded if m.startswith("scipy")]
+
+
+def test_every_public_name_is_its_home_module_attribute():
+    for name in emdenlab.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(emdenlab, name)
+        assert obj.__module__.startswith("emdenlab."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(emdenlab.__all__) <= set(dir(emdenlab))
+    namespace = {}
+    exec("from emdenlab import *", namespace)
+    assert set(emdenlab.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        emdenlab.no_such_name

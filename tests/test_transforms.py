@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from emdenlab import (
     InvalidParameterError,
+    NumericalError,
     ProblemParams,
     RadialFunction,
     RadialGrid,
@@ -161,6 +163,26 @@ def test_kelvin_apply_fast_decay_becomes_bounded():
     v = RadialFunction(grid, gamma * grid.points ** (2.0 - 5.0))
     w = kelvin_apply(v, params)
     assert np.allclose(w.values, gamma, rtol=1e-12)
+
+
+def test_kelvin_apply_weight_is_formed_in_logs():
+    # r^98 alone overflows at r = 1e6, the image r^98 v = 1e-200 r^38 does not
+    params = ProblemParams(100, 0.0, 0.0, 2.0)
+    grid = RadialGrid.logspaced(1e-6, 1e6, 200)
+    t = grid.log_points
+    v = RadialFunction(grid, np.exp(math.log(1e-200) - 60.0 * t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = kelvin_apply(v, params)
+    assert np.array_equal(w.grid.points, grid.reflect().points)
+    image = w.values[::-1]  # at the source nodes r
+    assert np.all(image[v.values == 0.0] == 0.0)  # v underflows beyond r ~ 10^2
+    expect = np.exp(math.log(1e-200) + 38.0 * t)  # underflows below r ~ 10^-3
+    normal = np.minimum(v.values, expect) >= np.finfo(float).tiny
+    assert np.count_nonzero(normal) > 50
+    assert np.max(np.abs(image[normal] / expect[normal] - 1.0)) < 1e-12
+    with pytest.raises(NumericalError, match="float range"):
+        kelvin_apply(RadialFunction(grid, np.ones(200)), params)
 
 
 def test_dual_apply_involution_and_endpoints():
