@@ -10,9 +10,9 @@ module provides
 * the explicit singular solution c0 * r^(-m), m = (2+tau)/(p-1),
 * a shooting integrator for the regular solution with v(0) = kappa,
   started from a two-term series at a tiny radius (the ODE is singular
-  at the origin) and advanced by an adaptive embedded Runge-Kutta 4(5)
-  pair in t = log r on the Emden-Fowler state y = log(r^m v),
-  s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
+  at the origin) and advanced by LSODA (scipy.integrate.odeint behind
+  the ``solve_ivp`` seam) in t = log r on the Emden-Fowler state
+  y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
   s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, and the
   fixed point (log c0, log m) is the singular solution,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
@@ -90,11 +90,44 @@ class ShootingResult:
             raise InvalidParameterError("kappa must be positive")
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first call."""
-    from scipy.integrate import solve_ivp
+@dataclass(frozen=True)
+class OdeSolution:
+    """What ``solve_ivp`` returns: the state on ``t_eval`` (one row per
+    component), the right-hand-side evaluation count and the outcome."""
 
-    return solve_ivp(*args, **kwargs)
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, max_step) -> OdeSolution:
+    """LSODA (``scipy.integrate.odeint``) with ``scipy.integrate.solve_ivp``'s
+    call shape; scipy is imported on first call.
+
+    ``fun(t, y)`` is integrated from ``t_span[0]``, with steps of at most
+    ``max_step``, and sampled on ``t_eval``, which ends at ``t_span[1]``.
+    A start within rounding of ``t_eval[0]``, where LSODA refuses to step,
+    starts at ``t_eval[0]``.  A failure is reported as ``success=False``
+    with odeint's message, not as an ``ODEintWarning``.
+    """
+    import warnings
+
+    from scipy.integrate import ODEintWarning, odeint
+
+    t0 = float(t_span[0])
+    rounding = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t_eval[0]))
+    times = t_eval if t_eval[0] - t0 <= rounding else np.concatenate(([t0], t_eval))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(fun, y0, times, rtol=rtol, atol=atol, hmax=max_step,
+                         full_output=True, tfirst=True)
+    return OdeSolution(
+        y=y[times.size - t_eval.size:].T,
+        nfev=int(info["nfe"][-1]),
+        success=info["message"] == "Integration successful.",
+        message=info["message"],
+    )
 
 
 def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFunction:
@@ -149,10 +182,11 @@ def shoot(
 
     Output is sampled on ``grid`` when given, else on a log grid from
     ``r_min`` (default: the series start radius) to ``r_max`` with
-    ``points_per_decade`` nodes per decade.  ``tol`` is the local relative
-    and absolute tolerance on the state (y, s).  The hypothesis p above the
-    Sobolev exponent is enforced; there the solution is positive, strictly
-    decreasing, and r^m v(r) tends to the singular amplitude c0.
+    ``points_per_decade`` nodes per decade.  ``tol`` sets the relative
+    and absolute tolerance on the state (y, s), applied as tol/1000.  The
+    hypothesis p above the Sobolev exponent is enforced; there the solution
+    is positive, strictly decreasing, and r^m v(r) tends to the singular
+    amplitude c0.
     """
     ind = derive(params)
     if not params.standard_regime:
@@ -181,6 +215,11 @@ def shoot(
         if not r_start > 0.0:
             raise NumericalError(f"series start radius underflows at tau = {ind.tau}")
     if grid is None:
+        if r_min is None and not r_start < r_max:
+            raise NumericalError(
+                f"series start radius {r_start:.6g} of kappa = {kappa} lies beyond "
+                f"r_max = {r_max:.6g} at tau = {ind.tau}"
+            )
         lo = r_min if r_min is not None else r_start
         if not (0.0 < lo < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
@@ -204,9 +243,14 @@ def shoot(
         zeta = math.exp(s)
         return (m - zeta, math.exp((p - 1.0) * y - s) - (np_ - 2.0) + zeta)
 
+    # LSODA at a thousandth of tol (floored where it rejects rtol as below
+    # rounding) keeps the global error in log v inside the ordering band;
+    # one e-fold of the series driver q per step keeps its step growth from
+    # jumping the series-to-nonlinear transition
+    inner_tol = max(tol / 1000.0, 100.0 * np.finfo(float).eps)
     try:
-        sol = solve_ivp(rhs, (t0, float(t_eval[-1])), state0, method="RK45",
-                        rtol=tol, atol=tol, t_eval=t_eval)
+        sol = solve_ivp(rhs, (t0, float(t_eval[-1])), state0, t_eval=t_eval,
+                        rtol=inner_tol, atol=inner_tol, max_step=1.0 / (2.0 + tau))
     except OverflowError as exc:
         # e^s overflows once the state leaves the cone v > 0, v' < 0
         raise NumericalError("shooting left v > 0, v' < 0; tolerance too loose") from exc
@@ -214,8 +258,6 @@ def shoot(
         raise NumericalError(f"integrator failed: {sol.message}")
 
     y, s = sol.y
-    if y.size != t_eval.size:
-        raise NumericalError("integrator returned a truncated solution")
     if not np.all(np.isfinite(sol.y)):
         raise NumericalError("non-finite state encountered in shooting output")
     values = np.exp(y - m * t_eval)

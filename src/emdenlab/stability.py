@@ -348,7 +348,8 @@ def stable_estimate_check(
     constant.  Diagnostic only -- callers check that lhs/rhs_kernel stays
     bounded over a family of test functions, not a specific constant.
     Requires gamma in [1, 2p + 2 sqrt(p(p-1)) - 1), integer
-    m >= max((p+gamma)/(p-1), 2), and |psi| <= 1.
+    m >= max((p+gamma)/(p-1), 2), and |psi| <= 1.  Raises NumericalError
+    where either integral leaves the float range.
     """
     p = params.p
     gamma_max = gamma_of_p(p)
@@ -364,29 +365,30 @@ def stable_estimate_check(
     if float(np.max(np.abs(psi.values))) > 1.0 + 1e-12:
         raise InvalidParameterError("test function must satisfy |psi| <= 1")
 
+    # Every power of r is formed in logs next to the factor it scales, so
+    # only an integrand that itself leaves the float range overflows.
     N, theta, l = params.N, params.theta, params.l
     t = psi.grid.log_points
-    r = psi.grid.points
-    vv = v.interp(r)
-    g = np.abs(vv) ** ((gamma - 1.0) / 2.0) * vv
-    g_prime = _log_derivative(g, t) / r
-    psi_pow = psi.values ** (2 * m)
-    lhs_integrand = (
-        r ** (N - 1.0)
-        * (r**theta * g_prime**2 + r**l * np.abs(vv) ** (gamma + p))
-        * psi_pow
-    )
-    lhs = float(np.trapezoid(lhs_integrand * r, t))
-
-    psi_prime = _log_derivative(psi.values, t) / r
-    psi_tt = _log_second_derivative(psi.values, t)
-    laplacian = (psi_tt + (N - 2.0) * _log_derivative(psi.values, t)) / r**2
-    kernel = (
-        psi_prime**2
-        + np.abs(psi.values) * np.abs(laplacian)
-        + np.abs(psi.values) * np.abs(psi_prime) / r
-    ) ** ((p + gamma) / (p - 1.0))
-    weight = r ** ((theta * (gamma + p) - l * (gamma + 1.0)) / (p - 1.0))
-    rhs_integrand = r ** (N - 1.0) * weight * kernel
-    rhs_kernel = float(np.trapezoid(rhs_integrand * r, t))
+    vv = v.interp(psi.grid.points)
+    psi_abs = np.abs(psi.values)
+    psi_t = _log_derivative(psi.values, t)
+    # |psi'|^2 + |psi| |Laplacian psi| + |psi| |psi'| / r = base / r^2
+    base = psi_t**2 + psi_abs * (np.abs(_log_second_derivative(psi.values, t)
+                                        + (N - 2.0) * psi_t) + np.abs(psi_t))
+    e = (p + gamma) / (p - 1.0)
+    w = (theta * (gamma + p) - l * (gamma + 1.0)) / (p - 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g_t = _log_derivative(np.abs(vv) ** ((gamma - 1.0) / 2.0) * vv, t)
+        log_psi_pow = 2 * m * np.log(psi_abs)
+        lhs_integrand = (
+            np.exp((N + theta - 2.0) * t + 2.0 * np.log(np.abs(g_t)) + log_psi_pow)
+            + np.exp((N + l) * t + (gamma + p) * np.log(np.abs(vv)) + log_psi_pow)
+        )
+        rhs_integrand = np.exp((N - 2.0 * e + w) * t + e * np.log(base))
+        lhs = float(np.trapezoid(lhs_integrand, t))
+        rhs_kernel = float(np.trapezoid(rhs_integrand, t))
+    if not (math.isfinite(lhs) and math.isfinite(rhs_kernel)):
+        raise NumericalError(
+            f"stable estimate leaves the float range on [{psi.grid.r_min}, {psi.grid.r_max}]"
+        )
     return lhs, rhs_kernel

@@ -365,3 +365,13 @@ def test_shoot_length_scale_overflow_is_a_numerical_failure(capsys):
     err = run_json(argv, capsys, expect_code=3)
     assert err["error"]["type"] == "numerical_failure"
     assert "overflows" in err["error"]["message"]
+
+
+def test_shoot_series_start_beyond_r_max_is_a_numerical_failure(capsys):
+    # kappa^(-(p-1)/(2+tau)) = 1e160 at tau = -1.9, so the series start
+    # radius lies far beyond r_max although no r_min was given
+    argv = ["shoot", "--N", "5", "--theta", "0", "--l=-1.9", "--p", "2.6", "--kappa", "1e-10"]
+    err = run_json(argv, capsys, expect_code=3)
+    assert err["error"]["type"] == "numerical_failure"
+    message = err["error"]["message"]
+    assert "kappa = 1e-10" in message and "series start radius" in message

@@ -1,0 +1,71 @@
+"""Seeded domain property test for shooting.
+
+Across N 3-100, theta in [-0.5, 0.5], tau in [-1.95, 3] and kappa over
+many decades, every ``shoot`` returns a result or raises a typed
+``EmdenlabError``, and no ``RuntimeWarning`` or ``ODEintWarning`` escapes.
+The CLI turns the same inputs into exit 0, 2 or 3 with JSON on stdout.
+"""
+
+import json
+import math
+import random
+import warnings
+
+import pytest
+
+from emdenlab import EmdenlabError, ProblemParams, shoot
+from emdenlab.cli import main
+
+#: Besides log-uniform draws from [1e-3, 1e3]: far below the domain, where
+#: the intrinsic length overflows or the series start leaves [0, r_max].
+TINY_KAPPAS = (1e-10, 1e-30)
+
+
+def _draws(seed: int, count: int):
+    """(N, theta, tau, p, kappa) with p from just below Sobolev to 12x above."""
+    rng = random.Random(seed)
+    for i in range(count):
+        N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.95, 3.0)
+        np_ = N + theta
+        sobolev = (np_ + 2.0 + 2.0 * tau) / (np_ - 2.0)
+        p = 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(-0.2, 2.5))
+        kappa = TINY_KAPPAS[i // 10 % 2] if i % 10 == 9 else 10.0 ** rng.uniform(-3.0, 3.0)
+        yield N, theta, tau, p, kappa
+
+
+def test_shoot_returns_or_raises_a_typed_error_across_the_domain():
+    outcomes = {"result": 0, "error": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # RuntimeWarning and ODEintWarning alike
+        for N, theta, tau, p, kappa in _draws(seed=17, count=60):
+            try:
+                res = shoot(ProblemParams(N, theta, theta + tau, p), kappa, 1e6)
+            except EmdenlabError:
+                outcomes["error"] += 1
+                continue
+            assert res.nfev > 0 and math.isfinite(res.asymptotic_constant)
+            outcomes["result"] += 1
+    # the draws reach both outcomes, so neither path is vacuous
+    assert outcomes["result"] and outcomes["error"], outcomes
+
+
+def _argv(N, theta, tau, p, kappa):
+    # exponent notation throughout, negative values as separate tokens
+    return ["shoot", "--N", str(N), "--theta", f"{theta:.6e}", "--l", f"{theta + tau:.6e}",
+            "--p", f"{p:.9e}", "--kappa", f"{kappa:.6e}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_argv(*draw) for draw in _draws(seed=23, count=11)]
+    + [["shoot", "--N", "5", "--theta", "0", "--l=-1.9", "--p", "2.6", "--kappa", "1e-10"]],
+)
+def test_cli_shoot_exits_with_json_across_the_domain(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    envelope = json.loads(capsys.readouterr().out)
+    assert code in (0, 2, 3)
+    assert ("error" in envelope) == (code != 0)
+    if argv[-1] == "1e-10":  # the series start lies beyond r_max: a numerical failure
+        assert code == 3, envelope

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from emdenlab import (
     ProblemParams,
     RadialFunction,
     RadialGrid,
+    ShootingResult,
     asymptotic_constant,
     classify_decay,
+    critical_exponents,
     derive,
     dual_apply,
     dual_params,
@@ -341,3 +344,107 @@ def test_ordering_matches_the_linearisation_discriminant_up_to_n_prime_100():
         want = Ordering.CROSSES if focus else Ordering.BELOW
         assert res.ordering_vs_singular is want, label
         assert abs(res.asymptotic_constant / c0 - 1.0) <= 1e-6, label
+
+
+def _assert_profile_gates(res: ShootingResult):
+    """The benchmark's profile gates: slow decay, ordering by p_c, A = c0."""
+    params = res.params
+    label = f"N'={params.n_prime}, tau={params.tau}, p={params.p}, kappa={res.kappa}"
+    assert res.converged and res.classification is DecayClass.SLOW_DECAY, label
+    p_c = critical_exponents(params.n_prime, params.tau).p_c
+    want = Ordering.BELOW if p_c is not None and params.p >= p_c else Ordering.CROSSES
+    assert res.ordering_vs_singular is want, label
+    assert abs(res.asymptotic_constant / derive(params).c0 - 1.0) <= 1e-6, label
+
+
+def test_step_bound_keeps_the_first_steps_inside_the_series_region():
+    # Unbounded, LSODA's step grows 10^4-fold over the nearly linear series
+    # region and jumps the transition (t = -11.2 -> 2.2); the corrector then
+    # overflows e^s and the shot fails with "shooting left v > 0, v' < 0".
+    params = ProblemParams(13, -0.4593741724494682, 0.37878689028394286, 8.12420634423256)
+    _assert_profile_gates(shoot(params, 1.2329126533190407, R_MAX, tol=TOL))
+
+
+def test_start_within_rounding_of_the_first_output():
+    # On the mapped grid of this rescale check the series start lies 1.8e-15
+    # before the first output in t, where LSODA refuses to start.
+    params = ProblemParams(41, 0.41763721421618216, 0.749617154404627, 1.8227283464470143)
+    base = shoot(params, 1.0, R_MAX, tol=TOL, r_min=1e-6)
+    _assert_profile_gates(base)
+    mapped = rescale(base, 2.0)
+    direct = shoot(params, 2.0, mapped.grid.r_max * (1.0 + 1e-12), tol=TOL, grid=mapped.grid)
+    assert np.max(np.abs(direct.solution.values / mapped.values - 1.0)) <= 1e-6
+
+
+def _dop853(fun, t_span, y0, *, t_eval, rtol, atol, max_step):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(fun, t_span, y0, method="DOP853", t_eval=t_eval, rtol=1e-13, atol=1e-13)
+
+
+def _profile_draws(seed: int, count: int):
+    """Seeded draws over the benchmark's profile domain: N 5-44, tau -0.5-1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        N, theta, tau = rng.randint(5, 44), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 1.0)
+        np_ = N + theta
+        sobolev = (np_ + 2.0 + 2.0 * tau) / (np_ - 2.0)
+        p = 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(0.02, 2.5))
+        kappa = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        yield ProblemParams(N, theta, theta + tau, p), kappa
+
+
+@pytest.mark.parametrize(
+    "draws, bound",
+    [
+        (lambda: _profile_draws(seed=11, count=30), 1e-9),
+        # y = log(r^m v) reaches m |t| ~ 700 near Sobolev at N' ~ 100, and
+        # rtol acts on y: measured 2.0e-9 here (RK45 at tol gave 7.9e-9)
+        (lambda: ((params, kappa) for params, kappa, *_ in _resolvable_draws(11, 12)), 3e-9),
+    ],
+    ids=["profile-domain", "n-prime-to-100"],
+)
+def test_lsoda_agrees_with_a_tight_dop853_reference(monkeypatch, draws, bound):
+    worst = 0.0
+    for params, kappa in draws():
+        got = np.log(shoot(params, kappa, R_MAX, tol=TOL).solution.values)
+        with monkeypatch.context() as patch:
+            patch.setattr(radial_ode, "solve_ivp", _dop853)
+            ref = np.log(shoot(params, kappa, R_MAX, tol=TOL).solution.values)
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= bound
+
+
+def test_tolerance_below_the_lsoda_floor_runs_without_warnings():
+    # tol / 1000 is floored at 100 eps, where LSODA still accepts rtol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = shoot(PARAMS_11, kappa=1.0, r_max=1e6, tol=1e-15)
+    assert res.classification is DecayClass.SLOW_DECAY
+
+
+def test_a_failing_integration_is_reported_not_warned():
+    # y'' = -1e8 y needs far more than odeint's 500 steps per output interval
+    def oscillator(t, y):
+        return (y[1], -1e8 * y[0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = radial_ode.solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), t_eval=np.array([10.0]),
+                                   rtol=1e-10, atol=1e-10, max_step=1.0)
+    assert not sol.success
+    assert "Excess work" in sol.message
+    assert sol.nfev > 0
+
+
+def test_a_failing_integration_is_a_numerical_error(monkeypatch):
+    real = radial_ode.solve_ivp
+
+    def starved(fun, t_span, y0, **kwargs):
+        return real(fun, t_span, y0, **{**kwargs, "max_step": 1e-6})
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", starved)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="integrator failed: Excess work"):
+            shoot(PARAMS_11, kappa=1.0, r_max=1e4)

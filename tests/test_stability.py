@@ -614,6 +614,47 @@ def test_stable_estimate_bounded_ratio_across_scales():
     assert max(ratios) / min(ratios) < 50.0
 
 
+def _stable_estimate_in_r(params, v, gamma, m, psi, dtype):
+    """The estimate's integrals with the r^(N-1), r^theta, r^l weights formed
+    as powers of r in ``dtype``: the oracle where that dtype has the range."""
+    from emdenlab.stability import _log_derivative, _log_second_derivative
+
+    N, theta, l, p = (dtype(x) for x in (params.N, params.theta, params.l, params.p))
+    r = psi.grid.points.astype(dtype)
+    t, vv, ps = np.log(r), v.values.astype(dtype), psi.values.astype(dtype)
+    g_prime = _log_derivative(np.abs(vv) ** ((gamma - 1) / 2) * vv, t) / r
+    lhs = r**N * (r**theta * g_prime**2 + r**l * np.abs(vv) ** (gamma + p)) * ps ** (2 * m)
+    psi_prime = _log_derivative(ps, t) / r
+    laplacian = (_log_second_derivative(ps, t) + (N - 2) * _log_derivative(ps, t)) / r**2
+    kernel = (psi_prime**2 + np.abs(ps) * np.abs(laplacian) + np.abs(ps) * np.abs(psi_prime) / r
+              ) ** ((p + gamma) / (p - 1))
+    rhs = r**N * r ** ((theta * (gamma + p) - l * (gamma + 1)) / (p - 1)) * kernel
+    return np.trapezoid(lhs, t), np.trapezoid(rhs, t)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024, reason="needs an extended exponent")
+def test_stable_estimate_check_forms_the_weights_in_logs():
+    # r^(N-1) = 1e594 at N = 100 on [1e-6, 1e6], and about v_infinity at
+    # p = 1.08 both integrals still fit in a float
+    grid = RadialGrid.logspaced(1e-6, 1e6, 2001)
+    t = grid.log_points
+    values = np.sin(math.pi * (t - t[0]) / (t[-1] - t[0])) ** 2
+    values[[0, -1]] = 0.0
+    psi = TestFunction(grid, values)
+    params = ProblemParams(100, 0.0, 0.0, 1.08)
+    v = v_infinity(params, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lhs, rhs = stable_estimate_check(params, v, 1.5, 33, psi)
+        # at p = 3 the integrals themselves leave the float range
+        with pytest.raises(NumericalError, match="float range"):
+            stable_estimate_check(ProblemParams(100, 0.0, 0.0, 3.0),
+                                  v_infinity(ProblemParams(100, 0.0, 0.0, 3.0), grid), 1.5, 3, psi)
+    want_lhs, want_rhs = _stable_estimate_in_r(params, v, 1.5, 33, psi, np.longdouble)
+    assert lhs == pytest.approx(float(want_lhs), rel=1e-10)
+    assert rhs == pytest.approx(float(want_rhs), rel=1e-10)
+
+
 def test_pencil_solver_on_generalized_problem():
     # -psi'' = lambda * w(x) psi with w = 1 on (0, 1): the pencil inertia
     # puts exactly one eigenvalue within rel 1e-4 of pi^2 and none below
