@@ -16,9 +16,10 @@ module provides
   s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, and the
   fixed point (log c0, log m) is the singular solution,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
-* asymptotic-constant extraction (the limit of r^m v(r)), decay
-  classification, and a centered-difference residual used as the
-  independent oracle throughout the test suite.
+* asymptotic-constant extraction (the limit of r^m v(r), fit with the
+  tail's linearisation at c0), decay classification, and a
+  centered-difference residual used as the independent oracle
+  throughout the test suite.
 
 Each shooting run is deterministic given (params, kappa, tol) and shares
 no state; parameter sweeps may run concurrently.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import ProblemParams, derive, f_eval
+from .params import DerivedIndices, ProblemParams, derive, f_eval
 
 #: Series start radius relative to the intrinsic kappa scale, lowered near
 #: tau = -2 where the origin series converges only very close to 0.
@@ -108,8 +109,9 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, max_step) -> OdeSolution:
     ``fun(t, y)`` is integrated from ``t_span[0]``, with steps of at most
     ``max_step``, and sampled on ``t_eval``, which ends at ``t_span[1]``.
     A start within rounding of ``t_eval[0]``, where LSODA refuses to step,
-    starts at ``t_eval[0]``.  A failure is reported as ``success=False``
-    with odeint's message, not as an ``ODEintWarning``.
+    starts at ``t_eval[0]``.  Each output interval may take 500 steps, or
+    500 per ``max_step`` where it is longer.  A failure is reported as
+    ``success=False`` with odeint's message, not as an ``ODEintWarning``.
     """
     import warnings
 
@@ -118,10 +120,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, max_step) -> OdeSolution:
     t0 = float(t_span[0])
     rounding = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t_eval[0]))
     times = t_eval if t_eval[0] - t0 <= rounding else np.concatenate(([t0], t_eval))
+    # odeint budgets 500 steps per output interval; an interval longer than
+    # max_step gets 500 per max_step, as if it were cut into outputs
+    longest = float(np.max(np.diff(times))) if times.size > 1 else 0.0
+    budget = 500 * max(1, math.ceil(longest / max_step))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
         y, info = odeint(fun, y0, times, rtol=rtol, atol=atol, hmax=max_step,
-                         full_output=True, tfirst=True)
+                         mxstep=budget, full_output=True, tfirst=True)
     return OdeSolution(
         y=y[times.size - t_eval.size:].T,
         nfev=int(info["nfe"][-1]),
@@ -214,12 +220,12 @@ def shoot(
         r_start = scale * min(SERIES_START_FACTOR, math.exp(min(log_cap, 0.0)))
         if not r_start > 0.0:
             raise NumericalError(f"series start radius underflows at tau = {ind.tau}")
-    if grid is None:
-        if r_min is None and not r_start < r_max:
+        if grid is None and r_min is None and not r_start < r_max:
             raise NumericalError(
                 f"series start radius {r_start:.6g} of kappa = {kappa} lies beyond "
                 f"r_max = {r_max:.6g} at tau = {ind.tau}"
             )
+    if grid is None:
         lo = r_min if r_min is not None else r_start
         if not (0.0 < lo < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
@@ -324,33 +330,65 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
     return RadialFunction(grid=grid, values=values, derivative=deriv)
 
 
-def _tail_window(v: RadialFunction) -> np.ndarray:
-    cut = v.grid.r_max / 10.0
-    mask = v.grid.points >= cut * (1.0 - 1e-12)
-    if np.count_nonzero(mask) < 4:
-        raise InvalidParameterError("too few points in the last decade")
-    return mask
-
-
-def asymptotic_constant(v: RadialFunction, params: ProblemParams) -> tuple[float, bool]:
-    """Estimate of lim r^m v(r) from a linear fit over the last decade.
-
-    ``converged`` is True when the fitted drift of r^m v across the decade
-    stays below 0.5 percent of the fitted level.  The grid must span at
-    least three decades.
-    """
+def _linear_tail(
+    v: RadialFunction, ind: DerivedIndices
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The last decade's mask, r^m v there, and a linear fit's mid-decade
+    level of r^m v with its drift across the decade relative to that level."""
     if v.grid.decades < 3.0 - 1e-9:
         raise InvalidParameterError("asymptotics need a grid spanning >= 3 decades")
-    ind = derive(params)
-    mask = _tail_window(v)
+    mask = v.grid.points >= v.grid.r_max / 10.0 * (1.0 - 1e-12)
+    if np.count_nonzero(mask) < 4:
+        raise InvalidParameterError("too few points in the last decade")
     t = v.grid.log_points[mask]
     y = v.values[mask] * v.grid.points[mask] ** ind.m_exp
     slope, intercept = np.polyfit(t, y, 1)
-    mid = 0.5 * (t[0] + t[-1])
-    estimate = float(intercept + slope * mid)
-    drift = abs(slope) * (t[-1] - t[0])
-    converged = bool(drift <= SLOW_DRIFT_TOL * max(abs(estimate), 1e-300))
-    return estimate, converged
+    level = float(intercept + slope * 0.5 * (t[0] + t[-1]))
+    return mask, y, level, abs(slope) * (t[-1] - t[0]) / max(abs(level), 1e-300)
+
+
+def _linearised_limit(s: np.ndarray, y: np.ndarray, p: float, ind: DerivedIndices) -> float:
+    """Constant of the least-squares fit of y(s) to c plus the linearisation.
+
+    Near c0, w = r^m v solves w'' + (N'-2-2m) w' + (p-1) m (N'-2-m) (w - c0)
+    = 0 in t = log r, with rho = (N'-2-2m)/2 and disc = (N'-2)^2 - 4 f(p):
+    w - c0 is e^(-rho s) times cos and sin of sqrt(-disc)/2 s on the focus
+    side, and a sum of e^((-rho +- sqrt(disc)/2) s) on the node side, fit
+    as the slow mode and the two modes' difference quotient, which tends
+    to s e^(-rho s) where disc = 0.  ``s`` >= 0 keeps every mode at most 1.
+    """
+    rho = 0.5 * (ind.n_prime - 2.0 - 2.0 * ind.m_exp)
+    disc = (ind.n_prime - 2.0) ** 2 - 4.0 * f_eval(p, ind.n_prime, ind.tau)
+    half = 0.5 * math.sqrt(abs(disc))
+    if disc < 0.0:
+        decay = np.exp(-rho * s)
+        modes = (decay * np.cos(half * s), decay * np.sin(half * s))
+    else:
+        half = max(half, 1e-300)
+        slow = np.exp((half - rho) * s)
+        modes = (slow, -slow * np.expm1(-2.0 * half * s) / (2.0 * half))
+    basis = np.column_stack((np.ones_like(s), *modes))
+    return float(np.linalg.lstsq(basis, y, rcond=None)[0][0])
+
+
+def asymptotic_constant(v: RadialFunction, params: ProblemParams) -> tuple[float, bool]:
+    """Estimate of lim r^m v(r) from the last decade.
+
+    Where c0 exists the estimate is the limit of a least-squares fit of
+    r^m v to a constant plus the linearised tail at the singular solution,
+    which does not lag the decaying tail as the mid-decade value of a
+    linear fit does; otherwise it is that mid-decade value.  ``converged``
+    is True when the drift of a linear fit of r^m v across the decade
+    stays below 0.5 percent of its mid-decade level.  The grid must span
+    at least three decades.
+    """
+    ind = derive(params)
+    mask, y, level, drift = _linear_tail(v, ind)
+    converged = bool(drift <= SLOW_DRIFT_TOL)
+    if ind.c0 is None:
+        return level, converged
+    t = v.grid.log_points[mask]
+    return _linearised_limit(t - t[0], y, params.p, ind), converged
 
 
 def classify_decay(
@@ -366,23 +404,15 @@ def classify_decay(
     ind = derive(params)
     if np.any(v.values <= 0.0):
         raise InvalidParameterError("decay classification needs a positive profile")
-    estimate, converged = asymptotic_constant(v, params)
-    mask = _tail_window(v)
-    t = v.grid.log_points[mask]
-    logv = np.log(v.values[mask])
-    slope, _ = np.polyfit(t, logv, 1)
+    mask, _, _, drift = _linear_tail(v, ind)
+    slope, _ = np.polyfit(v.grid.log_points[mask], np.log(v.values[mask]), 1)
     fitted_exponent = -float(slope)
-    drift_rel = math.inf
-    if estimate != 0.0:
-        y = v.values[mask] * v.grid.points[mask] ** ind.m_exp
-        yslope, _ = np.polyfit(t, y, 1)
-        drift_rel = abs(yslope) * (t[-1] - t[0]) / abs(estimate)
-    if converged:
-        return DecayClass.SLOW_DECAY, drift_rel, fitted_exponent
+    if drift <= SLOW_DRIFT_TOL:
+        return DecayClass.SLOW_DECAY, drift, fitted_exponent
     fast_ref = ind.n_prime - 2.0
     if fast_ref > 0.0 and abs(fitted_exponent - fast_ref) <= FAST_EXPONENT_TOL * fast_ref:
-        return DecayClass.FAST_DECAY, drift_rel, fitted_exponent
-    return DecayClass.INCONCLUSIVE, drift_rel, fitted_exponent
+        return DecayClass.FAST_DECAY, drift, fitted_exponent
+    return DecayClass.INCONCLUSIVE, drift, fitted_exponent
 
 
 def residual(v: RadialFunction, params: ProblemParams) -> float:

@@ -440,11 +440,57 @@ def test_a_failing_integration_is_reported_not_warned():
 def test_a_failing_integration_is_a_numerical_error(monkeypatch):
     real = radial_ode.solve_ivp
 
-    def starved(fun, t_span, y0, **kwargs):
-        return real(fun, t_span, y0, **{**kwargs, "max_step": 1e-6})
+    def stiff(fun, t_span, y0, **kwargs):
+        # a 1e5 rad per unit t oscillator in place of the profile equation
+        return real(lambda t, y: (1e5 * y[1], -1e5 * y[0]), t_span, y0, **kwargs)
 
-    monkeypatch.setattr(radial_ode, "solve_ivp", starved)
+    monkeypatch.setattr(radial_ode, "solve_ivp", stiff)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="integrator failed: Excess work"):
             shoot(PARAMS_11, kappa=1.0, r_max=1e4)
+
+
+def test_a_long_first_interval_gets_a_step_budget_per_max_step(monkeypatch):
+    # At tau = 20 the step bound 1/22 alone needs 557 steps from the series
+    # start at 1e-6 to r_min = 1e5, beyond odeint's 500 per output interval
+    params = ProblemParams(5, 0.0, 20.0, 20.0)
+    res = shoot(params, 1.0, r_max=1e6, r_min=1e5, tol=TOL)
+    monkeypatch.setattr(radial_ode, "solve_ivp", _dop853)
+    ref = shoot(params, 1.0, r_max=1e6, r_min=1e5, tol=TOL)
+    assert np.max(np.abs(np.log(res.solution.values / ref.solution.values))) <= 1e-8
+
+
+def test_a_given_series_start_beyond_r_max_is_an_invalid_range():
+    with pytest.raises(InvalidParameterError, match="r_min < r_max"):
+        shoot(PARAMS_11, kappa=1.0, r_max=1e4, r_start=1e5)
+
+
+def test_tail_fit_that_lagged_the_amplitude_gate():
+    # The mid-decade value of a linear fit over the last decade read
+    # |A/c0 - 1| = 1.04e-6 here, where the tail has decayed to e^-16.65
+    params = ProblemParams(19, 0.0849295357785983, -0.4067771109795763, 1.208889200043005)
+    _assert_profile_gates(shoot(params, 0.6241221154106373, R_MAX, tol=TOL))
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS_11, ProblemParams(11, 0.0, 0.0, 1.6)], ids=["node", "focus"]
+)
+def test_asymptotic_constant_extrapolates_the_linearised_tail(params):
+    # r^m v - c0 is 1e-5 c0 at mid-decade and follows the linearisation at
+    # c0 (only the last decade is read); a linear fit lags by about 1e-5
+    ind = derive(params)
+    rho = 0.5 * (ind.n_prime - 2.0 - 2.0 * ind.m_exp)
+    disc = (ind.n_prime - 2.0) ** 2 - 4.0 * f_eval(params.p, ind.n_prime, ind.tau)
+    half = 0.5 * math.sqrt(abs(disc))
+    grid = RadialGrid.logspaced(1.0, 1e4, 513)
+    s = grid.log_points - (grid.log_points[-1] - 0.5 * math.log(10.0))
+    if disc < 0.0:
+        tail = np.exp(-rho * s) * np.cos(half * s + 1.0)
+    else:
+        tail = np.exp((half - rho) * s) - 0.5 * np.exp(-(half + rho) * s)
+    scaled = ind.c0 * (1.0 + 1e-5 * tail)
+    v = RadialFunction(grid, scaled * grid.points ** -ind.m_exp)
+    est, converged = asymptotic_constant(v, params)
+    assert converged
+    assert est == pytest.approx(ind.c0, rel=1e-12)
