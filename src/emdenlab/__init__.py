@@ -16,7 +16,7 @@ low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 #: Home module of every public name.
 _HOMES = {

@@ -266,7 +266,7 @@ def cmd_shoot(args) -> dict:
     ind = derive(params)
     grid = result.solution.grid
     if args.out:
-        scaled = result.solution.values * grid.points**ind.m_exp
+        scaled = result.solution.times_power(ind.m_exp)
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "v", "scaled"])

@@ -245,7 +245,7 @@ def shoot(
     state0 = (m * t0 + math.log(kappa) + head, log_q - math.log(np_ + tau) - head)
 
     def rhs(t, state):
-        y, s = state
+        y, s = state.tolist()  # Python floats: numpy scalar arithmetic costs 4x
         zeta = math.exp(s)
         return (m - zeta, math.exp((p - 1.0) * y - s) - (np_ - 2.0) + zeta)
 
@@ -341,7 +341,7 @@ def _linear_tail(
     if np.count_nonzero(mask) < 4:
         raise InvalidParameterError("too few points in the last decade")
     t = v.grid.log_points[mask]
-    y = v.values[mask] * v.grid.points[mask] ** ind.m_exp
+    y = v.times_power(ind.m_exp)[mask]
     slope, intercept = np.polyfit(t, y, 1)
     level = float(intercept + slope * 0.5 * (t[0] + t[-1]))
     return mask, y, level, abs(slope) * (t[-1] - t[0]) / max(abs(level), 1e-300)

@@ -1,22 +1,22 @@
 """Deterministic eigenvalue tools for symmetric tridiagonal pencils.
 
-Inertia counts come from LDL^T pivots (Sturm sequences), for a standard
-matrix and for a pencil (A, M).  The k smallest eigenvalues of a standard
-matrix come from LAPACK ``dstebz`` bisection with an absolute tolerance
-near underflow.  The default tolerance is eps times the Gershgorin
-width: it resolves the low end only to an absolute eps * ||T|| (a few
-1e-9 on a stability matrix with 2/h^2 = 1e7) and loses the small
-eigenvalues of a graded matrix altogether.  The pinned tolerance keeps
-every eigenvalue to full relative accuracy whatever the scale or grading
-(Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  No pencil
-eigenvalue is computed here: the pencil count certifies one known in
-closed form, with no eigenvalue just below it and one just above it.  All routines are pure functions of
-their inputs, so repeated calls are bit-reproducible.
+Inertia counts come from LDL^T pivots (Sturm sequences), in one loop on
+Python floats.  The pencil count of (A, M) below a shift is the standard
+count of A - shift*M below 0 (Sylvester inertia).  The k smallest
+eigenvalues of a standard matrix come from LAPACK ``dstebz`` bisection
+with an absolute tolerance near underflow.  The default tolerance is eps
+times the Gershgorin width: it resolves the low end only to an absolute
+eps * ||T|| (a few 1e-9 on a stability matrix with 2/h^2 = 1e7) and
+loses the small eigenvalues of a graded matrix altogether.  The pinned
+tolerance keeps every eigenvalue to full relative accuracy whatever the
+scale or grading (Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  No
+pencil eigenvalue is computed here: the pencil count certifies one known
+in closed form, with no eigenvalue just below it and one just above it.
+All routines are pure functions of their inputs, so repeated calls are
+bit-reproducible.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,14 +38,17 @@ def count_below(d: np.ndarray, e: np.ndarray, shift: float) -> int:
     Counts the negative LDL^T pivots of tridiag(d, e) - shift (Sylvester
     inertia), one row at a time in Python floats.
     """
-    d = np.asarray(d, dtype=float).tolist()
     e = np.asarray(e, dtype=float)
     piv = _pivmin(e)
-    q = d[0] - shift
+    d = (np.asarray(d, dtype=float) - shift).tolist()
+    q = d[0]
     count = int(q < 0.0)
     for di, ei2 in zip(d[1:], (e * e).tolist()):
-        # copysign floors |q| at the pivot minimum (exact zeros go positive)
-        q = (di - shift) - ei2 / math.copysign(max(abs(q), piv), q)
+        # floor |q| at the pivot minimum; a zero (either sign) was counted
+        # as non-negative, so it goes to +piv
+        if -piv < q < piv:
+            q = -piv if q < 0.0 else piv
+        q = di - ei2 / q
         count += q < 0.0
     return count
 
@@ -77,17 +80,6 @@ def count_below_pencil(
 ) -> int:
     """Eigenvalues of the pencil (A, M) strictly below shift, M tridiagonal SPD.
 
-    Counts negative LDL^T pivots of A - shift*M (Sylvester inertia).
+    The standard count of the tridiagonal A - shift*M below 0.
     """
-    n = ad.size
-    piv = _pivmin(np.abs(ae) + abs(shift) * np.abs(me) if ae.size else np.zeros(0))
-    q = ad[0] - shift * md[0]
-    count = 1 if q < 0.0 else 0
-    for i in range(1, n):
-        if abs(q) < piv:
-            q = -piv if q < 0.0 else piv
-        off = ae[i - 1] - shift * me[i - 1]
-        q = (ad[i] - shift * md[i]) - off * off / q
-        if q < 0.0:
-            count += 1
-    return count
+    return count_below(ad - shift * md, ae - shift * me, 0.0)

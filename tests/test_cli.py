@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -94,6 +96,33 @@ def test_shoot_writes_csv_with_exact_header(tmp_path, capsys):
     m = env["derived"]["m_exp"]
     r, v, scaled = (float(x) for x in first)
     assert scaled == pytest.approx(r**m * v, rel=1e-12)
+
+
+
+def _reject_nan(token):
+    if token == "NaN":
+        raise ValueError("NaN is not JSON")
+    return float(token)
+
+
+@pytest.mark.parametrize("with_csv", [False, True], ids=["json", "csv"])
+def test_shoot_where_r_to_the_m_leaves_the_float_range(with_csv, tmp_path, capsys):
+    # m = 44.4: r^m overflows near r_max = 1e8 while r^m v stays near c0
+    argv = ["shoot", "--N", "100", "--theta", "0", "--l", "0", "--p", "1.045", "--rmax", "1e8"]
+    out = tmp_path / "profile.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(argv + (["--out", str(out)] if with_csv else []), capsys)
+    assert code == 0, text
+    results = json.loads(text, parse_constant=_reject_nan)["results"]
+    assert math.isfinite(results["asymptotic_constant"])
+    assert results["asymptotic_constant"] == pytest.approx(results["c0"], rel=1e-6)
+    assert results["converged"] and results["classification"] == "slow_decay"
+    if with_csv:
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(math.isfinite(float(row["scaled"])) for row in rows)
+        assert float(rows[-1]["scaled"]) == pytest.approx(results["c0"], rel=1e-6)
 
 
 def test_spectrum_command(capsys):

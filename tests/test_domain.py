@@ -1,9 +1,11 @@
-"""Seeded domain property test for shooting.
+"""Seeded domain property tests for shooting and the Hardy minimum.
 
 Across N 3-100, theta in [-0.5, 0.5], tau in [-1.95, 3] and kappa over
 many decades, every ``shoot`` returns a result or raises a typed
 ``EmdenlabError``, and no ``RuntimeWarning`` or ``ODEintWarning`` escapes.
 The CLI turns the same inputs into exit 0, 2 or 3 with JSON on stdout.
+Across N' 2.05-100.5, b/a 1.5-1e24 and n 8-20000, ``hardy_rayleigh_min``
+returns a finite value above its continuum bound, with no warning.
 """
 
 import json
@@ -13,7 +15,13 @@ import warnings
 
 import pytest
 
-from emdenlab import EmdenlabError, ProblemParams, shoot
+from emdenlab import (
+    EmdenlabError,
+    ProblemParams,
+    hardy_constant,
+    hardy_rayleigh_min,
+    shoot,
+)
 from emdenlab.cli import main
 
 #: Besides log-uniform draws from [1e-3, 1e3]: far below the domain, where
@@ -69,3 +77,23 @@ def test_cli_shoot_exits_with_json_across_the_domain(argv, capsys):
     assert ("error" in envelope) == (code != 0)
     if argv[-1] == "1e-10":  # the series start lies beyond r_max: a numerical failure
         assert code == 3, envelope
+
+
+def test_hardy_rayleigh_min_across_the_domain():
+    # a finite value above the continuum bound level + (pi/L)^2, with the
+    # corners N' = 2.05 and 100.5, b/a = 1.5 and 1e24, n = 8 and 20000
+    rng = random.Random(11)
+    cases = [(100, 0.5, 1.0, 1e24, 8), (2, 0.05, 1.0, 1.5, 8), (100, 0.5, 1e-12, 1e12, 20000),
+             (2, 0.05, 1e-12, 1e12, 20000), (100, 0.5, 1.0, 1.5, 20000)]
+    for _ in range(30):
+        n_prime = rng.uniform(2.05, 100.5)
+        N = max(2, math.floor(n_prime))
+        decades, centre = rng.uniform(math.log10(1.5), 24.0), rng.uniform(-6.0, 6.0)
+        cases.append((N, n_prime - N, 10.0 ** (centre - decades / 2),
+                      10.0 ** (centre + decades / 2), round(10.0 ** rng.uniform(math.log10(8), 4.3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N, theta, a, b, n in cases:
+            val = hardy_rayleigh_min(theta, N, a, b, n)
+            bound = hardy_constant(N + theta) + (math.pi / math.log(b / a)) ** 2
+            assert math.isfinite(val) and val >= bound * (1.0 - 1e-12), (N, theta, a, b, n)

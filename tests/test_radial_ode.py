@@ -295,6 +295,15 @@ def test_shoot_diagnostics():
     )
 
 
+
+@pytest.mark.parametrize("N, p, nfev", [(11, 7.0, 2305), (40, 3.0, 3194), (100, 2.0, 2597)])
+def test_shooting_work_is_pinned(N, p, nfev):
+    # the RHS evaluation count of LSODA on these shots: a change to the
+    # integrator, its tolerances, its step bound or the state moves it
+    res = shoot(ProblemParams(N, 0.0, 0.0, p), kappa=1.0, r_max=1e6, tol=1e-10)
+    assert (res.nfev, res.ordering_vs_singular) == (nfev, Ordering.BELOW)
+
+
 R_MAX, TOL = 1e6, 1e-10
 
 

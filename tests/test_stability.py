@@ -267,6 +267,54 @@ def test_count_below_matches_dense_eigenvalues():
     assert tridiag.count_below(d, e, 0.0) == 1  # eigenvalues 1-sqrt(2), 1, 1+sqrt(2)
 
 
+def _count_below_copysign(d, e, shift):
+    # the earlier copysign guard, with -0.0 pivots taken as +0.0 (q + 0.0)
+    piv = np.finfo(float).tiny * max(1.0, float(np.max(e * e)) if e.size else 0.0)
+    q = d[0] - shift
+    count = int(q < 0.0)
+    for di, ei in zip(d[1:], e):
+        q = (di - shift) - ei * ei / math.copysign(max(abs(q), piv), q + 0.0)
+        count += q < 0.0
+    return count
+
+
+def test_count_below_pivot_guard_on_exact_zero_pivots():
+    # exact-zero pivots from a shift equal to d[0], from zero off-diagonals
+    # that split the matrix and from -0.0 entries: the same count as the
+    # copysign guard everywhere, and as a dense count away from the spectrum
+    # (eigenvalues -1.53, -0.35, 1.88: a -0.0 pivot counted as
+    # non-negative but floored to -piv gave 1)
+    assert tridiag.count_below(np.array([-0.0, 1.0, -1.0]), np.array([1.0, 1.0]), 0.0) == 2
+    rng = np.random.default_rng(12)
+    cases = [
+        (np.array([0.0, 1.0, -1.0]), np.array([1.0, 1.0]), 0.0),
+        (np.array([-0.0, 1.0, -1.0]), np.array([1.0, 1.0]), 0.0),
+        (np.array([-0.0, -0.0]), np.array([-0.0]), 0.0),
+        (np.array([-0.0, -0.0]), np.array([-0.0]), -0.0),
+        (np.array([2.0, 2.0, 3.0]), np.array([0.0, 1.0]), 2.0),
+        (np.array([1.0]), np.array([]), 1.0),
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        d = rng.integers(-3, 4, n).astype(float)
+        e = rng.integers(-2, 3, n - 1).astype(float)
+        e[rng.random(n - 1) < 0.3] = 0.0
+        d[d == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(d == 0.0))
+        e[e == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(e == 0.0))
+        cases.append((d, e, float(d[0])))
+        cases.append((d, e, float(rng.choice([0.0, -0.0, 0.5, -1.5]))))
+    away = 0
+    for d, e, shift in cases:
+        count = tridiag.count_below(d, e, shift)
+        assert count == _count_below_copysign(d, e, shift), (d, e, shift)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lam = np.linalg.eigvalsh(T)
+        if np.min(np.abs(lam - shift)) > 1e-8 * max(1.0, np.max(np.abs(lam))):
+            assert count == np.count_nonzero(lam < shift), (d, e, shift)
+            away += 1
+    assert away > 200
+
+
 @pytest.mark.parametrize("N, p", [(11, 7.0), (15, 3.0)])
 def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
     # congruence by diag(r^(N'-2)) grades the stability matrix over 1e+-39
@@ -466,30 +514,46 @@ def test_hardy_rayleigh_min_matches_dense_generalized_eigensolver():
         assert abs(dense - value) <= band, (n_prime, ratio, n)
 
 
+def test_count_below_pencil_matches_a_dense_generalized_count():
+    # variable-coefficient SPD pencils, some split by exact-zero
+    # off-diagonals: the pencil count is the dense count of eigh(A, M) and
+    # the standard count of A - shift*M, at shifts 1e-8 or more relative
+    # away from every eigenvalue
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 80))
+        h = rng.uniform(0.5, 2.0, n + 1) * 10.0 ** rng.uniform(-3.0, 1.0)
+        k = rng.uniform(0.1, 10.0, n + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
+        md = (h[:-1] + h[1:]) / 3.0
+        me = h[1:-1] / 6.0
+        ad = k[:-1] / h[:-1] + k[1:] / h[1:] + rng.uniform(-1.0, 1.0) * md
+        ae = -k[1:-1] / h[1:-1]
+        if trial % 3 == 0:
+            split = rng.random(n - 1) < 0.3
+            ae[split] = 0.0
+            me[split] = 0.0
+        A = np.diag(ad) + np.diag(ae, 1) + np.diag(ae, -1)
+        M = np.diag(md) + np.diag(me, 1) + np.diag(me, -1)
+        lam = eigh(A, M, eigvals_only=True)
+        shifts = [*(0.5 * (lam[:-1] + lam[1:]))[:5], *(lam[:3] * (1.0 + 1e-6)),
+                  *(lam[:3] * (1.0 - 1e-6)), *rng.uniform(lam[0] - 1.0, lam[-1] + 1.0, 4)]
+        for shift in shifts:
+            if np.min(np.abs(lam - shift)) < 1e-8 * np.max(np.abs(lam)):
+                continue
+            count = tridiag.count_below_pencil(ad, ae, md, me, float(shift))
+            assert count == np.count_nonzero(lam < shift), (trial, shift)
+            assert count == tridiag.count_below(ad - shift * md, ae - shift * me, 0.0)
+            checked += 1
+    assert checked > 500
+
+
 @pytest.mark.parametrize("wrong", [0, 1, 2], ids=["never", "always-one", "two"])
 def test_hardy_rayleigh_min_rejects_a_failed_certificate(wrong, monkeypatch):
     # the closed form is returned only if the pencil inertia brackets it
     monkeypatch.setattr(tridiag, "count_below_pencil", lambda *args: wrong)
     with pytest.raises(NumericalError, match="certificate"):
         hardy_rayleigh_min(0.0, 5, 1.0, 1e4, 100)
-
-
-def test_hardy_rayleigh_min_across_the_domain():
-    # N' from just above 2 to 100.5, b/a up to 1e24 and n down to 8: a
-    # finite value above the continuum bound level + (pi/L)^2 (and any
-    # RuntimeWarning fails the test)
-    rng = np.random.default_rng(11)
-    cases = [(100, 0.5, 1.0, 1e24, 8), (2, 0.05, 1.0, 1.5, 8), (100, 0.5, 1e-12, 1e12, 4000)]
-    for _ in range(20):
-        N = int(rng.integers(2, 101))
-        decades, centre = rng.uniform(math.log10(1.5), 24.0), rng.uniform(-6.0, 6.0)
-        cases.append((N, rng.uniform(0.05, 0.5), 10.0 ** (centre - decades / 2),
-                      10.0 ** (centre + decades / 2), int(10.0 ** rng.uniform(math.log10(8), 3.5))))
-    for N, theta, a, b, n in cases:
-        val = hardy_rayleigh_min(theta, N, a, b, n)
-        L = math.log(b / a)
-        assert math.isfinite(val)
-        assert val >= (hardy_constant(N + theta) + (math.pi / L) ** 2) * (1.0 - 1e-12)
 
 
 def test_hardy_rayleigh_matches_liouville_value():
