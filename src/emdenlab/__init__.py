@@ -16,7 +16,7 @@ low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 #: Home module of every public name.
 _HOMES = {
@@ -29,9 +29,8 @@ _HOMES = {
         "classify_p", "hardy_constant",
     ),
     "transforms": (
-        "TransformKind", "TransformedParams", "kelvin_params", "dual_params",
-        "sigma_params", "sigma_inverse", "kelvin_apply", "dual_apply", "sigma_apply",
-        "sigma_apply_inverse",
+        "TransformKind", "kelvin_params", "dual_params", "sigma_params",
+        "sigma_inverse", "kelvin_apply", "dual_apply", "sigma_apply",
     ),
     "radial_ode": (
         "ShootingResult", "DecayClass", "Ordering", "v_infinity", "shoot", "rescale",

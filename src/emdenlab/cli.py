@@ -314,7 +314,7 @@ def cmd_transform(args) -> dict:
         if args.N is None or args.alpha is None or args.ell is None or args.p is None:
             raise InvalidParameterError("sigma transform needs --N, --alpha, --ell, --p")
         sp = SchrodingerParams(N=args.N, alpha=args.alpha, ell=args.ell, p=args.p)
-        image = sigma_params(sp).params
+        image = sigma_params(sp)
         inputs = ("kind", "N", "alpha", "ell", "p")
         checks = {
             "sigma": sp.sigma,
@@ -326,13 +326,13 @@ def cmd_transform(args) -> dict:
         inputs = ("kind", *_PARAMS)
         derived = _derived_block(params)
         if kind is TransformKind.KELVIN:
-            image = kelvin_params(params).params
+            image = kelvin_params(params)
             checks = {
                 "tau_image": image.l - image.theta,
                 "tau_image_above_minus2": (image.l - image.theta) > -2.0,
             }
         elif kind is TransformKind.DUAL:
-            image = dual_params(params).params
+            image = dual_params(params)
             checks = {
                 "n_prime_sum": params.n_prime + image.n_prime,
                 "tau_sum": params.tau + image.tau,

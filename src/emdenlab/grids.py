@@ -8,7 +8,7 @@ never interpolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,15 +88,10 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Values of a radial function on a :class:`RadialGrid`.
-
-    ``derivative`` holds d/dr values when the producer (e.g. the shooting
-    integrator) supplies them; it is not recomputed here.
-    """
+    """Values of a radial function on a :class:`RadialGrid`."""
 
     grid: RadialGrid
     values: np.ndarray
-    derivative: np.ndarray | None = None
 
     def __post_init__(self):
         # Extended-precision values are preserved; anything else becomes float64.
@@ -106,11 +101,6 @@ class RadialFunction:
             raise InvalidParameterError("values and grid have different lengths")
         if not np.all(np.isfinite(vals)):
             raise InvalidParameterError("values must be finite")
-        if self.derivative is not None:
-            der = _readonly(self.derivative)
-            if der.shape != vals.shape:
-                raise InvalidParameterError("derivative and grid have different lengths")
-            object.__setattr__(self, "derivative", der)
 
     def times_power(self, power: float) -> np.ndarray:
         """values * r^power, formed in logs: only a product out of range raises."""

@@ -7,17 +7,20 @@ A radial solution v(r) of the weighted equation satisfies
 equivalently the flux form (r^(N'-1) v')' + r^(N'-1+tau) v^p = 0.  This
 module provides
 
-* the explicit singular solution c0 * r^(-m), m = (2+tau)/(p-1),
+* the explicit singular solution c0 * r^(-m), m = (2+tau)/(p-1), formed
+  in logs,
 * a shooting integrator for the regular solution with v(0) = kappa,
   started from a two-term series at a tiny radius (the ODE is singular
   at the origin) and advanced by LSODA (scipy.integrate.odeint behind
   the ``solve_ivp`` seam) in t = log r on the Emden-Fowler state
   y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
-  s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, and the
-  fixed point (log c0, log m) is the singular solution,
+  s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, the
+  fixed point (log c0, log m) is the singular solution, and zeta > 0
+  makes v' < 0 by construction, so profiles carry values only,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
 * asymptotic-constant extraction (the limit of r^m v(r), fit with the
-  tail's linearisation at c0), decay classification, and a
+  tail's linearisation at c0), decay classification (a converged tail
+  is slow decay, so ``shoot`` classifies only the others), and a
   centered-difference residual used as the independent oracle
   throughout the test suite.
 
@@ -143,8 +146,8 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     amplitude c0 = (m*(N'-2-m))^(1/(p-1)) is positive.  ``dtype`` selects
     the sampling precision; pass ``numpy.longdouble`` when downstream
     residual checks need headroom below the float64 quantization floor.
-    Raises NumericalError where v or v' would leave the normal range of
-    that dtype on the grid.
+    Raises NumericalError where v would leave the normal range of that
+    dtype on the grid.
     """
     ind = derive(params)
     if not params.standard_regime:
@@ -153,24 +156,22 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
         raise InvalidParameterError(
             "singular solution needs p above the Serrin exponent"
         )
-    one = np.asarray(1.0, dtype=dtype)
-    r = grid.points.astype(dtype)
-    np_, tau, p = [np.asarray(x, dtype=dtype) for x in (ind.n_prime, ind.tau, params.p)]
-    m = (2.0 * one + tau) / (p - one)
-    # c0 r^(-m) = (s/r)^m with s = c0^(1/m): no intermediate power of r
-    # under- or overflows unless v itself does, which is checked in logs
-    s = (m * (np_ - 2.0 * one - m)) ** (one / (2.0 * one + tau))
-    info = np.finfo(r.dtype)
-    log_v = m * (np.log(s) - np.log(r[[0, -1]]))  # at both ends
-    log_dv = log_v[0] + np.log(m) - np.log(r[0])  # |v'| at the inner end
-    if log_v[-1] < np.log(info.tiny) or max(log_v[0], log_dv) > np.log(info.max):
+    # c0 r^(-m) = exp(m (log s - log r)) with log s = log(c0)/m: neither
+    # s = c0^(1/m) nor any power of r is formed, so nothing under- or
+    # overflows unless v itself does; extended precision keeps the
+    # rounding of log v, up to |log v| eps, below that of v itself
+    ext = np.longdouble
+    np_, tau, p = ext(ind.n_prime), ext(ind.tau), ext(params.p)
+    m = (2.0 + tau) / (p - 1.0)
+    log_s = np.log(m * (np_ - 2.0 - m)) / (2.0 + tau)
+    log_v = m * (log_s - np.log(grid.points.astype(ext)))
+    info = np.finfo(dtype)
+    if log_v[-1] < np.log(info.tiny) or log_v[0] > np.log(info.max):
         raise NumericalError(
-            f"c0 r^(-m) leaves the {r.dtype} range at N' = {ind.n_prime}, "
+            f"c0 r^(-m) leaves the {info.dtype} range at N' = {ind.n_prime}, "
             f"tau = {ind.tau} on [{grid.r_min}, {grid.r_max}]"
         )
-    values = (s / r) ** m
-    deriv = -m * values / r
-    return RadialFunction(grid=grid, values=values, derivative=deriv)
+    return RadialFunction(grid=grid, values=np.exp(log_v).astype(dtype))
 
 
 def shoot(
@@ -269,15 +270,13 @@ def shoot(
     values = np.exp(y - m * t_eval)
     if np.any(values <= 0.0):
         raise NumericalError("negative or zero values encountered in shooting output")
-    deriv = -values * np.exp(s) / grid.points
-    if np.any(deriv > 0.0):
-        raise NumericalError("shooting output is not decreasing")
-
-    solution = RadialFunction(grid=grid, values=values, derivative=deriv)
+    solution = RadialFunction(grid=grid, values=values)
 
     if grid.decades >= 3.0 - 1e-9:
         estimate, converged = asymptotic_constant(solution, params)
-        classification, _, _ = classify_decay(solution, params)
+        # converged is classify_decay's own slow-decay test on the same fit
+        classification = (DecayClass.SLOW_DECAY if converged
+                          else classify_decay(solution, params)[0])
     else:
         # Too short for a trustworthy tail fit: report the naive endpoint
         # estimate and flag the run inconclusive.
@@ -321,13 +320,13 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
         raise InvalidParameterError("rescale expects a run with kappa = 1")
     ind = derive(v1.params)
     lam = (v1.params.p - 1.0) / (ind.tau + 2.0)
-    factor = kappa ** (-lam)
-    grid = v1.solution.grid.scaled(factor)
-    values = kappa * v1.solution.values
-    deriv = None
-    if v1.solution.derivative is not None:
-        deriv = kappa ** (1.0 + lam) * v1.solution.derivative
-    return RadialFunction(grid=grid, values=values, derivative=deriv)
+    try:  # the factor over- or underflows, or the grid leaves the float range
+        grid = v1.solution.grid.scaled(kappa ** (-lam))
+    except (OverflowError, InvalidParameterError):
+        raise NumericalError(
+            f"grid rescaled to kappa = {kappa} leaves the float range at tau = {ind.tau}"
+        ) from None
+    return RadialFunction(grid=grid, values=kappa * v1.solution.values)
 
 
 def _linear_tail(

@@ -78,17 +78,14 @@ class FormAssembly:
 
     ``diag``/``off`` hold the central-difference matrix of
     -phi_tt + ((N'-2)^2/4 - p r^(2+tau) |v|^(p-1)) phi on the n interior
-    nodes, uniform in t = log r with step ``h``.  Its eigenvalues are
+    ``nodes[1:-1]``, uniform in t = log r with step ``h``.  Its eigenvalues are
     those of Q_v relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).
     """
 
-    params: ProblemParams
     nodes: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     h: float
-    interval: tuple[float, float]
-    n: int
 
 
 @dataclass(frozen=True)
@@ -172,13 +169,10 @@ def assemble_forms(
 
     level = (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
     return FormAssembly(
-        params=params,
         nodes=nodes,
         diag=2.0 / h**2 + level - potential,
         off=np.full(n - 1, -1.0 / h**2),
         h=h,
-        interval=(float(a), float(b)),
-        n=int(n),
     )
 
 
@@ -321,7 +315,7 @@ def invariance_check(
         }[kind]
         psi_im = apply(RadialFunction(psi.grid, psi.values))
         return q_source, q_value(
-            image(params).params, apply(v), TestFunction(psi_im.grid, psi_im.values)
+            image(params), apply(v), TestFunction(psi_im.grid, psi_im.values)
         )
     if kind is TransformKind.SIGMA:
         schrodinger = sigma_inverse(params)

@@ -12,17 +12,17 @@ solutions of another while preserving the sign of the stability form:
   the Schrodinger form at the price of theta = -2*sigma,
   l = alpha - sigma*(p+1).
 
-Parameter-level maps are exact affine arithmetic.  Function-level maps
-act on log-uniform radial grids, where inversion r -> 1/r is a pure
-relabeling of grid points, so no interpolation is ever involved.  Their
-power weights are formed in logs (``RadialFunction.times_power``), so
-only an image out of the float range raises, and images are built with
-the input's own class, so this module loads no numpy.
+Parameter-level maps are exact affine arithmetic and return the image
+``ProblemParams`` itself.  Function-level maps act on log-uniform radial
+grids, where inversion r -> 1/r is a pure relabeling of grid points, so
+no interpolation is ever involved.  Their power weights are formed in
+logs (``RadialFunction.times_power``), so only an image out of the float
+range raises, and images are built with the input's own class, so this
+module loads no numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -30,9 +30,6 @@ from .params import ProblemParams, SchrodingerParams
 
 if TYPE_CHECKING:
     from .grids import RadialFunction
-
-DOMAIN_IDENTITY = "identity"
-DOMAIN_INVERSION = "inversion y = x/|x|^2"
 
 
 class TransformKind(str, Enum):
@@ -42,16 +39,7 @@ class TransformKind(str, Enum):
     SIGMA_INVERSE = "sigma_inverse"
 
 
-@dataclass(frozen=True)
-class TransformedParams:
-    """Image parameters plus the transform that produced them."""
-
-    params: ProblemParams
-    kind: TransformKind
-    domain_map: str
-
-
-def kelvin_params(params: ProblemParams) -> TransformedParams:
+def kelvin_params(params: ProblemParams) -> ProblemParams:
     """Parameters of the Kelvin image equation.
 
     The image weight is beta = (N-2+theta)*(p-1) - (4+l-2*theta); the
@@ -61,31 +49,28 @@ def kelvin_params(params: ProblemParams) -> TransformedParams:
     beta = (params.N - 2.0 + params.theta) * (params.p - 1.0) - (
         4.0 + params.l - 2.0 * params.theta
     )
-    image = ProblemParams(N=params.N, theta=params.theta, l=beta, p=params.p)
-    return TransformedParams(params=image, kind=TransformKind.KELVIN, domain_map=DOMAIN_INVERSION)
+    return ProblemParams(N=params.N, theta=params.theta, l=beta, p=params.p)
 
 
-def dual_params(params: ProblemParams) -> TransformedParams:
+def dual_params(params: ProblemParams) -> ProblemParams:
     """Parameters of the dual image equation (an affine involution)."""
-    image = ProblemParams(
+    return ProblemParams(
         N=params.N,
         theta=4.0 - 2.0 * params.N - params.theta,
         l=-2.0 * params.N - params.l,
         p=params.p,
     )
-    return TransformedParams(params=image, kind=TransformKind.DUAL, domain_map=DOMAIN_INVERSION)
 
 
-def sigma_params(schrodinger: SchrodingerParams) -> TransformedParams:
+def sigma_params(schrodinger: SchrodingerParams) -> ProblemParams:
     """Weighted-equation parameters equivalent to a Hardy-potential problem."""
     s = schrodinger.sigma
-    image = ProblemParams(
+    return ProblemParams(
         N=schrodinger.N,
         theta=-2.0 * s,
         l=schrodinger.alpha - s * (schrodinger.p + 1.0),
         p=schrodinger.p,
     )
-    return TransformedParams(params=image, kind=TransformKind.SIGMA, domain_map=DOMAIN_IDENTITY)
 
 
 def sigma_inverse(params: ProblemParams) -> SchrodingerParams:
@@ -123,7 +108,3 @@ def sigma_apply(v: RadialFunction, params: ProblemParams) -> RadialFunction:
     """Hardy-side profile u = r^(-sigma) v on the same grid (sigma = -theta/2)."""
     return type(v)(grid=v.grid, values=v.times_power(params.theta / 2.0))
 
-
-def sigma_apply_inverse(u: RadialFunction, schrodinger: SchrodingerParams) -> RadialFunction:
-    """Weighted-side profile v = r^sigma u on the same grid."""
-    return type(u)(grid=u.grid, values=u.times_power(schrodinger.sigma))

@@ -109,8 +109,8 @@ def test_criterion_4_delta_identity():
 
 def test_criterion_5_singular_solution_residual():
     base = ProblemParams(5, 0.0, 0.0, 3.0)
-    kelvin = el.kelvin_params(base).params
-    sigma = el.sigma_params(SchrodingerParams(5, 0.0, 1.0, 3.0)).params
+    kelvin = el.kelvin_params(base)
+    sigma = el.sigma_params(SchrodingerParams(5, 0.0, 1.0, 3.0))
     cases = [("base", base), ("kelvin-image", kelvin), ("sigma-image", sigma)]
     # extended-precision sampling: the 1e-9 target sits below the float64
     # quantization floor of second differences
@@ -276,7 +276,7 @@ def test_criterion_11_roundtrips():
             float(rng.uniform(-4.0, (N - 2.0) ** 2 / 4.0 - 1e-6)),
             float(rng.uniform(1.1, 6.0)),
         )
-        back = el.sigma_inverse(el.sigma_params(sp).params)
+        back = el.sigma_inverse(el.sigma_params(sp))
         worst_sigma = max(
             worst_sigma, abs(back.alpha - sp.alpha), abs(back.ell - sp.ell)
         )

@@ -341,6 +341,26 @@ def test_spectrum_profile_outside_the_float_range_exit_code(capsys):
     assert "N' = 100.0, tau = 0.0" in env["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # c0 = 1e250 with m = 0.5: c0^(1/m) = 1e500 is out of range, v is in 3e248-3e251
+        ["--N", "22", "--theta", "0.5", "--l=-1.498", "--p", "1.004", "--n", "100"],
+        # tau = -1.997: c0^(1/m) underflows to 0
+        ["--N", "2", "--theta=0.2968522914958875", "--l=-1.7000200372412348",
+         "--p=1.0183190369850659", "--a=9.949747592349819e-13", "--b=5941.882860195445",
+         "--n", "287"],
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_spectrum_profile_with_c0_to_the_1_over_m_out_of_range(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = run_json(["spectrum", *argv], capsys)
+    assert env["results"]["negative_count"] >= 0
+    assert all(math.isfinite(x) for x in env["results"]["eigenvalues"])
+
+
 def test_sweep_infinity_is_empty_cell(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("mode = exponents\nnprime = 9\ntau = 0\n")

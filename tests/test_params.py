@@ -270,7 +270,7 @@ def test_hardy_condition_equivalence():
         ell = rng.uniform(-5.0, (N - 2.0) ** 2 / 4.0 - 1e-9)
         p = rng.uniform(1.05, 6.0)
         sp = SchrodingerParams(N, alpha, ell, p)
-        image = sigma_params(sp).params
+        image = sigma_params(sp)
         ind = derive(image)
         q = (2.0 + alpha) / (p - 1.0)
         lhs = ell < q * (N - 2.0 - q)

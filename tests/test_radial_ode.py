@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_v_infinity_amplitude_vanishes_toward_serrin():
 def test_v_infinity_kelvin_image_is_image_singular_solution():
     grid = RadialGrid.logspaced(0.2, 5.0, 3001)
     v = v_infinity(PARAMS_5, grid)
-    image_params = kelvin_params(PARAMS_5).params
+    image_params = kelvin_params(PARAMS_5)
     w = kelvin_apply(v, PARAMS_5)
     assert residual(w, image_params) < 1e-5
 
@@ -84,7 +85,7 @@ def test_shoot_asymptotics_and_ordering():
 def test_shoot_positive_and_decreasing():
     res = shoot(PARAMS_11, kappa=2.5, r_max=1e4, tol=1e-9)
     assert np.all(res.solution.values > 0.0)
-    assert np.all(res.solution.derivative <= 0.0)
+    assert np.all(np.diff(res.solution.values) <= 0.0)  # flat to rounding at the head
 
 
 def test_shoot_rejects_bad_inputs():
@@ -174,6 +175,14 @@ def test_rescale_identity_and_values():
         rescale(shoot(PARAMS_11, kappa=2.0, r_max=1e4, tol=1e-9), 2.0)
 
 
+@pytest.mark.parametrize("kappa", [1e-300, 1e300], ids=["overflow", "underflow"])
+def test_rescale_grid_out_of_the_float_range_is_a_numerical_error(kappa):
+    # the grid factor kappa^(-3) overflows or underflows to 0
+    base = shoot(PARAMS_11, kappa=1.0, r_max=1e4, tol=1e-9)
+    with pytest.raises(NumericalError, match=re.escape(f"kappa = {kappa}")):
+        rescale(base, kappa)
+
+
 def test_asymptotic_constant_on_singular_solution():
     grid = RadialGrid.logspaced(1e-2, 1e2, 600)
     v = v_infinity(PARAMS_11, grid)
@@ -233,8 +242,8 @@ def test_transform_images_of_shooting_output_keep_residual():
     # but with its own constant.
     res = shoot(PARAMS_5, kappa=1.0, r_max=1e4, tol=1e-10, r_min=1e-1)
     src = residual(res.solution, PARAMS_5)
-    kel = residual(kelvin_apply(res.solution, PARAMS_5), kelvin_params(PARAMS_5).params)
-    dua = residual(dual_apply(res.solution), dual_params(PARAMS_5).params)
+    kel = residual(kelvin_apply(res.solution, PARAMS_5), kelvin_params(PARAMS_5))
+    dua = residual(dual_apply(res.solution), dual_params(PARAMS_5))
     assert kel <= 10.0 * src
     assert dua <= 10.0 * src
     # steep image: check second-order convergence instead of the constant
@@ -242,7 +251,7 @@ def test_transform_images_of_shooting_output_keep_residual():
                    points_per_decade=128)
     fine = shoot(PARAMS_11, kappa=1.0, r_max=1e4, tol=1e-11, r_min=1e-1,
                  points_per_decade=256)
-    image_params = kelvin_params(PARAMS_11).params
+    image_params = kelvin_params(PARAMS_11)
     rc = residual(kelvin_apply(coarse.solution, PARAMS_11), image_params)
     rf = residual(kelvin_apply(fine.solution, PARAMS_11), image_params)
     assert rc / rf == pytest.approx(4.0, rel=0.2)

@@ -1,4 +1,5 @@
-"""The README's command-line examples and sweep configurations run as written."""
+"""The README's command-line examples, sweep configurations and library
+sketch run as written, and the package version is the project's."""
 
 import re
 import shlex
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import emdenlab
 from emdenlab.cli import main
 
-_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_ROOT = Path(__file__).resolve().parents[1]
+_README = (_ROOT / "README.md").read_text()
 _SECTION = _README[_README.index("\n## Command line") :].split("\n## ")[1]
 
 
@@ -53,3 +56,13 @@ def test_readme_sweep_writes_its_documented_header(config, tmp_path, capsys):
     lines = Path(argv[argv.index("--out") + 1]).read_text().splitlines()
     assert lines[0] == SWEEP_HEADERS[re.search(r"^mode = (\w+)", config, re.M)[1]]
     assert len(lines) > 1 and all(line.endswith(",") for line in lines[1:])  # no row failed
+
+
+def test_readme_library_sketch_runs():
+    sketch = _README[_README.index("\n## Library sketch") :].split("\n## ")[1]
+    exec(re.search(r"```python\n(.*?)```", sketch, re.S).group(1), {})
+
+
+def test_pyproject_version_is_the_package_version():
+    pyproject = (_ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == emdenlab.__version__

@@ -613,8 +613,8 @@ def test_kelvin_and_dual_image_spectra_match_the_source():
         v = wiggly_profile(rng, params, grid)
         source = radial_morse_index(params, v, a, b, n)
         for image, v_image in (
-            (kelvin_params(params).params, kelvin_apply(v, params)),
-            (dual_params(params).params, dual_apply(v)),
+            (kelvin_params(params), kelvin_apply(v, params)),
+            (dual_params(params), dual_apply(v)),
         ):
             rep = radial_morse_index(image, v_image, 1.0 / b, 1.0 / a, n)
             assert rep.negative_count == source.negative_count

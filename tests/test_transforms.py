@@ -25,9 +25,9 @@ from emdenlab import (
 
 def test_kelvin_params_beta():
     t = kelvin_params(ProblemParams(5, 0.0, 0.0, 3.0))
-    assert t.params.l == 2.0  # (N-2+theta)(p-1) - (4+l-2 theta)
-    assert t.params.theta == 0.0
-    assert t.params.N == 5
+    assert t.l == 2.0  # (N-2+theta)(p-1) - (4+l-2 theta)
+    assert t.theta == 0.0
+    assert t.N == 5
 
 
 def test_kelvin_params_serrin_boundary():
@@ -35,7 +35,7 @@ def test_kelvin_params_serrin_boundary():
     params = ProblemParams(5, 0.5, 0.25, (5.5 - 0.25) / 3.5)
     ind = derive(params)
     assert params.p == ind.serrin
-    image = kelvin_params(params).params
+    image = kelvin_params(params)
     assert image.l - image.theta == pytest.approx(-2.0, abs=1e-14)
 
 
@@ -50,24 +50,24 @@ def test_kelvin_params_tau_sign():
         if not params.standard_regime:
             continue
         ind = derive(params)
-        image = kelvin_params(params).params
+        image = kelvin_params(params)
         assert (image.l - image.theta > -2.0) == (p > ind.serrin)
 
 
 def test_kelvin_params_involution():
     params = ProblemParams(7, 0.5, 1.25, 2.5)
-    twice = kelvin_params(kelvin_params(params).params).params
+    twice = kelvin_params(kelvin_params(params))
     assert twice.l == pytest.approx(params.l, abs=1e-12)
     assert twice.theta == params.theta
 
 
 def test_dual_params_identities():
     t = dual_params(ProblemParams(5, 0.0, 0.0, 3.0))
-    assert t.params.theta == -6.0
-    assert t.params.l == -10.0
-    assert t.params.n_prime == -1.0
-    assert t.params.n_prime + 5.0 == 4.0
-    assert t.params.tau + 0.0 == -4.0
+    assert t.theta == -6.0
+    assert t.l == -10.0
+    assert t.n_prime == -1.0
+    assert t.n_prime + 5.0 == 4.0
+    assert t.tau + 0.0 == -4.0
 
 
 def test_dual_params_involution_and_mirror():
@@ -79,11 +79,11 @@ def test_dual_params_involution_and_mirror():
             float(rng.uniform(-8.0, 8.0)),
             float(rng.uniform(1.1, 5.0)),
         )
-        image = dual_params(params).params
+        image = dual_params(params)
         # derived indices carry one rounding each; identities hold to epsilon
         assert image.n_prime + params.n_prime == pytest.approx(4.0, abs=1e-12)
         assert image.tau + params.tau == pytest.approx(-4.0, abs=1e-12)
-        back = dual_params(image).params
+        back = dual_params(image)
         assert back.theta == pytest.approx(params.theta, abs=1e-13)
         assert back.l == pytest.approx(params.l, abs=1e-13)
         # mirror regime: N' > 2, tau > -2 maps to N' < 2, tau < -2
@@ -93,10 +93,10 @@ def test_dual_params_involution_and_mirror():
 
 def test_sigma_params_examples():
     sp = SchrodingerParams(5, 0.0, 0.0, 3.0)
-    image = sigma_params(sp).params
+    image = sigma_params(sp)
     assert image.theta == 0.0 and image.l == 0.0  # ell = 0 is the identity
     sp = SchrodingerParams(5, 0.0, 2.0, 3.0)
-    image = sigma_params(sp).params
+    image = sigma_params(sp)
     assert image.theta == pytest.approx(-2.0, abs=1e-14)
     assert image.l == pytest.approx(-4.0, abs=1e-14)
 
@@ -111,7 +111,7 @@ def test_sigma_roundtrip():
             float(rng.uniform(-4.0, (N - 2.0) ** 2 / 4.0 - 1e-6)),
             float(rng.uniform(1.1, 6.0)),
         )
-        back = sigma_inverse(sigma_params(sp).params)
+        back = sigma_inverse(sigma_params(sp))
         assert back.alpha == pytest.approx(sp.alpha, abs=1e-12)
         assert back.ell == pytest.approx(sp.ell, abs=1e-12)
         assert back.p == sp.p
@@ -137,7 +137,7 @@ def test_kelvin_apply_maps_singular_to_image_singular():
     params = ProblemParams(5, 0.0, 0.0, 3.0)
     grid = RadialGrid.logspaced(0.1, 10.0, 4001)
     v = v_infinity(params, grid)
-    image_params = kelvin_params(params).params
+    image_params = kelvin_params(params)
     w = kelvin_apply(v, params)
     ref = v_infinity(image_params, w.grid)
     assert np.max(np.abs(w.values - ref.values) / ref.values) < 1e-13
@@ -205,13 +205,13 @@ def test_dual_apply_singular_solution():
     z = dual_apply(v)
     expect = ind.c0 * z.grid.points**ind.m_exp
     assert np.max(np.abs(z.values - expect) / expect) < 1e-13
-    image_params = dual_params(params).params
+    image_params = dual_params(params)
     assert residual(z, image_params) < 1e-5
 
 
 def test_transform_parameter_identities_are_exact():
     # affine maps beyond machine epsilon would break the involution exactness
     params = ProblemParams(9, -1.5, 2.25, 2.0)
-    image = dual_params(params).params
+    image = dual_params(params)
     assert image.theta == 4.0 - 18.0 + 1.5
     assert image.l == -18.0 - 2.25
