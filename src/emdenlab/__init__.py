@@ -16,7 +16,7 @@ low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 #: Home module of every public name.
 _HOMES = {
@@ -37,9 +37,9 @@ _HOMES = {
         "asymptotic_constant", "classify_decay", "residual", "sphere_constant_check",
     ),
     "stability": (
-        "TestFunction", "FormAssembly", "SpectrumReport", "assemble_forms",
-        "radial_morse_index", "q_value", "q_value_schrodinger", "hardy_rayleigh_min",
-        "invariance_check", "stable_estimate_check",
+        "TestFunction", "FormAssembly", "SpectrumReport", "log_nodes", "potential",
+        "assemble_forms", "radial_morse_index", "q_value", "q_value_schrodinger",
+        "hardy_rayleigh_min", "invariance_check", "stable_estimate_check",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

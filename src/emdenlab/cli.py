@@ -27,7 +27,9 @@ The spectrum's ``eigenvalues`` and ``min_eigenvalue`` are eigenvalues of
 the stability form in t = log r, phi = r^((N'-2)/2) psi, relative to
 integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr): dimensionless, and
 (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) about v_infinity, with
-L = log(b/a) and h = L/(n+1).
+L = log(b/a) and h = L/(n+1).  About v_infinity the potential is the
+constant f(p) and no profile is sampled; a ``shoot:<kappa>`` profile is
+shot on the assembly nodes themselves, out to r_max = b.
 """
 
 from __future__ import annotations
@@ -193,19 +195,24 @@ def _spectrum(
 
     ``tol`` is the shooting tolerance; the singular profile does not use it.
     """
-    from .radial_ode import shoot, v_infinity
-    from .stability import log_nodes, radial_morse_index
+    from .stability import log_nodes, potential, radial_morse_index
 
+    nodes = log_nodes(a, b, n)  # a, b and n are checked before the profile's conditions
     if profile == "v_infinity":
-        v = v_infinity(params, log_nodes(a, b, n))
+        ind = derive(params)
+        if not params.standard_regime:
+            raise InvalidParameterError("need N' > 2 and tau > -2")
+        if ind.c0 is None:
+            raise InvalidParameterError("singular solution needs p above the Serrin exponent")
+        P = f_eval(params.p, ind.n_prime, ind.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
     elif profile.startswith("shoot:"):
+        from .radial_ode import shoot
         kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
-        v = shoot(params, kappa=kappa, r_max=b * 2.0, tol=tol).solution
+        v = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).solution
+        P = potential(params.p, 2.0 + params.tau, v, nodes.points)[1:-1]
     else:
-        raise InvalidParameterError(
-            "profile must be 'v_infinity' or 'shoot:<kappa>'"
-        )
-    return radial_morse_index(params, v, a, b, n)
+        raise InvalidParameterError("profile must be 'v_infinity' or 'shoot:<kappa>'")
+    return radial_morse_index(params, P, a, b, n)
 
 
 def cmd_exponents(args) -> dict:
@@ -302,7 +309,7 @@ def cmd_spectrum(args) -> dict:
         "negative_count": report.negative_count,
         "min_eigenvalue": report.min_eigenvalue,
         "negative_tol": report.negative_tol,
-        "eigenvalues": list(report.eigenvalues),
+        "eigenvalues": report.eigenvalues.tolist(),
     }
     inputs = (*_PARAMS, "profile", "a", "b", "n")
     return _envelope(args, inputs, _derived_block(params), results)

@@ -115,7 +115,7 @@ class RadialFunction:
         """Linear-in-log-r interpolation of the values.
 
         Rejects radii outside the grid range (beyond a relative slack of
-        1e-12); transforms and assemblies never extrapolate.
+        1e-12); transforms and potentials never extrapolate.
         """
         r = np.asarray(r, dtype=float)
         slack = 1e-12

@@ -272,17 +272,17 @@ def shoot(
         raise NumericalError("negative or zero values encountered in shooting output")
     solution = RadialFunction(grid=grid, values=values)
 
-    if grid.decades >= 3.0 - 1e-9:
+    try:
         estimate, converged = asymptotic_constant(solution, params)
+    except InvalidParameterError:
+        # Too short or too coarse for a trustworthy tail fit: report the
+        # naive endpoint estimate and flag the run inconclusive.
+        estimate, converged = float(np.exp(y[-1])), False
+        classification = DecayClass.INCONCLUSIVE
+    else:
         # converged is classify_decay's own slow-decay test on the same fit
         classification = (DecayClass.SLOW_DECAY if converged
                           else classify_decay(solution, params)[0])
-    else:
-        # Too short for a trustworthy tail fit: report the naive endpoint
-        # estimate and flag the run inconclusive.
-        estimate = float(np.exp(y[-1]))
-        converged = False
-        classification = DecayClass.INCONCLUSIVE
 
     gap = y - math.log(ind.c0)  # log(v / (c0 r^(-m)))
     band = ORDERING_NOISE_FACTOR * tol
@@ -379,7 +379,7 @@ def asymptotic_constant(v: RadialFunction, params: ProblemParams) -> tuple[float
     linear fit does; otherwise it is that mid-decade value.  ``converged``
     is True when the drift of a linear fit of r^m v across the decade
     stays below 0.5 percent of its mid-decade level.  The grid must span
-    at least three decades.
+    at least three decades, with at least four points in the last one.
     """
     ind = derive(params)
     mask, y, level, drift = _linear_tail(v, ind)

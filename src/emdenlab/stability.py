@@ -8,17 +8,18 @@ over compactly supported test functions.  For radial psi on an annulus
 [a, b], the Emden-Fowler change t = log r, phi = r^((N'-2)/2) psi turns
 it exactly into integral( phi_t^2 + ((N'-2)^2/4 - P) phi^2 dt ) with the
 O(1) potential P = p r^(2+tau) |v|^(p-1), formed in logs on v's own nodes
-and linear in t between them; no power r^(N'-1) appears anywhere.
-Central differences on nodes uniform in t give one symmetric tridiagonal
-matrix T; its negative eigenvalues estimate the Morse index from below
-(radial test functions only, so the count is a lower bound for the full
-index).  The count is an exact LDL^T inertia count and the low spectrum
-comes from LAPACK bisection (see ``tridiag``).  About v_infinity P is
-the constant f(p), so the eigenvalues are (4/h^2) sin^2(k pi h / 2L) +
-(N'-2)^2/4 - f(p) with L = log(b/a).  Form values are evaluated in t by
-the same rule (h phi^T T phi on the assembly nodes); the Kelvin, dual and
-sigma maps send (P, phi) to itself or to its reflection t -> -t, so
-``invariance_check`` agrees to rounding.
+and linear in t between them (``potential``); no power r^(N'-1) appears
+anywhere.  Central differences on nodes uniform in t (``log_nodes``) give
+one symmetric tridiagonal matrix T, assembled from P on those nodes; its
+negative eigenvalues estimate the Morse index from below (radial test
+functions only, so the count is a lower bound for the full index).  The
+count is an exact LDL^T inertia count and the low spectrum comes from
+LAPACK bisection (see ``tridiag``).  About v_infinity P is exactly the
+constant f(p), so no profile is sampled and the eigenvalues are
+(4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) with L = log(b/a).  Form
+values are evaluated in t by the same rule (h phi^T T phi on the assembly
+nodes); the Kelvin, dual and sigma maps send (P, phi) to itself or to its
+reflection t -> -t, so ``invariance_check`` agrees to rounding.
 
 The Rayleigh bound of the weighted Hardy inequality uses the same
 variables but exact piecewise-linear finite elements instead of
@@ -77,12 +78,11 @@ class FormAssembly:
     """Stability form on an annulus as one symmetric tridiagonal matrix.
 
     ``diag``/``off`` hold the central-difference matrix of
-    -phi_tt + ((N'-2)^2/4 - p r^(2+tau) |v|^(p-1)) phi on the n interior
-    ``nodes[1:-1]``, uniform in t = log r with step ``h``.  Its eigenvalues are
-    those of Q_v relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).
+    -phi_tt + ((N'-2)^2/4 - P) phi on the n interior nodes of ``log_nodes``,
+    uniform in t = log r with step ``h``.  Its eigenvalues are those of Q_v
+    relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).
     """
 
-    nodes: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     h: float
@@ -113,10 +113,11 @@ def _log_step(a: float, b: float, n: int) -> float:
     return math.log(b / a) / (n + 1)
 
 
-def _potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:
+def potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:
     """p r^power |f|^(p-1) at r: formed in logs on f's nodes, linear in t.
 
     ``power`` is 2+tau on the weighted side and 2+alpha on the Hardy side.
+    At f's own nodes the values are the formula's, with nothing interpolated.
     """
     with np.errstate(divide="ignore", over="ignore"):  # f = 0 gives P = 0
         P = p * np.exp(power * f.grid.log_points + (p - 1.0) * np.log(np.abs(f.values)))
@@ -145,60 +146,47 @@ def _form_value(level: float, P: np.ndarray, psi: TestFunction, power: float) ->
 def log_nodes(a: float, b: float, n: int) -> RadialGrid:
     """The n interior nodes and both ends of the assembly grid on [a, b].
 
-    The nodes are uniform in t = log r.  A profile given on exactly this
-    grid enters ``assemble_forms`` without interpolation error.
+    The nodes are uniform in t = log r.  For a profile v given on exactly
+    this grid, ``potential`` on the interior nodes is ``assemble_forms``'s P.
     """
     _log_step(a, b, n)
     return RadialGrid.logspaced(a, b, n + 2)
 
 
-def assemble_forms(
-    params: ProblemParams, v: RadialFunction, a: float, b: float, n: int
-) -> FormAssembly:
-    """Assemble the stability form for v on the annulus [a, b].
+def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> FormAssembly:
+    """Assemble the stability form with potential P on the annulus [a, b].
 
-    Uses the n interior nodes of ``log_nodes`` with Dirichlet ends.  v must
-    cover [a, b]; the potential is taken from v by ``_potential``.
+    P is one number or its n values on the interior nodes of ``log_nodes``,
+    for example ``potential(p, 2 + tau, v, nodes.points)[1:-1]``; the ends
+    are Dirichlet.
     """
     h = _log_step(a, b, n)
-    nodes = log_nodes(a, b, n).points
-    try:
-        potential = _potential(params.p, 2.0 + params.tau, v, nodes)[1:-1]
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"v missing values on [{a}, {b}]: {exc}") from exc
-
+    P = np.asarray(P, dtype=float)
+    if P.shape not in ((), (n,)):
+        raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise InvalidParameterError("potential values must be finite")
     level = (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
     return FormAssembly(
-        nodes=nodes,
-        diag=2.0 / h**2 + level - potential,
+        diag=np.full(n, 2.0 / h**2 + level) - P,
         off=np.full(n - 1, -1.0 / h**2),
         h=h,
     )
 
 
-def radial_morse_index(
-    params: ProblemParams,
-    v: RadialFunction,
-    a: float,
-    b: float,
-    n: int,
-    n_eigenvalues: int | None = None,
-) -> SpectrumReport:
-    """Negative count and low spectrum of the stability form on [a, b].
+def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> SpectrumReport:
+    """Negative count and low spectrum of the stability form with potential P.
 
-    Eigenvalues below -1e-9 * (matrix scale) count as negative; the
-    tolerance separates genuine instability from discretization noise.
+    P is taken as by ``assemble_forms``.  Eigenvalues below -1e-9 * (matrix
+    scale) count as negative; the tolerance separates genuine instability
+    from discretization noise.
     """
-    asm = assemble_forms(params, v, a, b, n)
+    asm = assemble_forms(params, P, a, b, n)
     d, e = asm.diag, asm.off
     scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
     tol = NEGATIVE_TOL_FACTOR * scale
     negative = tridiag.count_below(d, e, -tol)
-    k = n_eigenvalues if n_eigenvalues is not None else max(negative + 8, 16)
-    k = min(int(k), int(n))
-    if negative > k:
-        raise NumericalError("negative eigenvalues exceed the extracted spectrum")
-    eigs = tridiag.smallest_eigenvalues(d, e, k)
+    eigs = tridiag.smallest_eigenvalues(d, e, min(max(negative + 8, 16), n))
     # The inertia count and the bisection see the same matrix, so the list
     # must hold at least that many negative eigenvalues (it may show a few
     # extra within the noise band around zero).
@@ -236,7 +224,7 @@ def q_value(params: ProblemParams, v: RadialFunction, psi: TestFunction) -> floa
     Quadratic in psi; the angular area factor is omitted on all routes.
     """
     half = (params.n_prime - 2.0) / 2.0
-    P = _potential(params.p, 2.0 + params.tau, v, psi.grid.points)
+    P = potential(params.p, 2.0 + params.tau, v, psi.grid.points)
     return _form_value(half**2, P, psi, half)
 
 
@@ -245,7 +233,7 @@ def q_value_schrodinger(
 ) -> float:
     """Hardy-potential form in t: chi = r^((N-2)/2) phi, level (N-2)^2/4 - ell."""
     half = (schrodinger.N - 2.0) / 2.0
-    P = _potential(schrodinger.p, 2.0 + schrodinger.alpha, u, phi.grid.points)
+    P = potential(schrodinger.p, 2.0 + schrodinger.alpha, u, phi.grid.points)
     return _form_value(half**2 - schrodinger.ell, P, phi, half)
 
 

@@ -185,7 +185,8 @@ def test_criterion_8_spectrum_dichotomy():
         pad = 1.0 + 1e-9
         grid = RadialGrid.logspaced(a / pad, b * pad, 6000)
         v = el.v_infinity(params, grid)
-        return el.radial_morse_index(params, v, a, b, 4000).negative_count
+        P = el.potential(p, 2.0 + params.tau, v, el.log_nodes(a, b, 4000).points)[1:-1]
+        return el.radial_morse_index(params, P, a, b, 4000).negative_count
 
     stable_hi = count(11, 7.0, 1e-3, 1e3)
     stable_lo = count(10, 1.3, 1e-3, 1e3)

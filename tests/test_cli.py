@@ -137,9 +137,21 @@ def test_spectrum_command(capsys):
     assert env["results"]["eigenvalues"][0] == env["results"]["min_eigenvalue"]
 
 
+def test_spectrum_csv_cells_are_plain_numbers(capsys):
+    code, out = run_cli(
+        ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3", "--n", "200",
+         "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    cells = dict(zip(*csv.reader(out.splitlines())))
+    eigenvalues = [float(x) for x in cells["results.eigenvalues"].split(";")]
+    assert eigenvalues[0] == float(cells["results.min_eigenvalue"])
+
+
 def test_spectrum_count_of_a_steep_profile_matches_liouville(capsys):
-    # m = 100/3: v_infinity is sampled on the assembly nodes themselves, so
-    # no interpolation between offset samples raises the potential
+    # m = 100/3: the potential about v_infinity is the constant f(p), with
+    # no samples of the steep profile to interpolate between
     env = run_json(
         [
             "spectrum", "--N", "60", "--theta", "0", "--l", "0", "--p", "1.06",
@@ -331,14 +343,38 @@ def test_negative_value_in_exponent_notation_is_a_value(capsys):
 
 
 def test_spectrum_profile_outside_the_float_range_exit_code(capsys):
+    # c0 r^(-m) leaves the float64 range on [1e-12, 1e12], but the potential
+    # about it is the constant f(p): the spectrum has its Liouville count
     env = run_json(
         ["spectrum", "--N", "100", "--theta", "0", "--l", "0", "--p", "1.0408",
          "--a", "1e-12", "--b", "1e12", "--n", "2000"],
         capsys,
-        expect_code=3,
     )
-    assert env["error"]["type"] == "numerical_failure"
-    assert "N' = 100.0, tau = 0.0" in env["error"]["message"]
+    liouville = math.log(1e24) * math.sqrt(f_eval(1.0408, 100, 0.0) - hardy_constant(100))
+    assert math.floor(liouville / math.pi) == 174
+    assert env["results"]["negative_count"] == 174
+
+
+def test_spectrum_shoot_profile_on_a_coarse_grid_is_inconclusive_not_invalid(capsys):
+    # n = 8 puts 2 nodes in the last decade of [1e-3, 1e3]: too few for a
+    # tail fit, so the shot is inconclusive and the spectrum still returns
+    env = run_json(
+        ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
+         "--profile", "shoot:1", "--a", "1e-3", "--b", "1e3", "--n", "8"],
+        capsys,
+    )
+    assert env["results"]["negative_count"] == 0
+
+
+def test_spectrum_shoot_profile_with_its_series_start_above_a(capsys):
+    # kappa = 0.01 puts the series start at r = 1, above a = 1e-3: the shot
+    # starts the series at a and is sampled on the assembly nodes
+    env = run_json(
+        ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
+         "--profile", "shoot:0.01", "--a", "1e-3", "--b", "1e3", "--n", "400"],
+        capsys,
+    )
+    assert env["results"]["negative_count"] == 0
 
 
 @pytest.mark.parametrize(

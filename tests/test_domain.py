@@ -6,7 +6,11 @@ many decades, every ``shoot`` returns a result or raises a typed
 The CLI turns the same inputs into exit 0, 2 or 3 with JSON on stdout,
 and so do ``exponents``, ``classify``, every ``transform`` kind and the
 ``v_infinity`` ``spectrum`` across N' 2-100.5, tau down to -2 + 1e-3 and
-b/a up to 1e24.
+b/a up to 1e24.  ``spectrum --profile shoot:<kappa>`` does the same with
+kappa over twelve decades, series starts above a and b/a up to 1e24, and
+exits 2 only where p is not above the Sobolev exponent; ``sweep`` with
+``mode = spectrum`` writes one CSV row per p, each with its results or
+its error.
 Across N' 2.05-100.5, b/a 1.5-1e24 and n 8-20000, ``hardy_rayleigh_min``
 returns a finite value above its continuum bound, with no warning.
 """
@@ -21,8 +25,10 @@ import pytest
 from emdenlab import (
     EmdenlabError,
     ProblemParams,
+    RadialFunction,
     hardy_constant,
     hardy_rayleigh_min,
+    radial_ode,
     shoot,
 )
 from emdenlab.cli import main
@@ -168,3 +174,91 @@ def test_critical_exponents_near_tau_minus_two_at_n_prime_100_is_a_numerical_fai
         code = main(argv)
     envelope = json.loads(capsys.readouterr().out)
     assert code == 3 and envelope["error"]["type"] == "numerical_failure", envelope
+
+
+def _shoot_spectrum_draws(seed: int, count: int):
+    """(argv, p above Sobolev, series start above a) with kappa 1e-6-1e6 and b/a to 1e24."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.95, 3.0)
+        np_ = N + theta
+        sobolev = (np_ + 2.0 + 2.0 * tau) / (np_ - 2.0)
+        p = 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(-0.2, 2.5))
+        kappa = 10.0 ** rng.uniform(-6.0, 6.0)
+        a = 10.0 ** rng.uniform(-6.0, 3.0)
+        b = a * 10.0 ** rng.uniform(math.log10(1.5), 24.0)
+        argv = ["spectrum", "--N", str(N), "--theta", f"{theta:.6e}", "--l", f"{theta + tau:.6e}",
+                "--p", f"{p:.9e}", "--profile", f"shoot:{kappa:.6e}", "--a", f"{a:.6e}",
+                "--b", f"{b:.6e}", "--n", str(rng.randint(8, 2000))]
+        start = kappa ** (-(p - 1.0) / (2.0 + tau)) * radial_ode.SERIES_START_FACTOR
+        yield argv, p > sobolev, start > a
+
+
+def test_cli_shoot_spectrum_exits_with_json_across_the_domain(capsys):
+    codes, starts_above_a = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, valid, start_above_a in _shoot_spectrum_draws(seed=41, count=60):
+            code = main(argv)
+            envelope = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+            assert code in (0, 2, 3) and ("error" in envelope) == (code != 0), argv
+            # valid input never exits 2: not for a series start above a, nor
+            # for too few nodes in the last decade for a tail fit
+            assert code != 2 or not valid, (argv, envelope)
+            codes.append(code)
+            starts_above_a += start_above_a and code == 0
+    assert codes.count(0) >= len(codes) // 2 and starts_above_a >= 3, (codes, starts_above_a)
+
+
+def test_cli_sweep_spectrum_writes_a_row_per_p_across_the_domain(tmp_path, capsys):
+    rng = random.Random(43)
+    config = tmp_path / "sweep.cfg"
+    rows = errors = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(12):
+            n_prime = rng.uniform(2.0, 100.5)
+            N = max(2, min(100, math.floor(n_prime) + rng.choice((0, 1))))
+            tau = -2.0 + 10.0 ** rng.uniform(-3.0, math.log10(5.0))
+            ps = [1.0 + 10.0 ** rng.uniform(-3.0, 1.3) for _ in range(4)]
+            a = 10.0 ** rng.uniform(-12.0, 0.0)
+            b = a * 10.0 ** rng.uniform(math.log10(1.5), 24.0)
+            config.write_text(
+                f"mode = spectrum\nN = {N}\ntheta = {n_prime - N:.15e}\n"
+                f"l = {n_prime - N + tau:.15e}\np = {','.join(f'{p:.15e}' for p in ps)}\n"
+                f"a = {a:.15e}\nb = {b:.15e}\nn = {rng.randint(8, 3000)}\n"
+            )
+            code = main(["sweep", "--config", str(config)])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 0, lines
+            header, *cells = (line.split(",") for line in lines)
+            assert header == ["N", "theta", "l", "p", "f_p", "hardy_level", "negative_count",
+                              "min_eigenvalue", "error"]
+            assert len(cells) == len(ps)
+            for row in cells:
+                failed = row[-1] != ""
+                assert all((cell == "") == failed for cell in row[4:8]), row
+                if not failed:
+                    assert int(row[6]) >= 0 and math.isfinite(float(row[7]))
+                rows += 1
+                errors += failed
+    assert 0 < errors < rows // 2, (errors, rows)
+
+
+def test_v_infinity_spectrum_samples_no_profile(tmp_path, monkeypatch, capsys):
+    # about v_infinity the potential is the constant f(p): neither the
+    # spectrum nor a spectrum sweep samples or interpolates a profile, so
+    # c0 r^(-m) outside the float range (down to 1e-2000 here) is no error
+    def sampled(*args, **kwargs):
+        raise AssertionError("a v_infinity spectrum sampled a profile")
+
+    monkeypatch.setattr(radial_ode, "v_infinity", sampled)
+    monkeypatch.setattr(RadialFunction, "interp", sampled)
+    common = ["--N", "100", "--theta", "0", "--l", "0"]
+    assert main(["spectrum", *common, "--p", "1.0408", "--a", "1e-12", "--b", "1e12"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["negative_count"] == 174
+    config = tmp_path / "sweep.cfg"
+    config.write_text("mode = spectrum\nN = 100\ntheta = 0\nl = 0\np = 1.0408,3\n"
+                      "a = 1e-12\nb = 1e12\nn = 2000\n")
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert [row.split(",")[-1] for row in capsys.readouterr().out.splitlines()[1:]] == ["", ""]

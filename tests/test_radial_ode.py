@@ -208,6 +208,20 @@ def test_asymptotic_constant_needs_three_decades():
         asymptotic_constant(v, PARAMS_11)
 
 
+def test_shoot_on_a_grid_too_coarse_for_a_tail_fit_is_inconclusive():
+    # six decades, but two points in the last one: like a grid under three
+    # decades, the shot reports its endpoint estimate as inconclusive
+    for grid, reason in ((RadialGrid.logspaced(1e-3, 1e3, 10), "too few points"),
+                         (RadialGrid.logspaced(1e-3, 1e-1, 300), "3 decades")):
+        res = shoot(PARAMS_11, kappa=1.0, r_max=grid.r_max, grid=grid)
+        assert res.classification is DecayClass.INCONCLUSIVE and not res.converged
+        m = derive(PARAMS_11).m_exp
+        endpoint = res.solution.values[-1] * grid.r_max**m
+        assert res.asymptotic_constant == pytest.approx(endpoint, rel=1e-9)
+        with pytest.raises(InvalidParameterError, match=reason):
+            asymptotic_constant(res.solution, PARAMS_11)
+
+
 def test_residual_zero_function():
     grid = RadialGrid.logspaced(0.1, 10.0, 64)
     v = RadialFunction(grid, np.zeros(64))

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -24,6 +25,8 @@ from emdenlab import (
     invariance_check,
     kelvin_apply,
     kelvin_params,
+    log_nodes,
+    potential,
     q_value,
     q_value_schrodinger,
     radial_morse_index,
@@ -32,7 +35,7 @@ from emdenlab import (
     v_infinity,
 )
 from emdenlab import tridiag
-from emdenlab.stability import log_nodes
+from emdenlab.cli import main
 
 
 def bump(t, t0, t1):
@@ -55,6 +58,15 @@ def profile_on(params, a, b, n):
     return v_infinity(params, grid)
 
 
+def node_potential(params, v, a, b, n):
+    # P of v on the interior assembly nodes, linear in t between v's nodes
+    return potential(params.p, 2.0 + params.tau, v, log_nodes(a, b, n).points)[1:-1]
+
+
+def spectrum_of(params, v, a, b, n):
+    return radial_morse_index(params, node_potential(params, v, a, b, n), a, b, n)
+
+
 def wiggly_profile(rng, params, grid):
     # A r^(-m) (1 + w sin(k t)) with p A^(p-1) a random multiple of the level:
     # P = p r^(2+tau) v^(p-1) is O(1) and straddles the level while v is
@@ -71,9 +83,22 @@ def test_assemble_zero_profile_is_positive_definite():
     params = ProblemParams(5, 0.0, 0.0, 3.0)
     grid = RadialGrid.logspaced(0.05, 50.0, 512)
     zero = RadialFunction(grid, np.zeros(512))
-    report = radial_morse_index(params, zero, 0.1, 10.0, 200)
+    report = spectrum_of(params, zero, 0.1, 10.0, 200)
     assert report.negative_count == 0
     assert report.min_eigenvalue > 0.0
+
+
+def test_assemble_takes_the_potential_on_its_nodes_or_as_one_number():
+    params = ProblemParams(11, 0.0, 0.0, 3.0)
+    f_p = f_eval(3.0, 11.0, 0.0)
+    one = assemble_forms(params, f_p, 1e-2, 1e2, 50)
+    each = assemble_forms(params, np.full(50, f_p), 1e-2, 1e2, 50)
+    np.testing.assert_array_equal(one.diag, each.diag)
+    assert one.diag.shape == (50,) and one.h == each.h
+    for P, reason in ((np.zeros(52), "1 or 50 values"), ([f_p], "1 or 50 values"),
+                      (np.full(50, np.inf), "finite"), (math.nan, "finite")):
+        with pytest.raises(InvalidParameterError, match=reason):
+            radial_morse_index(params, P, 1e-2, 1e2, 50)
 
 
 def test_assemble_refinement_is_second_order():
@@ -81,7 +106,7 @@ def test_assemble_refinement_is_second_order():
     v = profile_on(params, 1e-2, 1e2, 4096)
     mins = []
     for n in (250, 500, 1000):
-        mins.append(radial_morse_index(params, v, 1e-2, 1e2, n).min_eigenvalue)
+        mins.append(spectrum_of(params, v, 1e-2, 1e2, n).min_eigenvalue)
     # Richardson: the error against the n -> inf limit halves by 4 each level
     d1 = abs(mins[1] - mins[0])
     d2 = abs(mins[2] - mins[1])
@@ -92,26 +117,26 @@ def test_spectrum_dichotomy_core_cases():
     # stable at p >= p_c
     params = ProblemParams(11, 0.0, 0.0, 7.0)
     v = profile_on(params, 1e-3, 1e3, 3000)
-    rep = radial_morse_index(params, v, 1e-3, 1e3, 2000)
+    rep = spectrum_of(params, v, 1e-3, 1e3, 2000)
     assert rep.negative_count == 0
     assert rep.min_eigenvalue > -1e-8
     # stable below the lower critical power (N'=10 side)
     params = ProblemParams(10, 0.0, 0.0, 1.3)
     v = profile_on(params, 1e-3, 1e3, 3000)
-    rep = radial_morse_index(params, v, 1e-3, 1e3, 2000)
+    rep = spectrum_of(params, v, 1e-3, 1e3, 2000)
     assert rep.negative_count == 0
     # N = 5 singular profile in its stable range (f below the hardy level)
     params = ProblemParams(5, 0.0, 0.0, 1.75)
     v = profile_on(params, 1e-3, 1e3, 3000)
-    rep = radial_morse_index(params, v, 1e-3, 1e3, 2000)
+    rep = spectrum_of(params, v, 1e-3, 1e3, 2000)
     assert rep.negative_count == 0
     assert rep.min_eigenvalue >= -1e-8
     # unstable in between, count grows with the annulus
     params = ProblemParams(11, 0.0, 0.0, 3.0)
     v = profile_on(params, 1e-4, 1e4, 4000)
-    narrow = radial_morse_index(params, v, 1e-2, 1e2, 2000)
-    wide = radial_morse_index(params, v, 1e-3, 1e3, 2000)
-    wider = radial_morse_index(params, v, 1e-4, 1e4, 2000)
+    narrow = spectrum_of(params, v, 1e-2, 1e2, 2000)
+    wide = spectrum_of(params, v, 1e-3, 1e3, 2000)
+    wider = spectrum_of(params, v, 1e-4, 1e4, 2000)
     assert narrow.negative_count >= 1
     assert narrow.negative_count <= wide.negative_count <= wider.negative_count
     assert wider.negative_count > narrow.negative_count
@@ -134,7 +159,7 @@ def test_spectrum_matches_liouville_count(N, p, a, b, n):
     # floor(L * sqrt(f - level) / pi) on [a, b], L = log(b/a)
     params = ProblemParams(N, 0.0, 0.0, p)
     v = profile_on(params, a, b, 6000)
-    rep = radial_morse_index(params, v, a, b, n)
+    rep = spectrum_of(params, v, a, b, n)
     L = math.log(b / a)
     expect = math.floor(L * math.sqrt(f_eval(p, N, 0.0) - hardy_constant(N)) / math.pi)
     assert rep.negative_count == expect
@@ -149,7 +174,7 @@ def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
     # are (4/h^2) sin^2(k pi h / 2L) + level - f(p)
     params = ProblemParams(N, 0.0, 0.0, p)
     v = v_infinity(params, RadialGrid(np.geomspace(a, b, n + 2)))
-    rep = radial_morse_index(params, v, a, b, n)
+    rep = spectrum_of(params, v, a, b, n)
     L = math.log(b / a)
     h = L / (n + 1)
     k = np.arange(1, rep.eigenvalues.size + 1)
@@ -160,11 +185,10 @@ def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
 
 def test_singular_profile_counts_across_the_domain():
     # seeded draws over N' up to 101, p from just above Serrin, annuli up to
-    # b/a = 1e24 and n from 8: each spectrum either matches the discrete
-    # closed form's count or v_infinity raises its typed range error (and a
-    # RuntimeWarning anywhere fails the test)
+    # b/a = 1e24 and n from 8: about v_infinity P is the constant f(p), so
+    # every spectrum matches the discrete closed form, also where c0 r^(-m)
+    # itself leaves the float range (and a RuntimeWarning fails the test)
     rng = np.random.default_rng(4)
-    counted = raised = 0
     for _ in range(40):
         N, theta, tau = int(rng.integers(3, 101)), rng.uniform(-0.5, 1.0), rng.uniform(-1.5, 3.0)
         n_prime = N + theta
@@ -173,13 +197,7 @@ def test_singular_profile_counts_across_the_domain():
         a, b = 10.0 ** (centre - decades / 2), 10.0 ** (centre + decades / 2)
         n = int(rng.integers(8, 2000))
         params = ProblemParams(N, theta, theta + tau, p)
-        try:
-            v = v_infinity(params, RadialGrid(np.geomspace(a, b, n + 2)))
-        except NumericalError as exc:
-            assert "leaves the float64 range" in str(exc)
-            raised += 1
-            continue
-        rep = radial_morse_index(params, v, a, b, n)
+        rep = radial_morse_index(params, f_eval(p, n_prime, tau), a, b, n)
         L = math.log(b / a)
         h = L / (n + 1)
         k = np.arange(1, n + 1)
@@ -188,8 +206,9 @@ def test_singular_profile_counts_across_the_domain():
             + hardy_constant(n_prime) - f_eval(p, n_prime, tau)
         )
         assert rep.negative_count == np.count_nonzero(exact < -rep.negative_tol)
-        counted += 1
-    assert counted >= 20 and raised >= 5
+        scale = rep.negative_tol / 1e-9
+        np.testing.assert_allclose(rep.eigenvalues, exact[:rep.eigenvalues.size],
+                                   rtol=0.0, atol=1e-13 * scale)
 
 
 def test_singular_profile_outside_the_float_range_is_a_numerical_error():
@@ -209,7 +228,7 @@ def test_sign_dichotomy_across_powers():
         if ind.c0 is None:
             continue
         v = profile_on(params, 1e-2, 1e2, 2000)
-        rep = radial_morse_index(params, v, 1e-2, 1e2, 1200)
+        rep = spectrum_of(params, v, 1e-2, 1e2, 1200)
         margin = f_eval(p, 11.0, 0.0) - level
         if abs(margin) < 0.3:
             continue  # too close to the threshold for the fixed annulus
@@ -323,8 +342,8 @@ def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
     pytest.importorskip("mpmath")
     params = ProblemParams(N, 0.0, 0.0, p)
     v = profile_on(params, 1e-3, 1e3, 3000)
-    asm = assemble_forms(params, v, 1e-3, 1e3, 2000)
-    weight = asm.nodes[1:-1] ** (N - 2.0)
+    asm = assemble_forms(params, node_potential(params, v, 1e-3, 1e3, 2000), 1e-3, 1e3, 2000)
+    weight = log_nodes(1e-3, 1e3, 2000).points[1:-1] ** (N - 2.0)
     d = asm.diag * weight
     e = asm.off * np.sqrt(weight[:-1] * weight[1:])
     for j, lam in enumerate(tridiag.smallest_eigenvalues(d, e, 4)):
@@ -340,7 +359,8 @@ def test_eigenvector_matches_q_value():
     params = ProblemParams(N, 0.0, 0.0, p)
     a, b, n = 1e-2, 1e2, 3000
     v = profile_on(params, a, b, n + 500)
-    asm = assemble_forms(params, v, a, b, n)
+    nodes = log_nodes(a, b, n)
+    asm = assemble_forms(params, node_potential(params, v, a, b, n), a, b, n)
     eigs, vecs = eigh_tridiagonal(
         asm.diag, asm.off, select="i", select_range=(0, 0), lapack_driver="stebz",
         tol=tridiag.STEBZ_TOL,
@@ -348,8 +368,8 @@ def test_eigenvector_matches_q_value():
     lam, y = eigs[0], vecs[:, 0]
     # undo the Emden-Fowler scaling: the eigenvector holds phi = r^((N'-2)/2) psi
     values = np.zeros(n + 2)
-    values[1:-1] = y * asm.nodes[1:-1] ** (-(N - 2.0) / 2.0)
-    psi = TestFunction(RadialGrid(asm.nodes), values)
+    values[1:-1] = y * nodes.points[1:-1] ** (-(N - 2.0) / 2.0)
+    psi = TestFunction(nodes, values)
     q = q_value(params, v, psi)
     mass = asm.h * float(np.sum(y * y))
     assert q == pytest.approx(lam * mass, rel=1e-2)
@@ -363,14 +383,14 @@ def test_q_value_of_an_eigenvector_is_its_eigenvalue_times_its_mass():
         a, b, n = 10.0 ** rng.uniform(-3.0, -1.0), 10.0 ** rng.uniform(1.0, 3.0), 1000
         nodes = log_nodes(a, b, n)
         v = wiggly_profile(rng, params, nodes)
-        asm = assemble_forms(params, v, a, b, n)
+        asm = assemble_forms(params, node_potential(params, v, a, b, n), a, b, n)
         eigs, vecs = eigh_tridiagonal(
             asm.diag, asm.off, select="i", select_range=(0, 0), lapack_driver="stebz",
             tol=tridiag.STEBZ_TOL,
         )
         lam, y = eigs[0], vecs[:, 0]
         values = np.zeros(n + 2)
-        values[1:-1] = y * asm.nodes[1:-1] ** (-(params.n_prime - 2.0) / 2.0)
+        values[1:-1] = y * nodes.points[1:-1] ** (-(params.n_prime - 2.0) / 2.0)
         q = q_value(params, v, TestFunction(nodes, values))
         assert q == pytest.approx(lam * asm.h * float(np.sum(y * y)), rel=1e-10)
 
@@ -427,17 +447,17 @@ def test_out_of_range_form_value_is_a_numerical_error():
         q_value_schrodinger(SchrodingerParams(100, 0.0, 0.0, 2.0), zero, TestFunction(grid, shape))
     huge = RadialFunction(grid, np.full(grid.n, 1e200))
     with pytest.raises(NumericalError, match="potential"):
-        radial_morse_index(ProblemParams(100, 0.0, 0.0, 3.0), huge, 1e-3, 1e3, 100)
+        spectrum_of(ProblemParams(100, 0.0, 0.0, 3.0), huge, 1e-3, 1e3, 100)
     value = q_value(params, zero, TestFunction(grid, shape * grid.points**-49.0))
     t = grid.log_points
     kinetic = float(np.sum(np.diff(shape) ** 2 / np.diff(t)))
     assert value == pytest.approx(kinetic + 49.0**2 * np.trapezoid(shape**2, t), rel=1e-12)
 
 
-def test_shoot_profile_spectrum_matches_a_dense_reference():
-    # the CLI's shoot:<kappa> spectrum samples the profile at 128 points per
-    # decade; P is O(1) and smooth in t where v ~ r^(-m) is exponential, so
-    # the low eigenvalues match a profile sampled at 8192 points per decade
+def test_shoot_profile_spectrum_matches_a_dense_reference(capsys):
+    # the CLI's shoot:<kappa> spectrum shoots on the assembly nodes, so P is
+    # the formula's own value there; its low eigenvalues match those of P
+    # interpolated from a profile sampled at 8192 points per decade
     rng = np.random.default_rng(61)
     for _ in range(8):
         N, tau, kappa = int(rng.integers(5, 41)), rng.uniform(-0.5, 1.0), rng.uniform(0.5, 2.0)
@@ -445,12 +465,16 @@ def test_shoot_profile_spectrum_matches_a_dense_reference():
         params = ProblemParams(N, 0.0, tau, sobolev * (1.0 + rng.uniform(0.02, 1.0)))
         a, b = 10.0 ** rng.uniform(-1.5, -0.5), 10.0 ** rng.uniform(2.0, 3.0)
         n = int(rng.integers(500, 2001))
-        coarse = shoot(params, kappa, r_max=2.0 * b).solution
+        argv = ["spectrum", "--N", str(N), "--theta", "0", "--l", repr(tau), "--p",
+                repr(params.p), "--profile", f"shoot:{kappa!r}", "--a", repr(a),
+                "--b", repr(b), "--n", str(n)]
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)["results"]
         dense = shoot(params, kappa, r_max=2.0 * b, points_per_decade=8192).solution
-        got = radial_morse_index(params, coarse, a, b, n, n_eigenvalues=8)
-        ref = radial_morse_index(params, dense, a, b, n, n_eigenvalues=8)
-        assert got.negative_count == ref.negative_count
-        np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=0.0, atol=5e-3)
+        ref = spectrum_of(params, dense, a, b, n)
+        assert got["negative_count"] == ref.negative_count
+        np.testing.assert_allclose(got["eigenvalues"][:8], ref.eigenvalues[:8], rtol=0.0,
+                                   atol=1e-5)
 
 
 def test_hardy_rayleigh_min_bounds():
@@ -568,7 +592,7 @@ def test_hardy_consistency_with_spectrum_sign():
     for p, stable in ((7.0, True), (3.0, False)):
         params = ProblemParams(11, 0.0, 0.0, p)
         v = profile_on(params, 1e-2, 1e2, 3000)
-        rep = radial_morse_index(params, v, 1e-2, 1e2, 1500)
+        rep = spectrum_of(params, v, 1e-2, 1e2, 1500)
         assert (rep.min_eigenvalue > -rep.negative_tol) == stable
 
 
@@ -611,12 +635,12 @@ def test_kelvin_and_dual_image_spectra_match_the_source():
         n = int(rng.integers(100, 800))
         grid = RadialGrid.logspaced(a / 1.01, b * 1.01, int(rng.integers(50, 3000)))
         v = wiggly_profile(rng, params, grid)
-        source = radial_morse_index(params, v, a, b, n)
+        source = spectrum_of(params, v, a, b, n)
         for image, v_image in (
             (kelvin_params(params), kelvin_apply(v, params)),
             (dual_params(params), dual_apply(v)),
         ):
-            rep = radial_morse_index(image, v_image, 1.0 / b, 1.0 / a, n)
+            rep = spectrum_of(image, v_image, 1.0 / b, 1.0 / a, n)
             assert rep.negative_count == source.negative_count
             np.testing.assert_allclose(rep.eigenvalues[:12], source.eigenvalues[:12], rtol=1e-10)
 
