@@ -16,7 +16,7 @@ low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 #: Home module of every public name.
 _HOMES = {

@@ -250,8 +250,8 @@ def hardy_constant(n_prime: float) -> float:
     The companion Caffarelli-Kohn-Nirenberg inequality has optimal
     constant 4/(N'-2)^2; this function returns the form-side value.
     """
-    if not n_prime > 2.0:
-        raise InvalidParameterError(f"need N' > 2, got {n_prime}")
+    if not 2.0 < n_prime < math.inf:
+        raise InvalidParameterError(f"need a finite N' > 2, got {n_prime}")
     return (n_prime - 2.0) ** 2 / 4.0
 
 

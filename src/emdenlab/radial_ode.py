@@ -206,6 +206,9 @@ def shoot(
         raise InvalidParameterError("kappa must be positive")
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
+    for name, value in (("kappa", kappa), ("r_max", r_max), ("tol", tol)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
 
     try:  # the intrinsic length kappa^(-(p-1)/(2+tau))
         scale = kappa ** (-(params.p - 1.0) / (2.0 + ind.tau))

@@ -110,7 +110,10 @@ def _log_step(a: float, b: float, n: int) -> float:
         raise InvalidParameterError("need 0 < a < b")
     if n < 8:
         raise InvalidParameterError("need at least 8 interior nodes")
-    return math.log(b / a) / (n + 1)
+    L = math.log(b / a)
+    if not math.isfinite(L):
+        raise InvalidParameterError(f"log(b/a) must be finite, got b/a = {b / a!r}")
+    return L / (n + 1)
 
 
 def potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Deterministic eigenvalue tools for symmetric tridiagonal pencils.
 
 Inertia counts come from LDL^T pivots (Sturm sequences), in one loop on
-Python floats.  The pencil count of (A, M) below a shift is the standard
+Python floats.  A pivot at or above the pivot floor costs one comparison
+per row; the count of negative pivots and the +-floor sit in the rare
+branch below it.  The pencil count of (A, M) below a shift is the standard
 count of A - shift*M below 0 (Sylvester inertia).  The k smallest
 eigenvalues of a standard matrix come from LAPACK ``dstebz`` bisection
 with an absolute tolerance near underflow.  The default tolerance is eps
@@ -27,30 +29,38 @@ from .errors import NumericalError
 STEBZ_TOL = 2.0 * np.finfo(float).tiny
 
 
-def _pivmin(e: np.ndarray) -> float:
-    emax = float(np.max(e * e)) if e.size else 0.0
-    return np.finfo(float).tiny * max(1.0, emax)
+def _pivmin(e2: np.ndarray) -> float:
+    emax = float(np.max(e2)) if e2.size else 0.0
+    # a Python float, so a floored pivot keeps the loop off numpy scalars
+    return float(np.finfo(float).tiny) * max(1.0, emax)
 
 
 def count_below(d: np.ndarray, e: np.ndarray, shift: float) -> int:
     """Number of eigenvalues of tridiag(d, e) strictly below shift.
 
     Counts the negative LDL^T pivots of tridiag(d, e) - shift (Sylvester
-    inertia), one row at a time in Python floats.
+    inertia), one row at a time in Python floats.  A pivot at or above
+    the pivot floor costs one comparison before the next update; only a
+    pivot below it takes the rare branch, which counts it if negative
+    and floors |q| at the pivot minimum.
     """
     e = np.asarray(e, dtype=float)
-    piv = _pivmin(e)
+    e2 = e * e
+    piv = _pivmin(e2)
     d = (np.asarray(d, dtype=float) - shift).tolist()
     q = d[0]
-    count = int(q < 0.0)
-    for di, ei2 in zip(d[1:], (e * e).tolist()):
-        # floor |q| at the pivot minimum; a zero (either sign) was counted
-        # as non-negative, so it goes to +piv
-        if -piv < q < piv:
-            q = -piv if q < 0.0 else piv
+    count = 0
+    for di, ei2 in zip(d[1:], e2.tolist()):
+        if q < piv:
+            if q < 0.0:
+                count += 1
+                if q > -piv:
+                    q = -piv
+            else:
+                # a zero (either sign) counts as non-negative: it goes to +piv
+                q = piv
         q = di - ei2 / q
-        count += q < 0.0
-    return count
+    return count + (q < 0.0)
 
 
 def smallest_eigenvalues(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:

@@ -12,7 +12,9 @@ exits 2 only where p is not above the Sobolev exponent; ``sweep`` with
 ``mode = spectrum`` writes one CSV row per p, each with its results or
 its error.
 Across N' 2.05-100.5, b/a 1.5-1e24 and n 8-20000, ``hardy_rayleigh_min``
-returns a finite value above its continuum bound, with no warning.
+returns a finite value above its continuum bound, with no warning.  An
+infinite N', kappa, r_max or tol, or a b/a that overflows, is an
+``InvalidParameterError`` (CLI exit 2).
 """
 
 import json
@@ -24,10 +26,12 @@ import pytest
 
 from emdenlab import (
     EmdenlabError,
+    InvalidParameterError,
     ProblemParams,
     RadialFunction,
     hardy_constant,
     hardy_rayleigh_min,
+    radial_morse_index,
     radial_ode,
     shoot,
 )
@@ -106,6 +110,32 @@ def test_hardy_rayleigh_min_across_the_domain():
             val = hardy_rayleigh_min(theta, N, a, b, n)
             bound = hardy_constant(N + theta) + (math.pi / math.log(b / a)) ** 2
             assert math.isfinite(val) and val >= bound * (1.0 - 1e-12), (N, theta, a, b, n)
+        # log(b/a) overflows, b is infinite, N' is infinite: invalid input,
+        # not a failed certificate
+        for theta, N, a, b in ((0.0, 5, 1e-300, 1e300), (0.0, 5, 1.0, math.inf),
+                               (math.inf, 5, 1.0, 10.0)):
+            with pytest.raises(InvalidParameterError):
+                hardy_rayleigh_min(theta, N, a, b, 100)
+        # the spectrum too (it gave 16 equal eigenvalues of 15.25)
+        with pytest.raises(InvalidParameterError, match=r"log\(b/a\) must be finite"):
+            radial_morse_index(ProblemParams(11, 0, 0, 7), 5.0, 1e-300, 1e300, 50)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["shoot", "--rmax", "inf"], ["shoot", "--rmax", "nan"], ["shoot", "--kappa", "inf"],
+     ["shoot", "--tol", "inf"], ["spectrum", "--profile", "shoot:inf"],
+     ["spectrum", "--profile", "shoot:1", "--tol", "inf"],
+     ["spectrum", "--n", "100", "--a", "1e-300", "--b", "1e300"], ["spectrum", "--b", "inf"]],
+)
+def test_cli_non_finite_input_exits_2(argv, capsys):
+    # inf or nan, or a b/a that overflows, is invalid input: exit 2 with
+    # JSON and no warning, not a traceback, exit 3 or a silent wrong spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--N", "11", "--theta", "0", "--l", "0", "--p", "7"])
+    envelope = json.loads(capsys.readouterr().out)
+    assert code == 2 and envelope["error"]["type"] == "invalid_input", envelope
 
 
 def _parameter_draws(seed: int, count: int):

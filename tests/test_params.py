@@ -229,8 +229,9 @@ def test_classify_rejects_invalid():
 def test_hardy_constant():
     assert hardy_constant(4.0) == 1.0
     assert hardy_constant(11.0) == 20.25
-    with pytest.raises(InvalidParameterError):
-        hardy_constant(2.0)
+    for n_prime in (2.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="finite N' > 2"):
+            hardy_constant(n_prime)
     # stability link: f(p_c) equals the hardy level when p_c is finite
     exps = critical_exponents(11.0, 0.0)
     assert f_eval(exps.p_c, 11.0, 0.0) == pytest.approx(hardy_constant(11.0), abs=1e-10)

@@ -185,17 +185,21 @@ def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
 
 def test_singular_profile_counts_across_the_domain():
     # seeded draws over N' up to 101, p from just above Serrin, annuli up to
-    # b/a = 1e24 and n from 8: about v_infinity P is the constant f(p), so
-    # every spectrum matches the discrete closed form, also where c0 r^(-m)
-    # itself leaves the float range (and a RuntimeWarning fails the test)
+    # b/a = 1e24 and n from 8 to 20000, with corners at n = 20000 and
+    # b/a = 1e24: about v_infinity P is the constant f(p), so every spectrum
+    # matches the discrete closed form, also where c0 r^(-m) itself leaves
+    # the float range (and a RuntimeWarning fails the test)
     rng = np.random.default_rng(4)
+    draws = [(100, 1.0, -1.5, 1.001, 1e-12, 1e12, 20000), (3, -0.5, 3.0, 10.0, 1e-12, 1e12, 20000)]
     for _ in range(40):
         N, theta, tau = int(rng.integers(3, 101)), rng.uniform(-0.5, 1.0), rng.uniform(-1.5, 3.0)
-        n_prime = N + theta
-        p = (n_prime + tau) / (n_prime - 2.0) * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0))
         decades, centre = rng.uniform(1.0, 24.0), rng.uniform(-6.0, 6.0)
-        a, b = 10.0 ** (centre - decades / 2), 10.0 ** (centre + decades / 2)
-        n = int(rng.integers(8, 2000))
+        draws.append((N, theta, tau, 1.0 + 10.0 ** rng.uniform(-3.0, 1.0),
+                       10.0 ** (centre - decades / 2), 10.0 ** (centre + decades / 2),
+                       round(10.0 ** rng.uniform(math.log10(8), math.log10(20000)))))
+    for N, theta, tau, serrin_factor, a, b, n in draws:
+        n_prime = N + theta
+        p = (n_prime + tau) / (n_prime - 2.0) * serrin_factor
         params = ProblemParams(N, theta, theta + tau, p)
         rep = radial_morse_index(params, f_eval(p, n_prime, tau), a, b, n)
         L = math.log(b / a)
@@ -299,11 +303,20 @@ def _count_below_copysign(d, e, shift):
 
 def test_count_below_pivot_guard_on_exact_zero_pivots():
     # exact-zero pivots from a shift equal to d[0], from zero off-diagonals
-    # that split the matrix and from -0.0 entries: the same count as the
-    # copysign guard everywhere, and as a dense count away from the spectrum
-    # (eigenvalues -1.53, -0.35, 1.88: a -0.0 pivot counted as
+    # that split the matrix and from -0.0 entries, and nonzero pivots below
+    # the floor (d = +-1e-310 next to |e| >= 1, so 0 < |q| < piv): the same
+    # count as the copysign guard everywhere, and as a dense count away from
+    # the spectrum (eigenvalues -1.53, -0.35, 1.88: a -0.0 pivot counted as
     # non-negative but floored to -piv gave 1)
     assert tridiag.count_below(np.array([-0.0, 1.0, -1.0]), np.array([1.0, 1.0]), 0.0) == 2
+    # eigenvalues about -1 and 1: a sub-floor first pivot of either sign
+    # is floored with its sign kept and counted only if negative
+    for tiny in (1e-310, -1e-310, 5e-324, -5e-324):
+        assert tridiag.count_below(np.array([tiny, tiny]), np.array([1.0]), 0.0) == 1
+        assert tridiag.count_below(np.array([tiny, 0.0, tiny]), np.array([1.0, 0.0]), 0.0) == (
+            1 + (tiny < 0.0))
+    for d0, expect in ((1e-310, 0), (-1e-310, 1), (0.0, 0), (-0.0, 0), (-1.0, 1), (2.0, 0)):
+        assert tridiag.count_below(np.array([d0]), np.array([]), 0.0) == expect
     rng = np.random.default_rng(12)
     cases = [
         (np.array([0.0, 1.0, -1.0]), np.array([1.0, 1.0]), 0.0),
@@ -312,6 +325,10 @@ def test_count_below_pivot_guard_on_exact_zero_pivots():
         (np.array([-0.0, -0.0]), np.array([-0.0]), -0.0),
         (np.array([2.0, 2.0, 3.0]), np.array([0.0, 1.0]), 2.0),
         (np.array([1.0]), np.array([]), 1.0),
+        (np.array([1e-310, -1e-310, 1e-310]), np.array([1.0, -2.0]), 0.0),
+        (np.array([-1e-310, 3.0, -1e-310]), np.array([0.0, 1.0]), 0.0),
+        (np.array([-1e-310]), np.array([]), 0.0),
+        (np.array([1e-310]), np.array([]), -0.0),
     ]
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -322,10 +339,18 @@ def test_count_below_pivot_guard_on_exact_zero_pivots():
         e[e == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(e == 0.0))
         cases.append((d, e, float(d[0])))
         cases.append((d, e, float(rng.choice([0.0, -0.0, 0.5, -1.5]))))
+        # sub-floor entries of both signs where a pivot starts (row 0 or
+        # after a zero off-diagonal), the other couplings at least 1
+        d, e = d.copy(), e.copy()
+        sub = rng.random(n) < 0.5
+        d[sub] = rng.choice([1e-310, -1e-310], np.count_nonzero(sub))
+        e[e != 0.0] = np.copysign(1.0 + np.abs(e[e != 0.0]), e[e != 0.0])
+        cases.append((d, e, 0.0))
     away = 0
     for d, e, shift in cases:
         count = tridiag.count_below(d, e, shift)
-        assert count == _count_below_copysign(d, e, shift), (d, e, shift)
+        # a Python int, also where a pivot was floored
+        assert type(count) is int and count == _count_below_copysign(d, e, shift), (d, e, shift)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         lam = np.linalg.eigvalsh(T)
         if np.min(np.abs(lam - shift)) > 1e-8 * max(1.0, np.max(np.abs(lam))):
