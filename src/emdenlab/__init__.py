@@ -16,7 +16,7 @@ low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.8.1"
+__version__ = "0.9.0"
 
 #: Home module of every public name.
 _HOMES = {

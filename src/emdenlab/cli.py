@@ -29,7 +29,7 @@ integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr): dimensionless, and
 (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) about v_infinity, with
 L = log(b/a) and h = L/(n+1).  About v_infinity the potential is the
 constant f(p) and no profile is sampled; a ``shoot:<kappa>`` profile is
-shot on the assembly nodes themselves, out to r_max = b.
+shot on the assembly nodes out to r_max = b, and P = p (r^m v)^(p-1).
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def _spectrum(
 
     ``tol`` is the shooting tolerance; the singular profile does not use it.
     """
-    from .stability import log_nodes, potential, radial_morse_index
+    from .stability import log_nodes, radial_morse_index
 
     nodes = log_nodes(a, b, n)  # a, b and n are checked before the profile's conditions
     if profile == "v_infinity":
@@ -208,8 +208,8 @@ def _spectrum(
     elif profile.startswith("shoot:"):
         from .radial_ode import shoot
         kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
-        v = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).solution
-        P = potential(params.p, 2.0 + params.tau, v, nodes.points)[1:-1]
+        w = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).scaled.values
+        P = params.p * w[1:-1] ** (params.p - 1.0)  # = p r^(2+tau) v^(p-1): (p-1) m = 2+tau
     else:
         raise InvalidParameterError("profile must be 'v_infinity' or 'shoot:<kappa>'")
     return radial_morse_index(params, P, a, b, n)
@@ -271,14 +271,14 @@ def cmd_shoot(args) -> dict:
         points_per_decade=args.points_per_decade,
     )
     ind = derive(params)
-    grid = result.solution.grid
+    grid = result.scaled.grid
     if args.out:
-        scaled = result.solution.times_power(ind.m_exp)
+        # v is formed before the file opens: where it underflows, no file is left
+        rows = zip(grid.points, result.solution.values, result.scaled.values)
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "v", "scaled"])
-            for r, v, s in zip(grid.points, result.solution.values, scaled):
-                writer.writerow([repr(float(r)), repr(float(v)), repr(float(s))])
+            writer.writerows([repr(float(x)) for x in row] for row in rows)
     results = {
         "kappa": result.kappa,
         "r_min": grid.r_min,

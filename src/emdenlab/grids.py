@@ -50,8 +50,8 @@ class RadialGrid:
 
     @classmethod
     def logspaced(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        if not (0.0 < r_min < r_max):
-            raise InvalidParameterError("need 0 < r_min < r_max")
+        if not (0.0 < r_min < r_max < np.inf):
+            raise InvalidParameterError("need 0 < r_min < r_max < inf")
         if not int(n) >= 2:
             raise InvalidParameterError("grid needs at least two points")
         return cls(np.geomspace(r_min, r_max, int(n)))
@@ -71,10 +71,6 @@ class RadialGrid:
     @property
     def log_points(self) -> np.ndarray:
         return self._logs
-
-    @property
-    def decades(self) -> float:
-        return float(np.log10(self.r_max / self.r_min))
 
     def reflect(self) -> "RadialGrid":
         """Image of the grid under r -> 1/r (reversed to stay increasing)."""

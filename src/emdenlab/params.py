@@ -38,6 +38,18 @@ ROOT_RESIDUAL_TOL = 1e-10
 CROSSCHECK_TOL = 1e-8
 
 
+def _check_fields(params, floats: tuple[str, ...]) -> None:
+    """Require an integer N >= 2 (stored as int), p > 1 and finite ``floats``."""
+    if int(params.N) != params.N or params.N < 2:
+        raise InvalidParameterError(f"N must be an integer >= 2, got {params.N}")
+    object.__setattr__(params, "N", int(params.N))
+    if not params.p > 1.0:
+        raise InvalidParameterError(f"p must exceed 1, got {params.p}")
+    for name in floats:
+        if not math.isfinite(getattr(params, name)):
+            raise InvalidParameterError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Parameters (N, theta, l, p) of the weighted equation.
@@ -54,14 +66,7 @@ class ProblemParams:
     p: float
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 2:
-            raise InvalidParameterError(f"N must be an integer >= 2, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-        if not self.p > 1.0:
-            raise InvalidParameterError(f"p must exceed 1, got {self.p}")
-        for name in ("theta", "l", "p"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        _check_fields(self, ("theta", "l", "p"))
 
     @property
     def n_prime(self) -> float:
@@ -142,11 +147,7 @@ class SchrodingerParams:
     p: float
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 2:
-            raise InvalidParameterError(f"N must be an integer >= 2, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-        if not self.p > 1.0:
-            raise InvalidParameterError(f"p must exceed 1, got {self.p}")
+        _check_fields(self, ("alpha", "ell", "p"))
         cap = (self.N - 2.0) ** 2 / 4.0
         if not self.ell < cap:
             raise InvalidParameterError(
@@ -252,8 +253,10 @@ def hardy_constant(n_prime: float) -> float:
     """
     if not 2.0 < n_prime < math.inf:
         raise InvalidParameterError(f"need a finite N' > 2, got {n_prime}")
-    return (n_prime - 2.0) ** 2 / 4.0
-
+    try:
+        return (n_prime - 2.0) ** 2 / 4.0
+    except OverflowError:
+        raise NumericalError(f"(N'-2)^2/4 overflows at N' = {n_prime}") from None
 
 def _bisect_crossing(n_prime: float, tau: float, level: float, lo: float, hi: float) -> float:
     """Bisection root of f(p) = level on a sign-changing bracket."""
@@ -290,10 +293,10 @@ def crossing_by_bisection(n_prime: float, tau: float, which: str = "plus") -> fl
     Hardy level.  Serves as the independent cross-check of the closed
     forms.
     """
-    if not (n_prime > 2.0 and tau > -2.0):
-        raise InvalidParameterError("need N' > 2 and tau > -2")
+    if not -2.0 < tau < math.inf:
+        raise InvalidParameterError(f"need a finite tau > -2, got {tau}")
+    level = hardy_constant(n_prime)  # InvalidParameterError unless 2 < N' < inf
     serrin, sobolev = _serrin_sobolev(n_prime, tau)
-    level = hardy_constant(n_prime)
     if which == "minus":
         return _bisect_crossing(n_prime, tau, level, serrin, sobolev)
     if which != "plus":
@@ -322,18 +325,19 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
     :class:`NumericalError`.
 
     Raises :class:`InvalidParameterError` for N' <= 2 or tau <= -2, where
-    the theory provides no positive solutions on punctured balls.
+    the theory provides no positive solutions on punctured balls, and for
+    a non-finite N' or tau; a coefficient out of the float range is a
+    :class:`NumericalError`.
     """
-    if not n_prime > 2.0:
-        raise InvalidParameterError(f"need N' > 2, got {n_prime}")
-    if not tau > -2.0:
-        raise InvalidParameterError(f"need tau > -2, got {tau}")
-
+    if not -2.0 < tau < math.inf:
+        raise InvalidParameterError(f"need a finite tau > -2, got {tau}")
+    level = hardy_constant(n_prime)  # InvalidParameterError unless 2 < N' < inf
+    c = 4.0 * level  # (N'-2)^2 exactly
     a = (n_prime - 2.0) * (n_prime - 4.0 * tau - 10.0)
-    b = 2.0 * (n_prime - 2.0) ** 2 - 4.0 * (tau + 2.0) * (tau + n_prime)
-    c = (n_prime - 2.0) ** 2
+    b = 2.0 * c - 4.0 * (tau + 2.0) * (tau + n_prime)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericalError(f"quadratic coefficients overflow at N'={n_prime}, tau={tau}")
     serrin, sobolev = _serrin_sobolev(n_prime, tau)
-    level = hardy_constant(n_prime)
 
     if a == 0.0:
         p_minus = c / b

@@ -16,11 +16,11 @@ module provides
   y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
   s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, the
   fixed point (log c0, log m) is the singular solution, and zeta > 0
-  makes v' < 0 by construction, so profiles carry values only,
+  makes v' < 0 by construction; a shot keeps w = r^m v = e^y and forms v on read,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
-* asymptotic-constant extraction (the limit of r^m v(r), fit with the
-  tail's linearisation at c0), decay classification (a converged tail
-  is slow decay, so ``shoot`` classifies only the others), and a
+* asymptotic-constant extraction (the limit of w, fit with the tail's
+  linearisation at c0), decay classification of w (a converged tail is
+  slow decay, so ``shoot`` classifies only the others), and a
   centered-difference residual used as the independent oracle
   throughout the test suite.
 
@@ -73,14 +73,14 @@ class Ordering(str, Enum):
 class ShootingResult:
     """Output of a shooting run with initial value kappa at the origin.
 
-    ``nfev`` counts right-hand-side evaluations; ``zeta_residual`` = |zeta - m|
-    and ``log_amplitude_residual`` = |y - log c0| are the end state's
-    distances from the singular fixed point, both near 0 on slow decay.
+    ``scaled`` is w = r^m v, read as v through ``solution``; ``nfev`` counts RHS
+    evaluations; ``zeta_residual`` = |zeta - m| and ``log_amplitude_residual`` = |y - log c0|
+    are the end state's distances from the singular fixed point, both near 0 on slow decay.
     """
 
     params: ProblemParams
     kappa: float
-    solution: RadialFunction
+    scaled: RadialFunction
     asymptotic_constant: float
     converged: bool
     classification: DecayClass
@@ -92,6 +92,16 @@ class ShootingResult:
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise InvalidParameterError("kappa must be positive")
+
+    @property
+    def solution(self) -> RadialFunction:
+        """v = r^(-m) w, formed in logs on read; NumericalError where v or w underflows."""
+        w, grid, m = self.scaled.values, self.scaled.grid, derive(self.params).m_exp
+        if np.min(w) >= np.finfo(float).tiny:  # a subnormal w leaves v a few digits
+            values = np.exp(np.log(w) - m * grid.log_points)
+            if np.all(values > 0.0):
+                return RadialFunction(grid=grid, values=values)
+        raise NumericalError(f"v or w = r^m v underflows on [{grid.r_min}, {grid.r_max}]")
 
 
 @dataclass(frozen=True)
@@ -270,22 +280,19 @@ def shoot(
     y, s = sol.y
     if not np.all(np.isfinite(sol.y)):
         raise NumericalError("non-finite state encountered in shooting output")
-    values = np.exp(y - m * t_eval)
-    if np.any(values <= 0.0):
-        raise NumericalError("negative or zero values encountered in shooting output")
-    solution = RadialFunction(grid=grid, values=values)
+    scaled = RadialFunction(grid=grid, values=np.exp(y))
 
     try:
-        estimate, converged = asymptotic_constant(solution, params)
+        estimate, converged = asymptotic_constant(scaled, params)
     except InvalidParameterError:
         # Too short or too coarse for a trustworthy tail fit: report the
         # naive endpoint estimate and flag the run inconclusive.
-        estimate, converged = float(np.exp(y[-1])), False
+        estimate, converged = float(scaled.values[-1]), False
         classification = DecayClass.INCONCLUSIVE
     else:
         # converged is classify_decay's own slow-decay test on the same fit
         classification = (DecayClass.SLOW_DECAY if converged
-                          else classify_decay(solution, params)[0])
+                          else classify_decay(scaled, params)[0])
 
     gap = y - math.log(ind.c0)  # log(v / (c0 r^(-m)))
     band = ORDERING_NOISE_FACTOR * tol
@@ -299,7 +306,7 @@ def shoot(
     return ShootingResult(
         params=params,
         kappa=kappa,
-        solution=solution,
+        scaled=scaled,
         asymptotic_constant=estimate,
         converged=converged,
         classification=classification,
@@ -324,7 +331,7 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
     ind = derive(v1.params)
     lam = (v1.params.p - 1.0) / (ind.tau + 2.0)
     try:  # the factor over- or underflows, or the grid leaves the float range
-        grid = v1.solution.grid.scaled(kappa ** (-lam))
+        grid = v1.scaled.grid.scaled(kappa ** (-lam))
     except (OverflowError, InvalidParameterError):
         raise NumericalError(
             f"grid rescaled to kappa = {kappa} leaves the float range at tau = {ind.tau}"
@@ -332,21 +339,19 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
     return RadialFunction(grid=grid, values=kappa * v1.solution.values)
 
 
-def _linear_tail(
-    v: RadialFunction, ind: DerivedIndices
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The last decade's mask, r^m v there, and a linear fit's mid-decade
-    level of r^m v with its drift across the decade relative to that level."""
-    if v.grid.decades < 3.0 - 1e-9:
+def _linear_tail(w: RadialFunction) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The last decade's log radii, w = r^m v there, and a linear fit's mid-decade
+    level of w with its drift across the decade relative to that level."""
+    logs = w.grid.log_points
+    if logs[-1] - logs[0] < (3.0 - 1e-9) * math.log(10.0):
         raise InvalidParameterError("asymptotics need a grid spanning >= 3 decades")
-    mask = v.grid.points >= v.grid.r_max / 10.0 * (1.0 - 1e-12)
+    mask = w.grid.points >= w.grid.r_max / 10.0 * (1.0 - 1e-12)
     if np.count_nonzero(mask) < 4:
         raise InvalidParameterError("too few points in the last decade")
-    t = v.grid.log_points[mask]
-    y = v.times_power(ind.m_exp)[mask]
+    t, y = logs[mask], w.values[mask]
     slope, intercept = np.polyfit(t, y, 1)
     level = float(intercept + slope * 0.5 * (t[0] + t[-1]))
-    return mask, y, level, abs(slope) * (t[-1] - t[0]) / max(abs(level), 1e-300)
+    return t, y, level, abs(slope) * (t[-1] - t[0]) / max(abs(level), 1e-300)
 
 
 def _linearised_limit(s: np.ndarray, y: np.ndarray, p: float, ind: DerivedIndices) -> float:
@@ -373,42 +378,41 @@ def _linearised_limit(s: np.ndarray, y: np.ndarray, p: float, ind: DerivedIndice
     return float(np.linalg.lstsq(basis, y, rcond=None)[0][0])
 
 
-def asymptotic_constant(v: RadialFunction, params: ProblemParams) -> tuple[float, bool]:
-    """Estimate of lim r^m v(r) from the last decade.
+def asymptotic_constant(w: RadialFunction, params: ProblemParams) -> tuple[float, bool]:
+    """Estimate of lim w(r) from the last decade of the scaled profile w = r^m v.
 
     Where c0 exists the estimate is the limit of a least-squares fit of
-    r^m v to a constant plus the linearised tail at the singular solution,
+    w to a constant plus the linearised tail at the singular solution,
     which does not lag the decaying tail as the mid-decade value of a
     linear fit does; otherwise it is that mid-decade value.  ``converged``
-    is True when the drift of a linear fit of r^m v across the decade
-    stays below 0.5 percent of its mid-decade level.  The grid must span
-    at least three decades, with at least four points in the last one.
+    is True when the drift of a linear fit of w across the decade stays
+    below 0.5 percent of its mid-decade level.  The grid must span at
+    least three decades, with at least four points in the last one.
     """
     ind = derive(params)
-    mask, y, level, drift = _linear_tail(v, ind)
+    t, y, level, drift = _linear_tail(w)
     converged = bool(drift <= SLOW_DRIFT_TOL)
     if ind.c0 is None:
         return level, converged
-    t = v.grid.log_points[mask]
     return _linearised_limit(t - t[0], y, params.p, ind), converged
 
 
 def classify_decay(
-    v: RadialFunction, params: ProblemParams
+    w: RadialFunction, params: ProblemParams
 ) -> tuple[DecayClass, float, float]:
-    """Classify the tail of a positive profile as slow or fast decay.
+    """Classify the tail of a positive scaled profile w = r^m v as slow or fast decay.
 
-    Returns (class, drift, fitted_exponent).  Slow decay means the scaled
-    tail r^m v is flat to 0.5 percent per decade; fast decay means the
-    fitted decay exponent of v matches N'-2 within 2 percent.  These
-    thresholds are implementation choices, not theory values.
+    Returns (class, drift, fitted_exponent).  Slow decay means w is flat
+    to 0.5 percent per decade; fast decay means the fitted decay exponent
+    of v, m minus the slope of log w, matches N'-2 within 2 percent.
+    These thresholds are implementation choices, not theory values.
     """
     ind = derive(params)
-    if np.any(v.values <= 0.0):
+    t, y, _, drift = _linear_tail(w)
+    if np.any(y <= 0.0):
         raise InvalidParameterError("decay classification needs a positive profile")
-    mask, _, _, drift = _linear_tail(v, ind)
-    slope, _ = np.polyfit(v.grid.log_points[mask], np.log(v.values[mask]), 1)
-    fitted_exponent = -float(slope)
+    slope, _ = np.polyfit(t, np.log(y), 1)
+    fitted_exponent = ind.m_exp - float(slope)
     if drift <= SLOW_DRIFT_TOL:
         return DecayClass.SLOW_DECAY, drift, fitted_exponent
     fast_ref = ind.n_prime - 2.0

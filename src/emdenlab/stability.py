@@ -8,10 +8,11 @@ over compactly supported test functions.  For radial psi on an annulus
 [a, b], the Emden-Fowler change t = log r, phi = r^((N'-2)/2) psi turns
 it exactly into integral( phi_t^2 + ((N'-2)^2/4 - P) phi^2 dt ) with the
 O(1) potential P = p r^(2+tau) |v|^(p-1), formed in logs on v's own nodes
-and linear in t between them (``potential``); no power r^(N'-1) appears
-anywhere.  Central differences on nodes uniform in t (``log_nodes``) give
-one symmetric tridiagonal matrix T, assembled from P on those nodes; its
-negative eigenvalues estimate the Morse index from below (radial test
+and linear in t between them (``potential``), or p w^(p-1) from a shot's
+scaled profile w = r^m v; no power r^(N'-1) appears anywhere.  Central
+differences on nodes uniform in t (``log_nodes``) give one symmetric
+tridiagonal matrix T, assembled from P on those nodes; its negative
+eigenvalues estimate the Morse index from below (radial test
 functions only, so the count is a lower bound for the full index).  The
 count is an exact LDL^T inertia count and the low spectrum comes from
 LAPACK bisection (see ``tridiag``).  About v_infinity P is exactly the
@@ -160,8 +161,8 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
     """Assemble the stability form with potential P on the annulus [a, b].
 
     P is one number or its n values on the interior nodes of ``log_nodes``,
-    for example ``potential(p, 2 + tau, v, nodes.points)[1:-1]``; the ends
-    are Dirichlet.
+    for example ``p * w.values[1:-1] ** (p - 1)`` for the scaled profile
+    w = r^m v of a shot on those nodes; the ends are Dirichlet.
     """
     h = _log_step(a, b, n)
     P = np.asarray(P, dtype=float)
@@ -228,7 +229,7 @@ def q_value(params: ProblemParams, v: RadialFunction, psi: TestFunction) -> floa
     """
     half = (params.n_prime - 2.0) / 2.0
     P = potential(params.p, 2.0 + params.tau, v, psi.grid.points)
-    return _form_value(half**2, P, psi, half)
+    return _form_value(half * half, P, psi, half)  # inf, not OverflowError, for a huge N'
 
 
 def q_value_schrodinger(
@@ -237,7 +238,7 @@ def q_value_schrodinger(
     """Hardy-potential form in t: chi = r^((N-2)/2) phi, level (N-2)^2/4 - ell."""
     half = (schrodinger.N - 2.0) / 2.0
     P = potential(schrodinger.p, 2.0 + schrodinger.alpha, u, phi.grid.points)
-    return _form_value(half**2 - schrodinger.ell, P, phi, half)
+    return _form_value(half * half - schrodinger.ell, P, phi, half)
 
 
 def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> float:

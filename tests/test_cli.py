@@ -460,3 +460,36 @@ def test_shoot_series_start_beyond_r_max_is_a_numerical_failure(capsys):
     assert err["error"]["type"] == "numerical_failure"
     message = err["error"]["message"]
     assert "kappa = 1e-10" in message and "series start radius" in message
+
+
+#: N' = 75.14, m = 30.4, b/a = 1e23: v falls to about 1e-669 at b, while
+#: w = r^m v stays near c0
+_WIDE = ["--N", "75", "--theta=1.422965e-01", "--l=2.103800e-02", "--p", "1.061731941e+00"]
+
+
+def test_spectrum_shoot_profile_where_v_underflows(capsys):
+    # the potential comes from the shot's w, so the spectrum is well defined
+    argv = ["spectrum", *_WIDE, "--profile", "shoot:1.416615e+01", "--a", "1.187770e-01",
+            "--b", "1.135975e+22", "--n", "1990"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = run_json(argv, capsys)
+    assert env["results"]["negative_count"] == 96
+
+
+@pytest.mark.parametrize("with_csv", [False, True], ids=["json", "csv"])
+def test_shoot_where_v_underflows(with_csv, tmp_path, capsys):
+    # the report reads w; only the --out table's v column needs v itself
+    out = tmp_path / "profile.csv"
+    argv = ["shoot", *_WIDE, "--kappa", "14.16615", "--rmax", "1.135975e+22"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(argv + (["--out", str(out)] if with_csv else []), capsys)
+    envelope = json.loads(text)
+    if with_csv:
+        assert code == 3 and "underflows" in envelope["error"]["message"], envelope
+        assert not out.exists()
+    else:
+        results = envelope["results"]
+        assert code == 0 and results["converged"], envelope
+        assert abs(results["asymptotic_constant"] / results["c0"] - 1.0) <= 1e-6

@@ -15,13 +15,23 @@ Across N' 2.05-100.5, b/a 1.5-1e24 and n 8-20000, ``hardy_rayleigh_min``
 returns a finite value above its continuum bound, with no warning.  An
 infinite N', kappa, r_max or tol, or a b/a that overflows, is an
 ``InvalidParameterError`` (CLI exit 2).
+With NaN, +-inf or +-1e300 in any float input, the exponent algebra,
+``classify_p``, the parameter and function transforms, ``invariance_check``,
+``stable_estimate_check``, ``q_value`` and ``RadialGrid.logspaced`` return
+a finite result or raise an ``EmdenlabError``: a non-finite N' or tau is
+invalid input, and an exponent coefficient out of the float range a
+numerical failure.
 """
 
+import dataclasses
+import itertools
 import json
 import math
 import random
 import warnings
+from functools import partial
 
+import numpy as np
 import pytest
 
 from emdenlab import (
@@ -29,11 +39,28 @@ from emdenlab import (
     InvalidParameterError,
     ProblemParams,
     RadialFunction,
+    RadialGrid,
+    SchrodingerParams,
+    TestFunction,
+    TransformKind,
+    classify_p,
+    critical_exponents,
+    crossing_by_bisection,
+    dual_apply,
+    dual_params,
     hardy_constant,
     hardy_rayleigh_min,
+    invariance_check,
+    kelvin_apply,
+    kelvin_params,
+    q_value,
     radial_morse_index,
     radial_ode,
     shoot,
+    sigma_apply,
+    sigma_inverse,
+    sigma_params,
+    stable_estimate_check,
 )
 from emdenlab.cli import main
 
@@ -292,3 +319,118 @@ def test_v_infinity_spectrum_samples_no_profile(tmp_path, monkeypatch, capsys):
                       "a = 1e-12\nb = 1e12\nn = 2000\n")
     assert main(["sweep", "--config", str(config)]) == 0
     assert [row.split(",")[-1] for row in capsys.readouterr().out.splitlines()[1:]] == ["", ""]
+
+
+#: NaN, both infinities and both signs of a finite value whose square overflows.
+EXTREMES = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+
+
+def _finite(x) -> bool:
+    """Every number in x, through tuples, arrays and dataclasses, is finite."""
+    if x is None or isinstance(x, str):  # str covers the str enums
+        return True
+    if isinstance(x, (int, float)):
+        return math.isfinite(x)
+    if isinstance(x, np.ndarray):
+        return bool(np.all(np.isfinite(x)))
+    if isinstance(x, (tuple, list)):
+        return all(map(_finite, x))
+    return all(_finite(getattr(x, field.name)) for field in dataclasses.fields(x))
+
+
+def _extreme_calls(seed: int, draws: int):
+    """(function, args) of each library entry point with one or two inputs extreme.
+
+    The other inputs are drawn from the documented domain.  A call that
+    needs parameters or a profile is made only where those were built.
+    """
+    rng = random.Random(seed)
+    grid = RadialGrid.logspaced(1e-2, 1e2, 17)
+    s = np.linspace(0.0, 1.0, grid.n)
+    psi = TestFunction(grid, (4.0 * s * (1.0 - s)) ** 2)
+    for x, _ in itertools.product(EXTREMES, range(draws)):
+        N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.9, 3.0)
+        p, l = rng.uniform(1.1, 12.0), theta + tau
+        v = RadialFunction(grid, grid.points ** -rng.uniform(0.1, 3.0))
+        for n_prime, t in ((x, tau), (N + theta, x), (x, x)):
+            yield critical_exponents, (n_prime, t)
+            for which in ("minus", "plus"):
+                yield crossing_by_bisection, (n_prime, t, which)
+        for args in ((N, x, l, p), (N, theta, x, p), (N, theta, l, x), (N, x, x, p)):
+            yield ProblemParams, args
+            try:
+                params = ProblemParams(*args)
+            except EmdenlabError:
+                continue
+            for fn in (classify_p, kelvin_params, dual_params, sigma_inverse):
+                yield fn, (params,)
+            yield kelvin_apply, (v, params)
+            yield sigma_apply, (v, params)
+            yield q_value, (params, v, psi)
+            for kind in ("kelvin", "dual", "sigma"):
+                yield invariance_check, (kind, params, v, psi)
+            m = max(2, math.ceil((params.p + 1.0) / (params.p - 1.0)))  # the least m at gamma = 1
+            yield stable_estimate_check, (params, v, 1.0, m, psi)
+        ell = rng.uniform(-10.0, 0.9 * (N - 2.0) ** 2 / 4.0)
+        for args in ((N, x, ell, p), (N, 0.0, x, p), (N, 0.0, ell, x)):
+            yield SchrodingerParams, args
+            try:
+                yield sigma_params, (SchrodingerParams(*args),)
+            except EmdenlabError:
+                pass
+        yield stable_estimate_check, (ProblemParams(N, theta, l, p), v, x, 100, psi)
+        for r_min, r_max in ((x, 1e3), (1e-3, x), (x, x)):
+            yield RadialGrid.logspaced, (r_min, r_max, 10)
+        values = np.full(grid.n, x)
+        yield RadialFunction, (grid, values)
+        if math.isfinite(x):
+            params, w = ProblemParams(N, theta, l, p), RadialFunction(grid, values)
+            yield dual_apply, (w,)
+            yield kelvin_apply, (w, params)
+            yield sigma_apply, (w, params)
+            yield q_value, (params, w, psi)
+
+
+def _label(fn, args) -> str:
+    shown = (a if isinstance(a, (int, float, str)) else type(a).__name__ for a in args)
+    return f"{fn.__qualname__}({', '.join(map(str, shown))})"
+
+
+def test_library_entry_points_return_finite_or_raise_typed_on_extreme_input():
+    # NaN, +-inf and +-1e300 in every float input: a finite result or an
+    # EmdenlabError, never a raw OverflowError, a RuntimeWarning or a NaN
+    failures, outcomes = [], {"result": 0, "error": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, args in _extreme_calls(seed=53, draws=3):
+            try:
+                result = fn(*args)
+            except EmdenlabError:
+                outcomes["error"] += 1
+                continue
+            except Exception as exc:  # collected, so one run lists every defect
+                failures.append(f"{_label(fn, args)}: {type(exc).__name__}: {exc}")
+                continue
+            outcomes["result"] += 1
+            if not _finite(result):
+                failures.append(f"{_label(fn, args)}: non-finite result {result}")
+    assert not failures, "\n".join(failures)
+    # both outcomes occur, so neither path is vacuous
+    assert outcomes["result"] and outcomes["error"], outcomes
+
+
+@pytest.mark.parametrize("n_prime, tau", [(11.0, math.inf), (math.nan, 0.0), (math.inf, 1.0)])
+def test_non_finite_indices_are_invalid_input(n_prime, tau):
+    for call in (partial(critical_exponents, n_prime, tau),
+                 partial(crossing_by_bisection, n_prime, tau, "minus")):
+        with pytest.raises(InvalidParameterError):
+            call()
+
+
+def test_exponents_whose_coefficients_overflow_are_a_numerical_failure(capsys):
+    # N' = 1e200: (N'-2)^2 overflows, a typed exit 3 and not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["exponents", "--N", "3", "--theta", "1e200", "--l", "1e200"])
+    envelope = json.loads(capsys.readouterr().out)
+    assert code == 3 and envelope["error"]["type"] == "numerical_failure", envelope

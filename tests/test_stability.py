@@ -502,6 +502,22 @@ def test_shoot_profile_spectrum_matches_a_dense_reference(capsys):
                                    atol=1e-5)
 
 
+def test_shoot_spectrum_potential_from_w_matches_potential_of_v(capsys):
+    # the CLI takes P = p w^(p-1) from the shot's w = r^m v, which is
+    # p r^(2+tau) v^(p-1) since (p-1) m = 2+tau: it matches ``potential``
+    # of v on the nodes, and the count matches that potential's
+    params, a, b, n = ProblemParams(11, 0.0, 0.0, 3.0), 1e-3, 1e5, 3000
+    res = shoot(params, 1.0, r_max=b, grid=log_nodes(a, b, n))
+    from_w = params.p * res.scaled.values[1:-1] ** (params.p - 1.0)
+    from_v = node_potential(params, res.solution, a, b, n)
+    np.testing.assert_allclose(from_w, from_v, rtol=1e-14, atol=0.0)
+    argv = ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3",
+            "--profile", "shoot:1", "--a", "1e-3", "--b", "1e5", "--n", "3000"]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["negative_count"]
+    assert got == radial_morse_index(params, from_v, a, b, n).negative_count > 0
+
+
 def test_hardy_rayleigh_min_bounds():
     # always above (N'-2)^2/4 and approaching it as the annulus widens
     vals = []
