@@ -29,7 +29,7 @@ integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr): dimensionless, and
 (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) about v_infinity, with
 L = log(b/a) and h = L/(n+1).  About v_infinity the potential is the
 constant f(p) and no profile is sampled; a ``shoot:<kappa>`` profile is
-shot on the assembly nodes out to r_max = b, and P = p (r^m v)^(p-1).
+shot on the nodes out to r_max = b, and P = p e^((p-1) y), y = log(r^m v).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -208,8 +209,9 @@ def _spectrum(
     elif profile.startswith("shoot:"):
         from .radial_ode import shoot
         kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
-        w = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).scaled.values
-        P = params.p * w[1:-1] ** (params.p - 1.0)  # = p r^(2+tau) v^(p-1): (p-1) m = 2+tau
+        y = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).log_scaled.values
+        # = p r^(2+tau) v^(p-1) since (p-1) m = 2+tau; exact where w = e^y underflows
+        P = [params.p * math.exp((params.p - 1.0) * x) for x in y[1:-1].tolist()]
     else:
         raise InvalidParameterError("profile must be 'v_infinity' or 'shoot:<kappa>'")
     return radial_morse_index(params, P, a, b, n)
@@ -271,10 +273,10 @@ def cmd_shoot(args) -> dict:
         points_per_decade=args.points_per_decade,
     )
     ind = derive(params)
-    grid = result.scaled.grid
+    grid = result.log_scaled.grid
     if args.out:
         # v is formed before the file opens: where it underflows, no file is left
-        rows = zip(grid.points, result.solution.values, result.scaled.values)
+        rows = zip(grid.points, result.solution.values, map(math.exp, result.log_scaled.values))
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "v", "scaled"])

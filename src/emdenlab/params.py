@@ -258,6 +258,7 @@ def hardy_constant(n_prime: float) -> float:
     except OverflowError:
         raise NumericalError(f"(N'-2)^2/4 overflows at N' = {n_prime}") from None
 
+
 def _bisect_crossing(n_prime: float, tau: float, level: float, lo: float, hi: float) -> float:
     """Bisection root of f(p) = level on a sign-changing bracket."""
     glo = f_eval(lo, n_prime, tau) - level if lo > 1.0 else -level

@@ -16,7 +16,7 @@ module provides
   y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
   s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, the
   fixed point (log c0, log m) is the singular solution, and zeta > 0
-  makes v' < 0 by construction; a shot keeps w = r^m v = e^y and forms v on read,
+  makes v' < 0 by construction; a shot keeps y and forms v on read,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
 * asymptotic-constant extraction (the limit of w, fit with the tail's
   linearisation at c0), decay classification of w (a converged tail is
@@ -73,14 +73,15 @@ class Ordering(str, Enum):
 class ShootingResult:
     """Output of a shooting run with initial value kappa at the origin.
 
-    ``scaled`` is w = r^m v, read as v through ``solution``; ``nfev`` counts RHS
-    evaluations; ``zeta_residual`` = |zeta - m| and ``log_amplitude_residual`` = |y - log c0|
-    are the end state's distances from the singular fixed point, both near 0 on slow decay.
+    ``log_scaled`` is y = log w, w = r^m v, and ``solution`` forms v from it on read.
+    ``nfev`` counts right-hand-side evaluations; ``zeta_residual`` = |zeta - m|
+    and ``log_amplitude_residual`` = |y - log c0| are the end state's
+    distances from the singular fixed point, both near 0 on slow decay.
     """
 
     params: ProblemParams
     kappa: float
-    scaled: RadialFunction
+    log_scaled: RadialFunction
     asymptotic_constant: float
     converged: bool
     classification: DecayClass
@@ -95,13 +96,12 @@ class ShootingResult:
 
     @property
     def solution(self) -> RadialFunction:
-        """v = r^(-m) w, formed in logs on read; NumericalError where v or w underflows."""
-        w, grid, m = self.scaled.values, self.scaled.grid, derive(self.params).m_exp
-        if np.min(w) >= np.finfo(float).tiny:  # a subnormal w leaves v a few digits
-            values = np.exp(np.log(w) - m * grid.log_points)
-            if np.all(values > 0.0):
-                return RadialFunction(grid=grid, values=values)
-        raise NumericalError(f"v or w = r^m v underflows on [{grid.r_min}, {grid.r_max}]")
+        """v = e^(y - m t), formed on read; NumericalError where v underflows to 0."""
+        grid = self.log_scaled.grid
+        values = np.exp(self.log_scaled.values - derive(self.params).m_exp * grid.log_points)
+        if not np.all(values > 0.0):
+            raise NumericalError(f"v = r^(-m) w underflows on [{grid.r_min}, {grid.r_max}]")
+        return RadialFunction(grid=grid, values=values)
 
 
 @dataclass(frozen=True)
@@ -278,21 +278,21 @@ def shoot(
         raise NumericalError(f"integrator failed: {sol.message}")
 
     y, s = sol.y
-    if not np.all(np.isfinite(sol.y)):
-        raise NumericalError("non-finite state encountered in shooting output")
-    scaled = RadialFunction(grid=grid, values=np.exp(y))
+    if not (np.all(np.isfinite(sol.y)) and np.max(y) < math.log(np.finfo(float).max)):
+        raise NumericalError("non-finite state or w = e^y overflows in shooting output")
+    w = RadialFunction(grid=grid, values=np.exp(y))
 
     try:
-        estimate, converged = asymptotic_constant(scaled, params)
+        estimate, converged = asymptotic_constant(w, params)
     except InvalidParameterError:
         # Too short or too coarse for a trustworthy tail fit: report the
         # naive endpoint estimate and flag the run inconclusive.
-        estimate, converged = float(scaled.values[-1]), False
+        estimate, converged = float(w.values[-1]), False
         classification = DecayClass.INCONCLUSIVE
     else:
         # converged is classify_decay's own slow-decay test on the same fit
         classification = (DecayClass.SLOW_DECAY if converged
-                          else classify_decay(scaled, params)[0])
+                          else classify_decay(w, params)[0])
 
     gap = y - math.log(ind.c0)  # log(v / (c0 r^(-m)))
     band = ORDERING_NOISE_FACTOR * tol
@@ -306,7 +306,7 @@ def shoot(
     return ShootingResult(
         params=params,
         kappa=kappa,
-        scaled=scaled,
+        log_scaled=RadialFunction(grid=grid, values=y),
         asymptotic_constant=estimate,
         converged=converged,
         classification=classification,
@@ -331,7 +331,7 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
     ind = derive(v1.params)
     lam = (v1.params.p - 1.0) / (ind.tau + 2.0)
     try:  # the factor over- or underflows, or the grid leaves the float range
-        grid = v1.scaled.grid.scaled(kappa ** (-lam))
+        grid = v1.log_scaled.grid.scaled(kappa ** (-lam))
     except (OverflowError, InvalidParameterError):
         raise NumericalError(
             f"grid rescaled to kappa = {kappa} leaves the float range at tau = {ind.tau}"
@@ -342,13 +342,14 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
 def _linear_tail(w: RadialFunction) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The last decade's log radii, w = r^m v there, and a linear fit's mid-decade
     level of w with its drift across the decade relative to that level."""
-    logs = w.grid.log_points
-    if logs[-1] - logs[0] < (3.0 - 1e-9) * math.log(10.0):
+    if np.ptp(w.grid.log_points) < (3.0 - 1e-9) * math.log(10.0):
         raise InvalidParameterError("asymptotics need a grid spanning >= 3 decades")
     mask = w.grid.points >= w.grid.r_max / 10.0 * (1.0 - 1e-12)
     if np.count_nonzero(mask) < 4:
         raise InvalidParameterError("too few points in the last decade")
-    t, y = logs[mask], w.values[mask]
+    t, y = w.grid.log_points[mask], w.values[mask]
+    if not np.all(y >= np.finfo(float).tiny):  # an underflowed tail would fit as level 0
+        raise NumericalError("w = r^m v is not a normal positive float in the last decade")
     slope, intercept = np.polyfit(t, y, 1)
     level = float(intercept + slope * 0.5 * (t[0] + t[-1]))
     return t, y, level, abs(slope) * (t[-1] - t[0]) / max(abs(level), 1e-300)
@@ -386,8 +387,8 @@ def asymptotic_constant(w: RadialFunction, params: ProblemParams) -> tuple[float
     which does not lag the decaying tail as the mid-decade value of a
     linear fit does; otherwise it is that mid-decade value.  ``converged``
     is True when the drift of a linear fit of w across the decade stays
-    below 0.5 percent of its mid-decade level.  The grid must span at
-    least three decades, with at least four points in the last one.
+    below 0.5 percent of its mid-decade level.  The grid must span three
+    decades, with four or more normal positive floats w in the last one.
     """
     ind = derive(params)
     t, y, level, drift = _linear_tail(w)
@@ -409,10 +410,7 @@ def classify_decay(
     """
     ind = derive(params)
     t, y, _, drift = _linear_tail(w)
-    if np.any(y <= 0.0):
-        raise InvalidParameterError("decay classification needs a positive profile")
-    slope, _ = np.polyfit(t, np.log(y), 1)
-    fitted_exponent = ind.m_exp - float(slope)
+    fitted_exponent = ind.m_exp - float(np.polyfit(t, np.log(y), 1)[0])
     if drift <= SLOW_DRIFT_TOL:
         return DecayClass.SLOW_DECAY, drift, fitted_exponent
     fast_ref = ind.n_prime - 2.0

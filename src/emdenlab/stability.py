@@ -8,15 +8,14 @@ over compactly supported test functions.  For radial psi on an annulus
 [a, b], the Emden-Fowler change t = log r, phi = r^((N'-2)/2) psi turns
 it exactly into integral( phi_t^2 + ((N'-2)^2/4 - P) phi^2 dt ) with the
 O(1) potential P = p r^(2+tau) |v|^(p-1), formed in logs on v's own nodes
-and linear in t between them (``potential``), or p w^(p-1) from a shot's
-scaled profile w = r^m v; no power r^(N'-1) appears anywhere.  Central
-differences on nodes uniform in t (``log_nodes``) give one symmetric
-tridiagonal matrix T, assembled from P on those nodes; its negative
-eigenvalues estimate the Morse index from below (radial test
-functions only, so the count is a lower bound for the full index).  The
-count is an exact LDL^T inertia count and the low spectrum comes from
-LAPACK bisection (see ``tridiag``).  About v_infinity P is exactly the
-constant f(p), so no profile is sampled and the eigenvalues are
+and linear in t between them (``potential``), or p e^((p-1) y) from a shot's
+state y = log(r^m v); no power r^(N'-1) appears anywhere.  Central differences
+on nodes uniform in t (``log_nodes``) give one symmetric tridiagonal matrix T,
+assembled from P on those nodes; its negative eigenvalues estimate the Morse
+index from below (radial test functions only, so the count is a lower bound
+for the full index).  The count is an exact LDL^T inertia count and the low
+spectrum comes from LAPACK bisection (see ``tridiag``).  About v_infinity P
+is exactly the constant f(p), so no profile is sampled and the eigenvalues are
 (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) with L = log(b/a).  Form
 values are evaluated in t by the same rule (h phi^T T phi on the assembly
 nodes); the Kelvin, dual and sigma maps send (P, phi) to itself or to its
@@ -161,8 +160,8 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
     """Assemble the stability form with potential P on the annulus [a, b].
 
     P is one number or its n values on the interior nodes of ``log_nodes``,
-    for example ``p * w.values[1:-1] ** (p - 1)`` for the scaled profile
-    w = r^m v of a shot on those nodes; the ends are Dirichlet.
+    for example ``p * np.exp((p - 1) * y.values[1:-1])`` for the state
+    y = log(r^m v) of a shot on those nodes; the ends are Dirichlet.
     """
     h = _log_step(a, b, n)
     P = np.asarray(P, dtype=float)

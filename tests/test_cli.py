@@ -493,3 +493,23 @@ def test_shoot_where_v_underflows(with_csv, tmp_path, capsys):
         results = envelope["results"]
         assert code == 0 and results["converged"], envelope
         assert abs(results["asymptotic_constant"] / results["c0"] - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l=-1.9", "--p", "1.012"],  # the series start lies far below the kappa scale
+    ["--l", "0", "--p", "1.045", "--rmin", "1e-8", "--rmax", "1e4"],
+], ids=["near_tau_minus_two", "deep_rmin"])
+def test_shoot_out_where_w_underflows_at_the_head(argv, tmp_path, capsys):
+    # y = log(r^m v) is below -708 at the head of the grid while v is about
+    # kappa there: v comes from y, so the table is written, and its scaled
+    # column reads w rounded to the float range
+    out = tmp_path / "profile.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["shoot", "--N", "100", "--theta", "0", *argv, "--out", str(out)],
+                             capsys)
+    assert code == 0, text
+    with open(out, newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert all(v > 0.0 for _, v, _ in rows)
+    assert rows[0][1] == pytest.approx(1.0, rel=1e-4) and rows[0][2] == 0.0

@@ -209,6 +209,23 @@ def test_asymptotic_constant_needs_three_decades():
         asymptotic_constant(w, PARAMS_11)
 
 
+def test_tail_fit_of_an_underflowed_w_is_a_numerical_failure():
+    # w = 3 r^-200 is 0 in double precision beyond r ~ 42: the fit would read
+    # a converged level 0, so both tail functions raise instead
+    grid = RadialGrid.logspaced(1.0, 1e4, 600)
+    w = RadialFunction(grid, np.exp(math.log(3.0) - 200.0 * grid.log_points))
+    for tail_function in (asymptotic_constant, classify_decay):
+        with pytest.raises(NumericalError, match="normal positive float"):
+            tail_function(w, PARAMS_11)
+
+
+def test_shoot_where_w_overflows_is_a_numerical_failure():
+    # c0 = 1.77e308 lies just under the float maximum, and the crossing
+    # tail's first overshoot takes w = e^y above it
+    with pytest.raises(NumericalError, match="overflows"):
+        shoot(ProblemParams(30, 0.0, -1.9, 1.00743422), kappa=1.0, r_max=1e30)
+
+
 def test_shoot_on_a_grid_too_coarse_for_a_tail_fit_is_inconclusive():
     # six decades, but two points in the last one: like a grid under three
     # decades, the shot reports its endpoint estimate as inconclusive
@@ -220,7 +237,7 @@ def test_shoot_on_a_grid_too_coarse_for_a_tail_fit_is_inconclusive():
         endpoint = res.solution.values[-1] * grid.r_max**m
         assert res.asymptotic_constant == pytest.approx(endpoint, rel=1e-9)
         with pytest.raises(InvalidParameterError, match=reason):
-            asymptotic_constant(res.scaled, PARAMS_11)
+            asymptotic_constant(RadialFunction(grid, np.exp(res.log_scaled.values)), PARAMS_11)
 
 
 def test_residual_zero_function():

@@ -502,20 +502,28 @@ def test_shoot_profile_spectrum_matches_a_dense_reference(capsys):
                                    atol=1e-5)
 
 
-def test_shoot_spectrum_potential_from_w_matches_potential_of_v(capsys):
-    # the CLI takes P = p w^(p-1) from the shot's w = r^m v, which is
-    # p r^(2+tau) v^(p-1) since (p-1) m = 2+tau: it matches ``potential``
-    # of v on the nodes, and the count matches that potential's
-    params, a, b, n = ProblemParams(11, 0.0, 0.0, 3.0), 1e-3, 1e5, 3000
+@pytest.mark.parametrize(("params", "a", "b", "count"), [
+    (ProblemParams(11, 0.0, 0.0, 3.0), 1e-3, 1e5, 6),
+    # w = e^y is about e^-787 at a, below the float range, while v is about 1
+    (ProblemParams(100, 0.0, -1.9, 1.012), 1e-41, 1e3, 0),
+], ids=["n11", "w_underflows_at_a"])
+def test_shoot_spectrum_potential_from_w_matches_potential_of_v(params, a, b, count, capsys):
+    # the CLI takes P = p w^(p-1) = p e^((p-1) y) from the shot's state
+    # y = log(r^m v), which is p r^(2+tau) v^(p-1) since (p-1) m = 2+tau: it
+    # matches ``potential`` of v on the nodes, and the count matches that potential's
+    n = 3000
     res = shoot(params, 1.0, r_max=b, grid=log_nodes(a, b, n))
-    from_w = params.p * res.scaled.values[1:-1] ** (params.p - 1.0)
+    from_w = params.p * np.exp((params.p - 1.0) * res.log_scaled.values[1:-1])
     from_v = node_potential(params, res.solution, a, b, n)
     np.testing.assert_allclose(from_w, from_v, rtol=1e-14, atol=0.0)
-    argv = ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3",
-            "--profile", "shoot:1", "--a", "1e-3", "--b", "1e5", "--n", "3000"]
+    argv = ["spectrum", "--N", str(params.N), "--theta", "0", "--l", repr(params.l), "--p",
+            repr(params.p), "--profile", "shoot:1", "--a", repr(a), "--b", repr(b),
+            "--n", str(n)]
     assert main(argv) == 0
-    got = json.loads(capsys.readouterr().out)["results"]["negative_count"]
-    assert got == radial_morse_index(params, from_v, a, b, n).negative_count > 0
+    got = json.loads(capsys.readouterr().out)["results"]
+    ref = radial_morse_index(params, from_v, a, b, n)
+    assert got["negative_count"] == ref.negative_count == count
+    np.testing.assert_allclose(got["eigenvalues"][:8], ref.eigenvalues[:8], rtol=1e-14, atol=0.0)
 
 
 def test_hardy_rayleigh_min_bounds():
