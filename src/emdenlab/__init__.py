@@ -10,13 +10,15 @@ and its Hardy-potential Schrodinger form.
 Public names resolve lazily (PEP 562): ``import emdenlab`` loads no
 module of the package, and a name loads only its home module on first
 use.  The exponent algebra and the parameter-level transforms need
-neither numpy nor scipy; grids, profiles and spectra load numpy, the
-low spectrum ``scipy.linalg`` and shooting ``scipy.integrate``.
+neither numpy nor scipy; grids, profiles and spectra load numpy.  A
+spectrum about v_infinity (one number for the potential) is closed form
+and loads no scipy; the low spectrum of a potential given on the nodes
+loads ``scipy.linalg``, and shooting ``scipy.integrate``.
 """
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 #: Home module of every public name.
 _HOMES = {

@@ -28,8 +28,13 @@ the stability form in t = log r, phi = r^((N'-2)/2) psi, relative to
 integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr): dimensionless, and
 (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) about v_infinity, with
 L = log(b/a) and h = L/(n+1).  About v_infinity the potential is the
-constant f(p) and no profile is sampled; a ``shoot:<kappa>`` profile is
-shot on the nodes out to r_max = b, and P = p e^((p-1) y), y = log(r^m v).
+constant f(p): no profile is sampled, the eigenvalues are that closed
+form, certified by inertia counts, and no scipy module loads.  A
+``shoot:<kappa>`` profile is shot on the nodes out to r_max = b, with
+P = p e^((p-1) y), y = log(r^m v), and its eigenvalues come from LAPACK
+bisection.  ``results.diagnostics`` reports the matrix scale that sets
+``negative_tol`` and the count's margin, the distance from the nearest
+listed eigenvalue to -negative_tol.
 """
 
 from __future__ import annotations
@@ -312,6 +317,7 @@ def cmd_spectrum(args) -> dict:
         "min_eigenvalue": report.min_eigenvalue,
         "negative_tol": report.negative_tol,
         "eigenvalues": report.eigenvalues.tolist(),
+        "diagnostics": {k: getattr(report, k) for k in ("matrix_scale", "count_margin")},
     }
     inputs = (*_PARAMS, "profile", "a", "b", "n")
     return _envelope(args, inputs, _derived_block(params), results)

@@ -13,10 +13,12 @@ state y = log(r^m v); no power r^(N'-1) appears anywhere.  Central differences
 on nodes uniform in t (``log_nodes``) give one symmetric tridiagonal matrix T,
 assembled from P on those nodes; its negative eigenvalues estimate the Morse
 index from below (radial test functions only, so the count is a lower bound
-for the full index).  The count is an exact LDL^T inertia count and the low
-spectrum comes from LAPACK bisection (see ``tridiag``).  About v_infinity P
-is exactly the constant f(p), so no profile is sampled and the eigenvalues are
-(4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) with L = log(b/a).  Form
+for the full index).  The count is an exact LDL^T inertia count.  About
+v_infinity P is exactly the constant f(p), so no profile is sampled and T
+is Toeplitz: its eigenvalues are (4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p)
+with L = log(b/a), taken in closed form and certified by inertia counts, as
+the Hardy minimum below is.  Only a potential that varies along the nodes
+takes its low spectrum from LAPACK bisection (see ``tridiag``).  Form
 values are evaluated in t by the same rule (h phi^T T phi on the assembly
 nodes); the Kelvin, dual and sigma maps send (P, phi) to itself or to its
 reflection t -> -t, so ``invariance_check`` agrees to rounding.
@@ -94,14 +96,19 @@ class SpectrumReport:
 
     ``eigenvalues`` lists the smallest eigenvalues (always including every
     negative one); ``negative_count`` is the exact inertia count below the
-    noise tolerance and is the radial Morse-index estimate (a lower bound
-    for the full index).
+    noise tolerance ``negative_tol`` and is the radial Morse-index estimate
+    (a lower bound for the full index).  ``matrix_scale`` is the bound
+    max|d| + 2 max|e| on the matrix norm that sets the tolerance, and
+    ``count_margin`` the distance from the nearest listed eigenvalue to
+    -``negative_tol``: how far the count is from flipping.
     """
 
     eigenvalues: np.ndarray
     negative_count: int
     min_eigenvalue: float
     negative_tol: float
+    matrix_scale: float
+    count_margin: float
 
 
 def _log_step(a: float, b: float, n: int) -> float:
@@ -169,12 +176,15 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
         raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
         raise InvalidParameterError("potential values must be finite")
-    level = (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
     return FormAssembly(
-        diag=np.full(n, 2.0 / h**2 + level) - P,
+        diag=np.full(n, 2.0 / h**2 + _level(params)) - P,
         off=np.full(n - 1, -1.0 / h**2),
         h=h,
     )
+
+
+def _level(params: ProblemParams) -> float:
+    return (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
 
 
 def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> SpectrumReport:
@@ -182,24 +192,52 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
 
     P is taken as by ``assemble_forms``.  Eigenvalues below -1e-9 * (matrix
     scale) count as negative; the tolerance separates genuine instability
-    from discretization noise.
+    from discretization noise.  The count is the inertia count of the
+    assembled matrix.  For one number P the matrix is Toeplitz and the k
+    smallest eigenvalues are (4/h^2) sin^2(j pi / (2(n+1))) + (level - P),
+    j = 1..k, with level - P formed directly; they are returned only if
+    they hold exactly the counted negative ones and the inertia count just
+    above the k-th, at band = 64 eps (scale + level), is k.  The level
+    enters the band because the assembled diagonal rounds 2/h^2 + level
+    before P is subtracted, which the matrix scale does not bound where
+    level - P cancels.  A failed certificate raises ``NumericalError``.
+    A potential given on the nodes takes the eigenvalues from LAPACK
+    bisection on the same matrix.
     """
     asm = assemble_forms(params, P, a, b, n)
     d, e = asm.diag, asm.off
     scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
     tol = NEGATIVE_TOL_FACTOR * scale
     negative = tridiag.count_below(d, e, -tol)
-    eigs = tridiag.smallest_eigenvalues(d, e, min(max(negative + 8, 16), n))
-    # The inertia count and the bisection see the same matrix, so the list
-    # must hold at least that many negative eigenvalues (it may show a few
-    # extra within the noise band around zero).
-    if int(np.count_nonzero(eigs < 0.0)) < negative:
-        raise NumericalError("inertia count disagrees with the extracted spectrum")
+    k = min(max(negative + 8, 16), n)
+    if np.ndim(P) == 0:
+        level = _level(params)
+        j = np.arange(1, k + 1)
+        eigs = 4.0 / asm.h**2 * np.sin(j * (math.pi / (2.0 * (n + 1)))) ** 2
+        eigs += level - float(P)
+        closed = int(np.count_nonzero(eigs < -tol))
+        shift = float(eigs[-1]) + 64.0 * float(np.finfo(float).eps) * (scale + level)
+        bracket = tridiag.count_below(d, e, shift)
+        if closed != negative or bracket != k:
+            raise NumericalError(
+                f"closed-form spectrum certificate failed: {closed} listed and {negative} "
+                f"counted below {-tol!r}, and {bracket} counted below {shift!r} "
+                f"(expected equal counts and {k})"
+            )
+    else:
+        eigs = tridiag.smallest_eigenvalues(d, e, k)
+        # The inertia count and the bisection see the same matrix, so the list
+        # must hold at least that many negative eigenvalues (it may show a few
+        # extra within the noise band around zero).
+        if int(np.count_nonzero(eigs < 0.0)) < negative:
+            raise NumericalError("inertia count disagrees with the extracted spectrum")
     return SpectrumReport(
         eigenvalues=eigs,
         negative_count=negative,
         min_eigenvalue=float(eigs[0]),
         negative_tol=tol,
+        matrix_scale=scale,
+        count_margin=float(np.min(np.abs(eigs + tol))),
     )
 
 

@@ -6,14 +6,19 @@ per row; the count of negative pivots and the +-floor sit in the rare
 branch below it.  The pencil count of (A, M) below a shift is the standard
 count of A - shift*M below 0 (Sylvester inertia).  The k smallest
 eigenvalues of a standard matrix come from LAPACK ``dstebz`` bisection
-with an absolute tolerance near underflow.  The default tolerance is eps
-times the Gershgorin width: it resolves the low end only to an absolute
-eps * ||T|| (a few 1e-9 on a stability matrix with 2/h^2 = 1e7) and
-loses the small eigenvalues of a graded matrix altogether.  The pinned
+with an absolute tolerance near underflow; only this routine loads
+``scipy.linalg``, and only a matrix with no closed-form spectrum (a
+stability form whose potential varies along the nodes) needs it.  The
+default tolerance is eps times the Gershgorin width: it resolves the low
+end only to an absolute eps * ||T|| (a few 1e-9 on a stability matrix
+with 2/h^2 = 1e7) and loses the small eigenvalues of a graded matrix
+altogether.  The pinned
 tolerance keeps every eigenvalue to full relative accuracy whatever the
 scale or grading (Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  No
 pencil eigenvalue is computed here: the pencil count certifies one known
-in closed form, with no eigenvalue just below it and one just above it.
+in closed form, with no eigenvalue just below it and one just above it,
+and the standard count certifies the closed-form spectrum of a Toeplitz
+stability form in the same way.
 All routines are pure functions of their inputs, so repeated calls are
 bit-reproducible.
 """

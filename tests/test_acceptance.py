@@ -295,6 +295,9 @@ def test_criterion_12_cli_determinism(tmp_path):
     env_cmds = [
         ["exponents", "--N", "11", "--theta", "0.5", "--l", "1.5", "--p", "3"],
         ["classify", "--N", "11", "--theta", "0", "--l", "0", "--p", "3"],
+        # closed-form v_infinity spectrum with its diagnostics, in both formats
+        *(["spectrum", "--N", "11", "--theta", "0.5", "--l", "1.5", "--p", "3", "--a", "1e-3",
+           "--b", "1e3", "--n", "4000", "--format", fmt] for fmt in ("json", "csv")),
     ]
     identical = True
     for cmd in env_cmds:

@@ -133,8 +133,14 @@ def test_spectrum_command(capsys):
         ],
         capsys,
     )
-    assert env["results"]["negative_count"] >= 1
-    assert env["results"]["eigenvalues"][0] == env["results"]["min_eigenvalue"]
+    results = env["results"]
+    assert results["negative_count"] >= 1
+    assert results["eigenvalues"][0] == results["min_eigenvalue"]
+    diagnostics = results["diagnostics"]
+    assert results["negative_tol"] == 1e-9 * diagnostics["matrix_scale"]
+    assert diagnostics["count_margin"] == min(
+        abs(x + results["negative_tol"]) for x in results["eigenvalues"]
+    )
 
 
 def test_spectrum_csv_cells_are_plain_numbers(capsys):

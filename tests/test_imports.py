@@ -59,12 +59,25 @@ def test_parameter_commands_load_neither_numpy_nor_scipy(tmp_path):
     assert loaded == {statement: [] for statement in statements}
 
 
-def test_spectrum_loads_the_eigensolver_but_not_the_integrator():
-    argv = ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3", "--n", "200"]
-    statement = f"from emdenlab import cli; assert cli.main({argv!r}) == 0"
-    loaded = heavy_modules_after([statement])[statement]
-    assert "scipy.linalg" in loaded
-    assert "scipy.integrate" not in loaded
+def test_spectrum_loads_scipy_only_about_a_shot(tmp_path):
+    # about v_infinity the spectrum is closed form, certified by inertia
+    # counts; a shot profile needs the integrator and LAPACK bisection
+    config = tmp_path / "sweep.cfg"
+    config.write_text("mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 2,3,7\nn = 200\n")
+    common = ["--N", "11", "--theta", "0", "--l", "0"]
+    singular = [
+        ["spectrum", *common, "--p", "3", "--n", "200"],
+        ["sweep", "--config", str(config)],
+    ]
+    shot = ["spectrum", *common, "--p", "7", "--profile", "shoot:1", "--a", "1e-1",
+            "--b", "1e3", "--n", "200"]
+    statements = ["from emdenlab import cli"]
+    statements += [f"assert cli.main({argv!r}) == 0" for argv in [*singular, shot]]
+    loaded = heavy_modules_after(statements)
+    for statement in statements[1:-1]:
+        assert "numpy" in loaded[statement], statement
+        assert not [m for m in loaded[statement] if m.startswith("scipy")], statement
+    assert {"scipy.linalg", "scipy.integrate"} <= set(loaded[statements[-1]])
 
 
 def test_hardy_minimum_loads_no_scipy():

@@ -172,6 +172,8 @@ def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
     # sampled on the nodes themselves, v_infinity makes the potential the
     # constant f(p): the matrix is -D_h^2 + level - f(p), whose eigenvalues
     # are (4/h^2) sin^2(k pi h / 2L) + level - f(p)
+    # (LAPACK bisection on the assembled matrix is checked the same way, so
+    # the closed-form route of radial_morse_index is not its own oracle)
     params = ProblemParams(N, 0.0, 0.0, p)
     v = v_infinity(params, RadialGrid(np.geomspace(a, b, n + 2)))
     rep = spectrum_of(params, v, a, b, n)
@@ -181,6 +183,11 @@ def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
     shift = hardy_constant(N) - f_eval(p, N, 0.0)
     exact = 4.0 / h**2 * np.sin(k * math.pi * h / (2.0 * L)) ** 2 + shift
     np.testing.assert_allclose(rep.eigenvalues, exact, rtol=1e-10, atol=0.0)
+    asm = assemble_forms(params, f_eval(p, N, 0.0), a, b, n)
+    lapack = tridiag.smallest_eigenvalues(asm.diag, asm.off, k.size)
+    np.testing.assert_allclose(lapack, exact, rtol=1e-10, atol=0.0)
+    closed = radial_morse_index(params, f_eval(p, N, 0.0), a, b, n)
+    np.testing.assert_allclose(closed.eigenvalues, exact, rtol=1e-10, atol=0.0)
 
 
 def test_singular_profile_counts_across_the_domain():
@@ -188,7 +195,9 @@ def test_singular_profile_counts_across_the_domain():
     # b/a = 1e24 and n from 8 to 20000, with corners at n = 20000 and
     # b/a = 1e24: about v_infinity P is the constant f(p), so every spectrum
     # matches the discrete closed form, also where c0 r^(-m) itself leaves
-    # the float range (and a RuntimeWarning fails the test)
+    # the float range (and a RuntimeWarning fails the test); LAPACK bisection
+    # on the assembled matrix must match it too, so each route keeps an
+    # oracle that is not itself
     rng = np.random.default_rng(4)
     draws = [(100, 1.0, -1.5, 1.001, 1e-12, 1e12, 20000), (3, -0.5, 3.0, 10.0, 1e-12, 1e12, 20000)]
     for _ in range(40):
@@ -210,9 +219,14 @@ def test_singular_profile_counts_across_the_domain():
             + hardy_constant(n_prime) - f_eval(p, n_prime, tau)
         )
         assert rep.negative_count == np.count_nonzero(exact < -rep.negative_tol)
-        scale = rep.negative_tol / 1e-9
+        scale = rep.matrix_scale
+        assert rep.negative_tol == 1e-9 * scale
         np.testing.assert_allclose(rep.eigenvalues, exact[:rep.eigenvalues.size],
                                    rtol=0.0, atol=1e-13 * scale)
+        asm = assemble_forms(params, f_eval(p, n_prime, tau), a, b, n)
+        lapack = tridiag.smallest_eigenvalues(asm.diag, asm.off, rep.eigenvalues.size)
+        np.testing.assert_allclose(lapack, exact[:lapack.size], rtol=0.0, atol=1e-13 * scale)
+        assert rep.count_margin == np.min(np.abs(rep.eigenvalues + rep.negative_tol))
 
 
 def test_singular_profile_outside_the_float_range_is_a_numerical_error():
@@ -627,6 +641,28 @@ def test_hardy_rayleigh_min_rejects_a_failed_certificate(wrong, monkeypatch):
     monkeypatch.setattr(tridiag, "count_below_pencil", lambda *args: wrong)
     with pytest.raises(NumericalError, match="certificate"):
         hardy_rayleigh_min(0.0, 5, 1.0, 1e4, 100)
+
+
+@pytest.mark.parametrize("call, wrong", [(0, 1), (0, -1), (1, 1), (1, -1)],
+                         ids=["count-up", "count-down", "bracket-up", "bracket-down"])
+def test_radial_morse_index_rejects_a_failed_certificate(call, wrong, monkeypatch, capsys):
+    # the closed form is returned only if the inertia counts agree with it:
+    # off by one in the count at -tol or in the one just above the k-th value
+    count_below, calls = tridiag.count_below, []
+
+    def off_by(d, e, shift):
+        calls.append(shift)
+        return count_below(d, e, shift) + (wrong if len(calls) - 1 == call else 0)
+
+    monkeypatch.setattr(tridiag, "count_below", off_by)
+    params = ProblemParams(11, 0.0, 0.0, 3.0)
+    with pytest.raises(NumericalError, match="certificate"):
+        radial_morse_index(params, f_eval(3.0, 11.0, 0.0), 1e-2, 1e2, 100)
+    calls.clear()
+    argv = ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3", "--n", "100"]
+    assert main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "numerical_failure" and "certificate" in error["message"]
 
 
 def test_hardy_rayleigh_matches_liouville_value():
