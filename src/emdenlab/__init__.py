@@ -18,7 +18,7 @@ loads ``scipy.linalg``, and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.10.0"
+__version__ = "0.10.1"
 
 #: Home module of every public name.
 _HOMES = {

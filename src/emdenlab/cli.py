@@ -201,9 +201,9 @@ def _spectrum(
 
     ``tol`` is the shooting tolerance; the singular profile does not use it.
     """
-    from .stability import log_nodes, radial_morse_index
+    from .stability import _log_step, log_nodes, radial_morse_index
 
-    nodes = log_nodes(a, b, n)  # a, b and n are checked before the profile's conditions
+    _log_step(a, b, n)  # a, b and n are checked before the profile's conditions
     if profile == "v_infinity":
         ind = derive(params)
         if not params.standard_regime:
@@ -214,6 +214,7 @@ def _spectrum(
     elif profile.startswith("shoot:"):
         from .radial_ode import shoot
         kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
+        nodes = log_nodes(a, b, n)
         y = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).log_scaled.values
         # = p r^(2+tau) v^(p-1) since (p-1) m = 2+tau; exact where w = e^y underflows
         P = [params.p * math.exp((params.p - 1.0) * x) for x in y[1:-1].tolist()]

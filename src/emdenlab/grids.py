@@ -100,7 +100,8 @@ class RadialFunction:
 
     def times_power(self, power: float) -> np.ndarray:
         """values * r^power, formed in logs: only a product out of range raises."""
-        with np.errstate(divide="ignore", over="ignore"):  # v = 0 gives 0
+        # v = 0 gives 0; a power so large that power * log r overflows gives NaN there
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logs = power * self.grid.log_points + np.log(np.abs(self.values))
             out = np.sign(self.values) * np.exp(logs)
         if not np.all(np.isfinite(out)):

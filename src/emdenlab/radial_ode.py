@@ -425,7 +425,8 @@ def residual(v: RadialFunction, params: ProblemParams) -> float:
     Centered differences in t = log r approximate
     v'' + (N'-1)/r v' = (d2v/dt2 + (N'-2) dv/dt)/r^2; the residual against
     -r^tau |v|^(p-1) v is maximized over interior nodes and normalized by
-    the largest nonlinear term.  Exact solutions give O(h^2).
+    the largest nonlinear term.  Exact solutions give O(h^2).  A term or
+    residual out of the samples' float range raises ``NumericalError``.
     """
     if v.grid.n < 3:
         raise InvalidParameterError("residual needs at least three grid points")
@@ -434,7 +435,6 @@ def residual(v: RadialFunction, params: ProblemParams) -> float:
     # Work in the precision of the samples: the log coordinates must carry
     # the same accuracy, or grid jitter re-floors the stencil noise.
     t = np.log(v.grid.points.astype(dtype))
-    r = v.grid.points.astype(dtype)[1:-1]
     h_plus = t[2:] - t[1:-1]
     h_minus = t[1:-1] - t[:-2]
     d1 = (vals[2:] - vals[:-2]) / (h_plus + h_minus)
@@ -442,17 +442,23 @@ def residual(v: RadialFunction, params: ProblemParams) -> float:
         (vals[2:] - vals[1:-1]) / h_plus - (vals[1:-1] - vals[:-2]) / h_minus
     ) / (h_plus + h_minus)
     ind = derive(params)
-    linear = (d2 + (dtype.type(ind.n_prime) - 2.0) * d1) / r**2
-    nonlinear = (
-        r ** dtype.type(ind.tau)
-        * np.abs(vals[1:-1]) ** (dtype.type(params.p) - 1.0)
-        * vals[1:-1]
-    )
-    res = np.abs(linear + nonlinear)
-    scale = float(np.max(np.abs(nonlinear)))
-    if scale == 0.0:
-        return float(np.max(res))
-    return float(np.max(res) / scale)
+    vi, ti = vals[1:-1], t[1:-1]
+    # r^-2 and r^tau are formed in logs next to the factor each one scales,
+    # so only a term that itself leaves the dtype's range raises.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0 gives 0
+        r2_laplacian = d2 + (dtype.type(ind.n_prime) - 2.0) * d1
+        linear = np.sign(r2_laplacian) * np.exp(np.log(np.abs(r2_laplacian)) - 2.0 * ti)
+        nonlinear = np.sign(vi) * np.exp(
+            dtype.type(ind.tau) * ti + dtype.type(params.p) * np.log(np.abs(vi))
+        )
+        res = np.max(np.abs(linear + nonlinear))
+        scale = np.max(np.abs(nonlinear))
+        value = float(res / scale if scale != 0.0 else res)
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"residual leaves the float range on [{v.grid.r_min}, {v.grid.r_max}]"
+        )
+    return value
 
 
 def sphere_constant_check(params: ProblemParams) -> float:

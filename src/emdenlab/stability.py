@@ -21,7 +21,9 @@ the Hardy minimum below is.  Only a potential that varies along the nodes
 takes its low spectrum from LAPACK bisection (see ``tridiag``).  Form
 values are evaluated in t by the same rule (h phi^T T phi on the assembly
 nodes); the Kelvin, dual and sigma maps send (P, phi) to itself or to its
-reflection t -> -t, so ``invariance_check`` agrees to rounding.
+reflection t -> -t, so ``invariance_check`` agrees to rounding.  A test
+function is a ``RadialFunction`` that vanishes at both ends, so the
+function-level maps of ``transforms`` carry psi as they carry v.
 
 The Rayleigh bound of the weighted Hardy inequality uses the same
 variables but exact piecewise-linear finite elements instead of
@@ -55,23 +57,14 @@ NEGATIVE_TOL_FACTOR = 1e-9
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """Radial test function vanishing at both ends of its grid."""
-
-    grid: RadialGrid
-    values: np.ndarray
+class TestFunction(RadialFunction):
+    """Radial function vanishing at both ends of its grid."""
 
     __test__ = False  # keep pytest from collecting the class by name
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise InvalidParameterError("values and grid have different lengths")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError("test function values must be finite")
-        if vals[0] != 0.0 or vals[-1] != 0.0:
+        super().__post_init__()
+        if self.values[0] != 0.0 or self.values[-1] != 0.0:
             raise InvalidParameterError("test function must vanish at both endpoints")
 
 
@@ -137,13 +130,10 @@ def potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:
 
 
 def _form_value(level: float, P: np.ndarray, psi: TestFunction, power: float) -> float:
-    """sum(diff(phi)^2 / diff(t)) + trapezoid((level - P) phi^2, t), phi = r^power psi.
-
-    phi is formed in logs, so only a form value out of range raises.
-    """
+    """sum(diff(phi)^2 / diff(t)) + trapezoid((level - P) phi^2, t), phi = r^power psi."""
     t = psi.grid.log_points
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        phi = np.sign(psi.values) * np.exp(power * t + np.log(np.abs(psi.values)))
+    phi = psi.times_power(power)
+    with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.sum(np.diff(phi) ** 2 / np.diff(t))
                       + np.trapezoid((level - P) * phi**2, t))
     if not math.isfinite(value):
@@ -337,23 +327,16 @@ def invariance_check(
     """
     kind = TransformKind(kind)
     q_source = q_value(params, v, psi)
-    if kind in (TransformKind.KELVIN, TransformKind.DUAL):
-        image, apply = {
-            TransformKind.KELVIN: (kelvin_params, lambda f: kelvin_apply(f, params)),
-            TransformKind.DUAL: (dual_params, dual_apply),
-        }[kind]
-        psi_im = apply(RadialFunction(psi.grid, psi.values))
+    if kind is TransformKind.KELVIN:
         return q_source, q_value(
-            image(params), apply(v), TestFunction(psi_im.grid, psi_im.values)
+            kelvin_params(params), kelvin_apply(v, params), kelvin_apply(psi, params)
         )
+    if kind is TransformKind.DUAL:
+        return q_source, q_value(dual_params(params), dual_apply(v), dual_apply(psi))
     if kind is TransformKind.SIGMA:
-        schrodinger = sigma_inverse(params)
-        u = sigma_apply(v, params)
-        sigma = -params.theta / 2.0
-        phi = TestFunction(
-            grid=psi.grid, values=psi.values * psi.grid.points ** (-sigma)
+        return q_source, q_value_schrodinger(
+            sigma_inverse(params), sigma_apply(v, params), sigma_apply(psi, params)
         )
-        return q_source, q_value_schrodinger(schrodinger, u, phi)
     raise InvalidParameterError(f"unsupported transform kind for invariance: {kind}")
 
 

@@ -17,8 +17,9 @@ Parameter-level maps are exact affine arithmetic and return the image
 grids, where inversion r -> 1/r is a pure relabeling of grid points, so
 no interpolation is ever involved.  Their power weights are formed in
 logs (``RadialFunction.times_power``), so only an image out of the float
-range raises, and images are built with the input's own class, so this
-module loads no numpy.
+range raises.  Images are built with the input's own class: the maps carry
+a test function (``stability.TestFunction``) as they carry a profile, which
+``stability.invariance_check`` relies on, and this module loads no numpy.
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ With NaN, +-inf or +-1e300 in any float input, the exponent algebra,
 ``stable_estimate_check``, ``q_value`` and ``RadialGrid.logspaced`` return
 a finite result or raise an ``EmdenlabError``: a non-finite N' or tau is
 invalid input, and an exponent coefficient out of the float range a
-numerical failure.
+numerical failure.  So do the function-level entry points and ``residual``
+on annuli as far from r = 1 as [1e100, 1e200] and [1e-200, 1e-100], with
+psi scaled by 1e-300 to 1e300.
 """
 
 import dataclasses
@@ -56,6 +58,7 @@ from emdenlab import (
     q_value,
     radial_morse_index,
     radial_ode,
+    residual,
     shoot,
     sigma_apply,
     sigma_inverse,
@@ -311,6 +314,7 @@ def test_v_infinity_spectrum_samples_no_profile(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(radial_ode, "v_infinity", sampled)
     monkeypatch.setattr(RadialFunction, "interp", sampled)
+    monkeypatch.setattr(RadialGrid, "logspaced", sampled)  # nor builds a grid
     common = ["--N", "100", "--theta", "0", "--l", "0"]
     assert main(["spectrum", *common, "--p", "1.0408", "--a", "1e-12", "--b", "1e12"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["negative_count"] == 174
@@ -319,6 +323,10 @@ def test_v_infinity_spectrum_samples_no_profile(tmp_path, monkeypatch, capsys):
                       "a = 1e-12\nb = 1e12\nn = 2000\n")
     assert main(["sweep", "--config", str(config)]) == 0
     assert [row.split(",")[-1] for row in capsys.readouterr().out.splitlines()[1:]] == ["", ""]
+    # a, b and n are still reported before the profile's conditions (p is below Serrin)
+    assert main(["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "1.01",
+                 "--n", "4"]) == 2
+    assert "interior nodes" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
 #: NaN, both infinities and both signs of a finite value whose square overflows.
@@ -391,18 +399,50 @@ def _extreme_calls(seed: int, draws: int):
             yield q_value, (params, w, psi)
 
 
+#: Annuli far from r = 1, where a power of r alone leaves the float range.
+FAR_ANNULI = ((1e100, 1e200), (1e-200, 1e-100), (1e-150, 1e150))
+
+
+def _far_annulus_calls(seed: int, draws: int):
+    """(function, args) of the function-level entry points on ``FAR_ANNULI``.
+
+    psi is the bump scaled by 1, 1e-300 and 1e300, v is r^(-k) with k in
+    [0.1, 1] or zero, and the parameters are drawn from the documented domain.
+    """
+    rng = random.Random(seed)
+    for (r_min, r_max), scale, _ in itertools.product(FAR_ANNULI, (1.0, 1e-300, 1e300),
+                                                      range(draws)):
+        grid = RadialGrid.logspaced(r_min, r_max, 17)
+        s = np.linspace(0.0, 1.0, grid.n)
+        psi = TestFunction(grid, scale * (4.0 * s * (1.0 - s)) ** 2)
+        N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.9, 3.0)
+        params = ProblemParams(N, theta, theta + tau, rng.uniform(1.1, 12.0))
+        m = max(2, math.ceil((params.p + 1.0) / (params.p - 1.0)))  # the least m at gamma = 1
+        k = rng.uniform(0.1, 1.0)
+        for v in (RadialFunction(grid, grid.points ** -k), RadialFunction(grid, np.zeros(grid.n))):
+            yield kelvin_apply, (v, params)
+            yield sigma_apply, (v, params)
+            yield q_value, (params, v, psi)
+            yield residual, (v, params)
+            for kind in ("kelvin", "dual", "sigma"):
+                yield invariance_check, (kind, params, v, psi)
+            yield stable_estimate_check, (params, v, 1.0, m, psi)
+
+
 def _label(fn, args) -> str:
     shown = (a if isinstance(a, (int, float, str)) else type(a).__name__ for a in args)
     return f"{fn.__qualname__}({', '.join(map(str, shown))})"
 
 
 def test_library_entry_points_return_finite_or_raise_typed_on_extreme_input():
-    # NaN, +-inf and +-1e300 in every float input: a finite result or an
-    # EmdenlabError, never a raw OverflowError, a RuntimeWarning or a NaN
+    # NaN, +-inf and +-1e300 in every float input, and annuli far from r = 1:
+    # a finite result or an EmdenlabError, never a raw OverflowError, a
+    # RuntimeWarning or a NaN
     failures, outcomes = [], {"result": 0, "error": 0}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn, args in _extreme_calls(seed=53, draws=3):
+        for fn, args in itertools.chain(_extreme_calls(seed=53, draws=3),
+                                        _far_annulus_calls(seed=59, draws=6)):
             try:
                 result = fn(*args)
             except EmdenlabError:

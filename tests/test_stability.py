@@ -31,6 +31,7 @@ from emdenlab import (
     q_value_schrodinger,
     radial_morse_index,
     shoot,
+    sigma_apply,
     stable_estimate_check,
     v_infinity,
 )
@@ -484,6 +485,9 @@ def test_out_of_range_form_value_is_a_numerical_error():
         q_value(params, zero, TestFunction(grid, shape))
     with pytest.raises(NumericalError, match="float range"):
         q_value_schrodinger(SchrodingerParams(100, 0.0, 0.0, 2.0), zero, TestFunction(grid, shape))
+    # N' = 1e308: power * log r overflows, also where psi = 0
+    with pytest.raises(NumericalError, match="float range"):
+        q_value(ProblemParams(3, 1e308, 1e308, 2.0), zero, TestFunction(grid, shape))
     huge = RadialFunction(grid, np.full(grid.n, 1e200))
     with pytest.raises(NumericalError, match="potential"):
         spectrum_of(ProblemParams(100, 0.0, 0.0, 3.0), huge, 1e-3, 1e3, 100)
@@ -705,6 +709,33 @@ def test_invariance_kelvin_on_singular_solution():
     psi = bump_test_function(0.1, 10.0, 24001)
     qs, qi = invariance_check("kelvin", params, v, psi)
     assert abs(qs - qi) / abs(qs) < 1e-6
+
+
+def test_sigma_invariance_on_a_far_annulus():
+    # psi = 1e-300 bump on [1e100, 1e200]: r^(-sigma) = r^-2 alone underflows
+    # there, yet both forms are finite and equal, with no RuntimeWarning
+    params = ProblemParams(2, 4.0, 4.0, 3.0)
+    psi = bump_test_function(1e100, 1e200, 200)
+    psi = TestFunction(psi.grid, 1e-300 * psi.values)
+    for v in (RadialFunction(psi.grid, psi.grid.points**-0.9),
+              RadialFunction(psi.grid, np.zeros(psi.grid.n))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qs, qi = invariance_check("sigma", params, v, psi)
+        assert math.isfinite(qs) and qi == pytest.approx(qs, rel=1e-11)
+
+
+def test_test_function_vanishes_at_both_ends_through_the_transforms():
+    psi = bump_test_function(0.1, 10.0, 65)
+    nonzero_end, nan = psi.values.copy(), psi.values.copy()
+    nonzero_end[-1], nan[32] = 1e-300, math.nan
+    for bad in (nonzero_end, nan, psi.values[:-1]):
+        with pytest.raises(InvalidParameterError):
+            TestFunction(psi.grid, bad)
+    params = ProblemParams(5, 0.5, 0.7, 3.0)
+    for image in (kelvin_apply(psi, params), dual_apply(psi), sigma_apply(psi, params)):
+        assert type(image) is TestFunction
+        assert image.values[0] == 0.0 and image.values[-1] == 0.0
 
 
 def test_kelvin_and_dual_image_spectra_match_the_source():
