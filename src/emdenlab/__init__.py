@@ -18,17 +18,16 @@ loads ``scipy.linalg``, and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.10.1"
+__version__ = "0.11.0"
 
 #: Home module of every public name.
 _HOMES = {
     "errors": ("EmdenlabError", "InvalidParameterError", "NumericalError"),
     "grids": ("RadialGrid", "RadialFunction"),
     "params": (
-        "ProblemParams", "SchrodingerParams", "DerivedIndices", "CriticalExponents",
-        "Classification", "RegimeLabel", "derive", "f_eval", "gamma_of_p",
-        "capital_gamma", "delta", "critical_exponents", "crossing_by_bisection",
-        "classify_p", "hardy_constant",
+        "ProblemParams", "SchrodingerParams", "CriticalExponents", "Classification",
+        "RegimeLabel", "f_eval", "gamma_of_p", "capital_gamma", "delta",
+        "critical_exponents", "crossing_by_bisection", "classify_p", "hardy_constant",
     ),
     "transforms": (
         "TransformKind", "kelvin_params", "dual_params", "sigma_params",

@@ -57,7 +57,6 @@ from .params import (
     SchrodingerParams,
     classify_p,
     critical_exponents,
-    derive,
     f_eval,
     hardy_constant,
 )
@@ -161,14 +160,14 @@ def _csv_cell(value) -> str:
 
 
 def _derived_block(params: ProblemParams, with_p: bool = True) -> dict:
-    ind = derive(params)
+    c0 = params.c0  # read first, with or without p: its NumericalError comes first
     return {
-        "n_prime": ind.n_prime,
-        "tau": ind.tau,
-        "m_exp": ind.m_exp if with_p else None,
-        "serrin": ind.serrin,
-        "sobolev": ind.sobolev,
-        "c0": ind.c0 if with_p else None,
+        "n_prime": params.n_prime,
+        "tau": params.tau,
+        "m_exp": params.m_exp if with_p else None,
+        "serrin": params.serrin,
+        "sobolev": params.sobolev,
+        "c0": c0 if with_p else None,
         "standard_regime": params.standard_regime,
     }
 
@@ -205,12 +204,12 @@ def _spectrum(
 
     _log_step(a, b, n)  # a, b and n are checked before the profile's conditions
     if profile == "v_infinity":
-        ind = derive(params)
+        c0 = params.c0  # read first: its NumericalError precedes the checks below
         if not params.standard_regime:
             raise InvalidParameterError("need N' > 2 and tau > -2")
-        if ind.c0 is None:
+        if c0 is None:
             raise InvalidParameterError("singular solution needs p above the Serrin exponent")
-        P = f_eval(params.p, ind.n_prime, ind.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
+        P = f_eval(params.p, params.n_prime, params.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
     elif profile.startswith("shoot:"):
         from .radial_ode import shoot
         kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
@@ -231,22 +230,22 @@ def cmd_exponents(args) -> dict:
         raise InvalidParameterError(
             "exponent report requires the standard regime N + theta > 2, l - theta > -2"
         )
-    ind = derive(params)
-    exps = critical_exponents(ind.n_prime, ind.tau)
+    c0 = params.c0  # read first: its NumericalError precedes the exponent checks
+    exps = critical_exponents(params.n_prime, params.tau)
     results = {
         "serrin": exps.serrin,
         "sobolev": exps.sobolev,
         "p_tilde_c": exps.p_tilde_c,
-        "p_minus": exps.p_minus,
-        "p_plus": exps.p_plus,
+        "p_minus": exps.p_tilde_c,
+        "p_plus": exps.p_c,
         "p_c": _or_infinity(exps.p_c),
-        "hardy_level": hardy_constant(ind.n_prime),
+        "hardy_level": hardy_constant(params.n_prime),
         "quadratic_coeffs": list(exps.quadratic_coeffs),
     }
     if has_p:
         cls = classify_p(params)
-        results["c0"] = ind.c0
-        results["f_p"] = f_eval(params.p, ind.n_prime, ind.tau)
+        results["c0"] = c0
+        results["f_p"] = f_eval(params.p, params.n_prime, params.tau)
         results["regime"] = cls.label.value
         results["condition_weight_balance"] = cls.condition_weight_balance
     return _envelope(args, _PARAMS, _derived_block(params, with_p=has_p), results)
@@ -278,7 +277,6 @@ def cmd_shoot(args) -> dict:
         r_min=args.rmin,
         points_per_decade=args.points_per_decade,
     )
-    ind = derive(params)
     grid = result.log_scaled.grid
     if args.out:
         # v is formed before the file opens: where it underflows, no file is left
@@ -296,7 +294,7 @@ def cmd_shoot(args) -> dict:
         "converged": result.converged,
         "classification": result.classification.value,
         "ordering_vs_singular": result.ordering_vs_singular.value,
-        "c0": ind.c0,
+        "c0": params.c0,
         "csv": args.out,
         "diagnostics": {
             k: getattr(result, k) for k in ("nfev", "zeta_residual", "log_amplitude_residual")

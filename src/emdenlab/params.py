@@ -52,12 +52,16 @@ def _check_fields(params, floats: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Parameters (N, theta, l, p) of the weighted equation.
+    """Parameters (N, theta, l, p) of the weighted equation and their indices.
 
     ``standard_regime`` records the standing assumption N + theta > 2 and
     l - theta > -2 under which the critical-exponent theory applies.
     Parameters outside that regime are representable (the dual transform
-    produces them) but most operations reject them.
+    produces them) but most operations reject them.  ``serrin`` and
+    ``sobolev`` are None exactly when N' = 2, where their quotients are
+    singular.  ``c0``, the amplitude of the singular solution c0 r^(-m_exp),
+    exists exactly when N' > 2, tau > -2 and p exceeds the Serrin exponent,
+    and raises NumericalError where it leaves the float range.
     """
 
     N: int
@@ -80,24 +84,32 @@ class ProblemParams:
     def standard_regime(self) -> bool:
         return self.n_prime > 2.0 and self.tau > -2.0
 
+    @property
+    def m_exp(self) -> float:
+        return (2.0 + self.tau) / (self.p - 1.0)
 
-@dataclass(frozen=True)
-class DerivedIndices:
-    """Indices derived from (N, theta, l, p).
+    @property
+    def serrin(self) -> float | None:
+        return None if self.n_prime == 2.0 else _serrin_sobolev(self.n_prime, self.tau)[0]
 
-    ``serrin`` and ``sobolev`` are None exactly when N' = 2, where the
-    defining quotients are singular.  ``c0`` is the amplitude of the
-    singular solution c0 * r**(-m_exp); it exists exactly when the
-    base m_exp*(N'-2-m_exp) is positive, i.e. when N' > 2, tau > -2 and
-    p exceeds the Serrin exponent.
-    """
+    @property
+    def sobolev(self) -> float | None:
+        return None if self.n_prime == 2.0 else _serrin_sobolev(self.n_prime, self.tau)[1]
 
-    n_prime: float
-    tau: float
-    m_exp: float
-    serrin: float | None
-    sobolev: float | None
-    c0: float | None
+    @property
+    def c0(self) -> float | None:
+        """(m (N'-2-m))^(1/(p-1)) where N' > 2 and the base is positive, else None."""
+        np_, m = self.n_prime, self.m_exp
+        base = m * (np_ - 2.0 - m)
+        if not (np_ > 2.0 and base > 0.0):
+            return None
+        try:
+            c0 = base ** (1.0 / (self.p - 1.0))
+        except OverflowError:
+            c0 = math.inf
+        if not 0.0 < c0 < math.inf:
+            raise NumericalError(f"c0 leaves the float range at N' = {np_}, p = {self.p}")
+        return c0
 
 
 class RegimeLabel(str, Enum):
@@ -114,20 +126,18 @@ class RegimeLabel(str, Enum):
 class CriticalExponents:
     """Roots of f(p) = (N'-2)^2/4 for a fixed (N', tau).
 
-    ``p_minus`` (= ``p_tilde_c``) always exists and lies strictly between
-    the Serrin and Sobolev exponents.  ``p_plus`` exists iff
-    N' > 10 + 4*tau and then lies strictly above the Sobolev exponent;
-    ``p_c`` equals ``p_plus`` there and is None (meaning +infinity) for
+    ``p_tilde_c``, the lower crossing, always exists and lies strictly
+    between the Serrin and Sobolev exponents.  The upper crossing exists
+    iff N' > 10 + 4*tau and then lies strictly above the Sobolev exponent;
+    ``p_c`` is that crossing, and None (meaning +infinity) for
     2 < N' <= 10 + 4*tau.  Infinity is always this explicit None, never a
     float sentinel.  ``serrin`` and ``sobolev`` are the ends of the window
-    that holds ``p_minus``.  ``quadratic_coeffs`` are the coefficients
+    that holds ``p_tilde_c``.  ``quadratic_coeffs`` are the coefficients
     (a, b, c) of the equivalent quadratic a*p**2 - b*p + c = 0.
     """
 
     serrin: float
     sobolev: float
-    p_minus: float
-    p_plus: float | None
     p_c: float | None
     p_tilde_c: float
     quadratic_coeffs: tuple[float, float, float]
@@ -186,23 +196,6 @@ def _serrin_sobolev(n_prime: float, tau: float) -> tuple[float, float]:
     return (n_prime + tau) / (n_prime - 2.0), (n_prime + 2.0 + 2.0 * tau) / (n_prime - 2.0)
 
 
-def derive(params: ProblemParams) -> DerivedIndices:
-    """Compute the derived indices; NumericalError where c0 leaves the float range."""
-    np_, tau = params.n_prime, params.tau
-    m = (2.0 + tau) / (params.p - 1.0)
-    serrin, sobolev = (None, None) if np_ == 2.0 else _serrin_sobolev(np_, tau)
-    base = m * (np_ - 2.0 - m)
-    c0 = None
-    if np_ > 2.0 and base > 0.0:
-        try:
-            c0 = base ** (1.0 / (params.p - 1.0))
-        except OverflowError:
-            c0 = math.inf
-        if not 0.0 < c0 < math.inf:
-            raise NumericalError(f"c0 leaves the float range at N' = {np_}, p = {params.p}")
-    return DerivedIndices(n_prime=np_, tau=tau, m_exp=m, serrin=serrin, sobolev=sobolev, c0=c0)
-
-
 def f_eval(p: float, n_prime: float, tau: float) -> float:
     """Potential strength f(p) = p * m * (N'-2-m) with m = (2+tau)/(p-1).
 
@@ -253,6 +246,11 @@ def hardy_constant(n_prime: float) -> float:
     """
     if not 2.0 < n_prime < math.inf:
         raise InvalidParameterError(f"need a finite N' > 2, got {n_prime}")
+    return _hardy_level(n_prime)
+
+
+def _hardy_level(n_prime: float) -> float:
+    """(N'-2)^2/4 for any N'; NumericalError where it overflows."""
     try:
         return (n_prime - 2.0) ** 2 / 4.0
     except OverflowError:
@@ -391,13 +389,10 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
                 f"closed-form P_plus {p_plus} disagrees with bisection {bis_plus}"
             )
 
-    p_c = p_plus if a > 0.0 else None
     return CriticalExponents(
         serrin=serrin,
         sobolev=sobolev,
-        p_minus=p_minus,
-        p_plus=p_plus,
-        p_c=p_c,
+        p_c=p_plus,
         p_tilde_c=p_minus,
         quadratic_coeffs=(a, b, c),
     )

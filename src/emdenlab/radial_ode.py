@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import DerivedIndices, ProblemParams, derive, f_eval
+from .params import ProblemParams, _hardy_level, f_eval
 
 #: Series start radius relative to the intrinsic kappa scale, lowered near
 #: tau = -2 where the origin series converges only very close to 0.
@@ -98,7 +98,7 @@ class ShootingResult:
     def solution(self) -> RadialFunction:
         """v = e^(y - m t), formed on read; NumericalError where v underflows to 0."""
         grid = self.log_scaled.grid
-        values = np.exp(self.log_scaled.values - derive(self.params).m_exp * grid.log_points)
+        values = np.exp(self.log_scaled.values - self.params.m_exp * grid.log_points)
         if not np.all(values > 0.0):
             raise NumericalError(f"v = r^(-m) w underflows on [{grid.r_min}, {grid.r_max}]")
         return RadialFunction(grid=grid, values=values)
@@ -159,10 +159,9 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     Raises NumericalError where v would leave the normal range of that
     dtype on the grid.
     """
-    ind = derive(params)
     if not params.standard_regime:
         raise InvalidParameterError("need N' > 2 and tau > -2")
-    if ind.c0 is None:
+    if params.c0 is None:
         raise InvalidParameterError(
             "singular solution needs p above the Serrin exponent"
         )
@@ -171,15 +170,15 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     # overflows unless v itself does; extended precision keeps the
     # rounding of log v, up to |log v| eps, below that of v itself
     ext = np.longdouble
-    np_, tau, p = ext(ind.n_prime), ext(ind.tau), ext(params.p)
+    np_, tau, p = ext(params.n_prime), ext(params.tau), ext(params.p)
     m = (2.0 + tau) / (p - 1.0)
     log_s = np.log(m * (np_ - 2.0 - m)) / (2.0 + tau)
     log_v = m * (log_s - np.log(grid.points.astype(ext)))
     info = np.finfo(dtype)
     if log_v[-1] < np.log(info.tiny) or log_v[0] > np.log(info.max):
         raise NumericalError(
-            f"c0 r^(-m) leaves the {info.dtype} range at N' = {ind.n_prime}, "
-            f"tau = {ind.tau} on [{grid.r_min}, {grid.r_max}]"
+            f"c0 r^(-m) leaves the {info.dtype} range at N' = {params.n_prime}, "
+            f"tau = {params.tau} on [{grid.r_min}, {grid.r_max}]"
         )
     return RadialFunction(grid=grid, values=np.exp(log_v).astype(dtype))
 
@@ -199,45 +198,48 @@ def shoot(
 
     Output is sampled on ``grid`` when given, else on a log grid from
     ``r_min`` (default: the series start radius) to ``r_max`` with
-    ``points_per_decade`` nodes per decade.  ``tol`` sets the relative
-    and absolute tolerance on the state (y, s), applied as tol/1000.  The
-    hypothesis p above the Sobolev exponent is enforced; there the solution
+    ``points_per_decade`` (positive) nodes per decade.  ``tol`` sets the
+    relative and absolute tolerance on the state (y, s), applied as
+    tol/1000.  The hypothesis p above the Sobolev exponent is enforced; there the solution
     is positive, strictly decreasing, and r^m v(r) tends to the singular
     amplitude c0.
     """
-    ind = derive(params)
+    c0 = params.c0  # read first: its NumericalError precedes the checks below
     if not params.standard_regime:
         raise InvalidParameterError("need N' > 2 and tau > -2")
-    if not params.p > ind.sobolev:
+    if not params.p > params.sobolev:
         raise InvalidParameterError(
-            f"shooting requires p above the Sobolev exponent {ind.sobolev}"
+            f"shooting requires p above the Sobolev exponent {params.sobolev}"
         )
     if not kappa > 0.0:
         raise InvalidParameterError("kappa must be positive")
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
+    if not points_per_decade > 0:
+        raise InvalidParameterError(f"points_per_decade must be positive, got {points_per_decade}")
     for name, value in (("kappa", kappa), ("r_max", r_max), ("tol", tol)):
         if not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
+    np_, tau, p, m = params.n_prime, params.tau, params.p, params.m_exp
     try:  # the intrinsic length kappa^(-(p-1)/(2+tau))
-        scale = kappa ** (-(params.p - 1.0) / (2.0 + ind.tau))
+        scale = kappa ** (-(p - 1.0) / (2.0 + tau))
     except OverflowError:
         raise NumericalError(
-            f"length scale of kappa = {kappa} overflows at tau = {ind.tau}"
+            f"length scale of kappa = {kappa} overflows at tau = {tau}"
         ) from None
     if r_start is None:
         # q = (r/scale)^(2+tau) drives the series; capping q/((2+tau)(N'+tau))
         # at sqrt(tol) keeps the dropped O(q^2) term below tol near tau = -2
-        log_cap = (0.5 * math.log(tol) + math.log((2.0 + ind.tau) * (ind.n_prime + ind.tau))
-                   ) / (2.0 + ind.tau)
+        log_cap = (0.5 * math.log(tol) + math.log((2.0 + tau) * (np_ + tau))
+                   ) / (2.0 + tau)
         r_start = scale * min(SERIES_START_FACTOR, math.exp(min(log_cap, 0.0)))
         if not r_start > 0.0:
-            raise NumericalError(f"series start radius underflows at tau = {ind.tau}")
+            raise NumericalError(f"series start radius underflows at tau = {tau}")
         if grid is None and r_min is None and not r_start < r_max:
             raise NumericalError(
                 f"series start radius {r_start:.6g} of kappa = {kappa} lies beyond "
-                f"r_max = {r_max:.6g} at tau = {ind.tau}"
+                f"r_max = {r_max:.6g} at tau = {tau}"
             )
     if grid is None:
         lo = r_min if r_min is not None else r_start
@@ -249,7 +251,6 @@ def shoot(
         raise InvalidParameterError("grid extends beyond r_max")
     r_start = min(r_start, grid.r_min)
 
-    np_, tau, p, m = ind.n_prime, ind.tau, params.p, ind.m_exp
     t_eval = grid.log_points
     t0 = min(math.log(r_start), float(t_eval[0]))
     # Two-term origin series v = kappa (1 - q/((2+tau)(N'+tau))) and
@@ -294,7 +295,7 @@ def shoot(
         classification = (DecayClass.SLOW_DECAY if converged
                           else classify_decay(w, params)[0])
 
-    gap = y - math.log(ind.c0)  # log(v / (c0 r^(-m)))
+    gap = y - math.log(c0)  # log(v / (c0 r^(-m)))
     band = ORDERING_NOISE_FACTOR * tol
     if np.any(gap > band):
         ordering = Ordering.CROSSES if np.any(gap < -band) else Ordering.ABOVE
@@ -328,13 +329,13 @@ def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:
         raise InvalidParameterError("kappa must be positive")
     if v1.kappa != 1.0:
         raise InvalidParameterError("rescale expects a run with kappa = 1")
-    ind = derive(v1.params)
-    lam = (v1.params.p - 1.0) / (ind.tau + 2.0)
+    tau = v1.params.tau
+    lam = (v1.params.p - 1.0) / (tau + 2.0)
     try:  # the factor over- or underflows, or the grid leaves the float range
         grid = v1.log_scaled.grid.scaled(kappa ** (-lam))
     except (OverflowError, InvalidParameterError):
         raise NumericalError(
-            f"grid rescaled to kappa = {kappa} leaves the float range at tau = {ind.tau}"
+            f"grid rescaled to kappa = {kappa} leaves the float range at tau = {tau}"
         ) from None
     return RadialFunction(grid=grid, values=kappa * v1.solution.values)
 
@@ -355,7 +356,7 @@ def _linear_tail(w: RadialFunction) -> tuple[np.ndarray, np.ndarray, float, floa
     return t, y, level, abs(slope) * (t[-1] - t[0]) / max(abs(level), 1e-300)
 
 
-def _linearised_limit(s: np.ndarray, y: np.ndarray, p: float, ind: DerivedIndices) -> float:
+def _linearised_limit(s: np.ndarray, y: np.ndarray, params: ProblemParams) -> float:
     """Constant of the least-squares fit of y(s) to c plus the linearisation.
 
     Near c0, w = r^m v solves w'' + (N'-2-2m) w' + (p-1) m (N'-2-m) (w - c0)
@@ -364,11 +365,15 @@ def _linearised_limit(s: np.ndarray, y: np.ndarray, p: float, ind: DerivedIndice
     side, and a sum of e^((-rho +- sqrt(disc)/2) s) on the node side, fit
     as the slow mode and the two modes' difference quotient, which tends
     to s e^(-rho s) where disc = 0.  ``s`` >= 0 keeps every mode at most 1.
+    A discriminant out of the float range raises ``NumericalError``.
     """
-    rho = 0.5 * (ind.n_prime - 2.0 - 2.0 * ind.m_exp)
-    disc = (ind.n_prime - 2.0) ** 2 - 4.0 * f_eval(p, ind.n_prime, ind.tau)
-    half = 0.5 * math.sqrt(abs(disc))
-    if disc < 0.0:
+    np_ = params.n_prime
+    rho = 0.5 * (np_ - 2.0 - 2.0 * params.m_exp)
+    quarter = _hardy_level(np_) - f_eval(params.p, np_, params.tau)  # disc/4, exactly
+    if not math.isfinite(quarter):
+        raise NumericalError(f"tail discriminant leaves the float range at N' = {np_}")
+    half = math.sqrt(abs(quarter))  # = sqrt(|disc|)/2, exactly
+    if quarter < 0.0:
         decay = np.exp(-rho * s)
         modes = (decay * np.cos(half * s), decay * np.sin(half * s))
     else:
@@ -390,12 +395,12 @@ def asymptotic_constant(w: RadialFunction, params: ProblemParams) -> tuple[float
     below 0.5 percent of its mid-decade level.  The grid must span three
     decades, with four or more normal positive floats w in the last one.
     """
-    ind = derive(params)
+    c0 = params.c0  # read first: its NumericalError precedes the tail checks
     t, y, level, drift = _linear_tail(w)
     converged = bool(drift <= SLOW_DRIFT_TOL)
-    if ind.c0 is None:
+    if c0 is None:
         return level, converged
-    return _linearised_limit(t - t[0], y, params.p, ind), converged
+    return _linearised_limit(t - t[0], y, params), converged
 
 
 def classify_decay(
@@ -408,12 +413,11 @@ def classify_decay(
     of v, m minus the slope of log w, matches N'-2 within 2 percent.
     These thresholds are implementation choices, not theory values.
     """
-    ind = derive(params)
     t, y, _, drift = _linear_tail(w)
-    fitted_exponent = ind.m_exp - float(np.polyfit(t, np.log(y), 1)[0])
+    fitted_exponent = params.m_exp - float(np.polyfit(t, np.log(y), 1)[0])
     if drift <= SLOW_DRIFT_TOL:
         return DecayClass.SLOW_DECAY, drift, fitted_exponent
-    fast_ref = ind.n_prime - 2.0
+    fast_ref = params.n_prime - 2.0
     if fast_ref > 0.0 and abs(fitted_exponent - fast_ref) <= FAST_EXPONENT_TOL * fast_ref:
         return DecayClass.FAST_DECAY, drift, fitted_exponent
     return DecayClass.INCONCLUSIVE, drift, fitted_exponent
@@ -441,15 +445,14 @@ def residual(v: RadialFunction, params: ProblemParams) -> float:
     d2 = 2.0 * (
         (vals[2:] - vals[1:-1]) / h_plus - (vals[1:-1] - vals[:-2]) / h_minus
     ) / (h_plus + h_minus)
-    ind = derive(params)
     vi, ti = vals[1:-1], t[1:-1]
     # r^-2 and r^tau are formed in logs next to the factor each one scales,
     # so only a term that itself leaves the dtype's range raises.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 0 gives 0
-        r2_laplacian = d2 + (dtype.type(ind.n_prime) - 2.0) * d1
+        r2_laplacian = d2 + (dtype.type(params.n_prime) - 2.0) * d1
         linear = np.sign(r2_laplacian) * np.exp(np.log(np.abs(r2_laplacian)) - 2.0 * ti)
         nonlinear = np.sign(vi) * np.exp(
-            dtype.type(ind.tau) * ti + dtype.type(params.p) * np.log(np.abs(vi))
+            dtype.type(params.tau) * ti + dtype.type(params.p) * np.log(np.abs(vi))
         )
         res = np.max(np.abs(linear + nonlinear))
         scale = np.max(np.abs(nonlinear))
@@ -467,10 +470,16 @@ def sphere_constant_check(params: ProblemParams) -> float:
     Scaled profiles of radial solutions limit on constants w satisfying
     w^p = m*(N'-2-m) * w; the singular amplitude c0 satisfies this
     identity exactly, so the returned residual |c0^p - f(p)/p * c0|
-    vanishes up to rounding.
+    vanishes up to rounding.  NumericalError where c0^p leaves the float range.
     """
-    ind = derive(params)
-    if ind.c0 is None:
+    c0 = params.c0
+    if c0 is None:
         raise InvalidParameterError("needs p above the Serrin exponent")
-    level = f_eval(params.p, ind.n_prime, ind.tau) / params.p
-    return abs(ind.c0**params.p - level * ind.c0)
+    level = f_eval(params.p, params.n_prime, params.tau) / params.p
+    try:
+        value = abs(c0**params.p - level * c0)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"c0^p leaves the float range at N' = {params.n_prime}")
+    return value

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import ProblemParams, SchrodingerParams, gamma_of_p, hardy_constant
+from .params import ProblemParams, SchrodingerParams, _hardy_level, gamma_of_p, hardy_constant
 from .transforms import (
     TransformKind,
     dual_apply,
@@ -158,7 +158,8 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
 
     P is one number or its n values on the interior nodes of ``log_nodes``,
     for example ``p * np.exp((p - 1) * y.values[1:-1])`` for the state
-    y = log(r^m v) of a shot on those nodes; the ends are Dirichlet.
+    y = log(r^m v) of a shot on those nodes; the ends are Dirichlet.  A
+    diagonal out of the float range (a huge N') raises ``NumericalError``.
     """
     h = _log_step(a, b, n)
     P = np.asarray(P, dtype=float)
@@ -166,15 +167,10 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
         raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
         raise InvalidParameterError("potential values must be finite")
-    return FormAssembly(
-        diag=np.full(n, 2.0 / h**2 + _level(params)) - P,
-        off=np.full(n - 1, -1.0 / h**2),
-        h=h,
-    )
-
-
-def _level(params: ProblemParams) -> float:
-    return (params.n_prime - 2.0) ** 2 / 4.0  # for any N', unlike hardy_constant
+    diag = np.full(n, 2.0 / h**2 + _hardy_level(params.n_prime)) - P
+    if not np.all(np.isfinite(diag)):
+        raise NumericalError(f"assembled diagonal leaves the float range at N' = {params.n_prime}")
+    return FormAssembly(diag=diag, off=np.full(n - 1, -1.0 / h**2), h=h)
 
 
 def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> SpectrumReport:
@@ -201,7 +197,7 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
     negative = tridiag.count_below(d, e, -tol)
     k = min(max(negative + 8, 16), n)
     if np.ndim(P) == 0:
-        level = _level(params)
+        level = _hardy_level(params.n_prime)
         j = np.arange(1, k + 1)
         eigs = 4.0 / asm.h**2 * np.sin(j * (math.pi / (2.0 * (n + 1)))) ** 2
         eigs += level - float(P)

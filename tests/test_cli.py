@@ -325,6 +325,32 @@ def test_singular_amplitude_outside_the_float_range_exit_code(p, capsys):
     assert env["error"]["type"] == "numerical_failure"
 
 
+def test_spectrum_at_a_huge_n_prime_is_a_numerical_failure(tmp_path, capsys):
+    # N' = 1e200: (N'-2)^2/4 overflows; exit 3 with JSON, and each sweep row
+    # records the error, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = run_json(["spectrum", "--N", "2", "--theta", "1e200", "--l", "1e200", "--p", "3",
+                        "--n", "20"], capsys, expect_code=3)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("mode = spectrum\nN = 2\ntheta = 1e200\nl = 1e200\np = 3,5\nn = 20\n")
+        code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert err["error"]["type"] == "numerical_failure", err
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 2 and all("overflows" in row["error"] for row in rows), rows
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_shoot_non_positive_points_per_decade_is_invalid_input(points, capsys):
+    # it once gave a 2-point grid and an inconclusive tail with exit 0
+    argv = ["shoot", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
+            "--points-per-decade", points]
+    err = run_json(argv, capsys, expect_code=2)
+    assert err["error"]["type"] == "invalid_input"
+    assert "points_per_decade" in err["error"]["message"]
+
+
 def test_shoot_near_tau_minus_two(capsys):
     # tau = -1.927: the fixed start radius once put log1p's argument below -1
     env = run_json(["shoot", "--N", "3", "--theta=1.25957", "--l=-0.667567", "--p", "2.6319"],

@@ -22,7 +22,9 @@ a finite result or raise an ``EmdenlabError``: a non-finite N' or tau is
 invalid input, and an exponent coefficient out of the float range a
 numerical failure.  So do the function-level entry points and ``residual``
 on annuli as far from r = 1 as [1e100, 1e200] and [1e-200, 1e-100], with
-psi scaled by 1e-300 to 1e300.
+psi scaled by 1e-300 to 1e300, and so do the form assembly, the radial
+spectrum, the tail fits, ``residual``, ``sphere_constant_check`` and
+``v_infinity`` with N', theta, l or p as large as 1e160 to 1e300.
 """
 
 import dataclasses
@@ -45,6 +47,9 @@ from emdenlab import (
     SchrodingerParams,
     TestFunction,
     TransformKind,
+    assemble_forms,
+    asymptotic_constant,
+    classify_decay,
     classify_p,
     critical_exponents,
     crossing_by_bisection,
@@ -63,7 +68,9 @@ from emdenlab import (
     sigma_apply,
     sigma_inverse,
     sigma_params,
+    sphere_constant_check,
     stable_estimate_check,
+    v_infinity,
 )
 from emdenlab.cli import main
 
@@ -429,20 +436,52 @@ def _far_annulus_calls(seed: int, draws: int):
             yield stable_estimate_check, (params, v, 1.0, m, psi)
 
 
+#: Index values whose square, or a power of the amplitude c0, leaves the float range.
+HUGE = (1e160, 1e200, 1e300)
+
+
+def _huge_index_calls(seed: int, draws: int):
+    """(function, args) of the entry points that read N', tau, m or c0, one index huge.
+
+    N' is huge through theta, alone or with l (which keeps tau), tau through
+    l, and p itself; the other inputs are drawn from the documented domain.
+    P is one number and its values on the n interior nodes.
+    """
+    rng = random.Random(seed)
+    grid = RadialGrid.logspaced(1e-2, 1e2, 65)  # four decades: enough for a tail fit
+    n = 16
+    for x, _ in itertools.product(HUGE, range(draws)):
+        N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.9, 3.0)
+        p, l = rng.uniform(1.1, 12.0), theta + tau
+        v = RadialFunction(grid, grid.points ** -rng.uniform(0.1, 3.0))
+        P = rng.uniform(0.0, 100.0)
+        nodes = np.array([rng.uniform(0.0, 100.0) for _ in range(n)])
+        for args in ((N, x, l, p), (N, x, x, p), (N, theta, x, p), (N, theta, l, x)):
+            params = ProblemParams(*args)
+            for potential in (P, nodes):
+                yield assemble_forms, (params, potential, 1e-2, 1e2, n)
+                yield radial_morse_index, (params, potential, 1e-2, 1e2, n)
+            for fn in (residual, classify_decay, asymptotic_constant):
+                yield fn, (v, params)
+            yield sphere_constant_check, (params,)
+            yield v_infinity, (params, grid)
+
+
 def _label(fn, args) -> str:
     shown = (a if isinstance(a, (int, float, str)) else type(a).__name__ for a in args)
     return f"{fn.__qualname__}({', '.join(map(str, shown))})"
 
 
 def test_library_entry_points_return_finite_or_raise_typed_on_extreme_input():
-    # NaN, +-inf and +-1e300 in every float input, and annuli far from r = 1:
-    # a finite result or an EmdenlabError, never a raw OverflowError, a
-    # RuntimeWarning or a NaN
+    # NaN, +-inf and +-1e300 in every float input, annuli far from r = 1 and
+    # huge indices: a finite result or an EmdenlabError, never a raw
+    # OverflowError, a RuntimeWarning or a NaN
     failures, outcomes = [], {"result": 0, "error": 0}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn, args in itertools.chain(_extreme_calls(seed=53, draws=3),
-                                        _far_annulus_calls(seed=59, draws=6)):
+                                        _far_annulus_calls(seed=59, draws=6),
+                                        _huge_index_calls(seed=61, draws=4)):
             try:
                 result = fn(*args)
             except EmdenlabError:

@@ -5,6 +5,7 @@ import pytest
 
 from emdenlab import (
     InvalidParameterError,
+    NumericalError,
     ProblemParams,
     RegimeLabel,
     SchrodingerParams,
@@ -13,7 +14,6 @@ from emdenlab import (
     critical_exponents,
     crossing_by_bisection,
     delta,
-    derive,
     f_eval,
     gamma_of_p,
     hardy_constant,
@@ -21,26 +21,35 @@ from emdenlab import (
 
 
 def test_derive_unweighted_indices():
-    ind = derive(ProblemParams(11, 0.0, 0.0, 2.0))
-    assert ind.n_prime == 11.0
-    assert ind.tau == 0.0
-    assert ind.serrin == pytest.approx(11.0 / 9.0, abs=1e-15)
-    assert ind.sobolev == pytest.approx(13.0 / 9.0, abs=1e-15)
+    params = ProblemParams(11, 0.0, 0.0, 2.0)
+    assert params.n_prime == 11.0
+    assert params.tau == 0.0
+    assert params.serrin == pytest.approx(11.0 / 9.0, abs=1e-15)
+    assert params.sobolev == pytest.approx(13.0 / 9.0, abs=1e-15)
     # root test: f vanishes at the Serrin exponent
-    assert f_eval(ind.serrin, ind.n_prime, ind.tau) == pytest.approx(0.0, abs=1e-12)
+    assert f_eval(params.serrin, params.n_prime, params.tau) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_derive_singular_amplitude():
-    ind = derive(ProblemParams(5, 0.0, 0.0, 3.0))
-    assert ind.c0 == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    params = ProblemParams(5, 0.0, 0.0, 3.0)
+    assert params.c0 == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_derive_effective_dimension_two_leaves_standard_regime():
     params = ProblemParams(3, -1.0, -1.0, 2.0)
     assert params.n_prime == 2.0
     assert not params.standard_regime
-    ind = derive(params)
-    assert ind.serrin is None and ind.sobolev is None and ind.c0 is None
+    assert params.serrin is None and params.sobolev is None and params.c0 is None
+
+
+def test_derive_c0_out_of_the_float_range_raises_only_where_read():
+    # c0 = 1560^200 overflows, c0 = (m (N'-2-m))^(1/0.00102) underflows to 0
+    for p in (1.005, 1.00102041):
+        params = ProblemParams(100, 0.0, -1.9, p)
+        assert params.m_exp == pytest.approx(0.1 / (p - 1.0), rel=1e-12)
+        assert (params.serrin, params.sobolev) == pytest.approx((98.1 / 98.0, 98.2 / 98.0))
+        with pytest.raises(NumericalError, match="c0 leaves the float range"):
+            params.c0
 
 
 def test_derive_rejects_p_at_most_one():
@@ -58,8 +67,8 @@ def test_f_eval_values():
     # direct arithmetic at p=7: 7*(1/3)*(26/3)
     assert f_eval(7.0, 11.0, 0.0) == pytest.approx(182.0 / 9.0, abs=1e-12)
     # cross-check against p * c0^(p-1)
-    ind = derive(ProblemParams(11, 0.0, 0.0, 7.0))
-    assert f_eval(7.0, 11.0, 0.0) == pytest.approx(7.0 * ind.c0**6, rel=1e-13)
+    params = ProblemParams(11, 0.0, 0.0, 7.0)
+    assert f_eval(7.0, 11.0, 0.0) == pytest.approx(7.0 * params.c0**6, rel=1e-13)
     with pytest.raises(InvalidParameterError):
         f_eval(1.0, 11.0, 0.0)
 
@@ -111,8 +120,7 @@ def test_delta_weight_balance_identity():
 
 def test_critical_exponents_degenerate_quadratic():
     exps = critical_exponents(10.0, 0.0)
-    assert exps.p_minus == 4.0 / 3.0  # exact: linear root c/b
-    assert exps.p_plus is None
+    assert exps.p_tilde_c == 4.0 / 3.0  # exact: linear root c/b
     assert exps.p_c is None
     a, b, c = exps.quadratic_coeffs
     assert a == 0.0
@@ -123,8 +131,8 @@ def test_critical_exponents_joseph_lundgren_point():
     assert exps.p_c == pytest.approx((81.0 - 44.0 + 8.0 * math.sqrt(10.0)) / 9.0, abs=1e-13)
     assert exps.p_c == pytest.approx(6.9220, abs=5e-5)
     level = hardy_constant(11.0)
-    assert abs(f_eval(exps.p_minus, 11.0, 0.0) - level) <= 1e-10
-    assert abs(f_eval(exps.p_plus, 11.0, 0.0) - level) <= 1e-10
+    assert abs(f_eval(exps.p_tilde_c, 11.0, 0.0) - level) <= 1e-10
+    assert abs(f_eval(exps.p_c, 11.0, 0.0) - level) <= 1e-10
 
 
 def test_critical_exponents_infinite_branch():
@@ -142,7 +150,7 @@ def test_critical_exponents_window_ordering():
         exps = critical_exponents(n_prime, tau)
         serrin = (n_prime + tau) / (n_prime - 2.0)
         sobolev = (n_prime + 2.0 + 2.0 * tau) / (n_prime - 2.0)
-        assert serrin < exps.p_minus < sobolev
+        assert serrin < exps.p_tilde_c < sobolev
         if exps.p_c is not None:
             assert sobolev < exps.p_c
 
@@ -162,14 +170,14 @@ def test_sign_windows_of_f():
         level = hardy_constant(n_prime)
         for p in np.linspace(1.001, 60.0, 900):
             sign = f_eval(p, n_prime, tau) - level
-            if p < exps.p_minus * (1.0 - 1e-9):
+            if p < exps.p_tilde_c * (1.0 - 1e-9):
                 assert sign < 0.0
-            elif exps.p_plus is None:
-                if p > exps.p_minus * (1.0 + 1e-9):
+            elif exps.p_c is None:
+                if p > exps.p_tilde_c * (1.0 + 1e-9):
                     assert sign > 0.0
-            elif exps.p_minus * (1 + 1e-9) < p < exps.p_plus * (1 - 1e-9):
+            elif exps.p_tilde_c * (1 + 1e-9) < p < exps.p_c * (1 - 1e-9):
                 assert sign > 0.0
-            elif p > exps.p_plus * (1.0 + 1e-9):
+            elif p > exps.p_c * (1.0 + 1e-9):
                 assert sign < 0.0
 
 
@@ -188,7 +196,7 @@ def test_closed_form_agrees_with_bisection():
         n_prime = 10.0 + 4.0 * tau + rng.uniform(0.4, 20.0)
         exps = critical_exponents(n_prime, tau)
         assert abs(exps.p_c - crossing_by_bisection(n_prime, tau, "plus")) <= 1e-8
-        assert abs(exps.p_minus - crossing_by_bisection(n_prime, tau, "minus")) <= 1e-8
+        assert abs(exps.p_tilde_c - crossing_by_bisection(n_prime, tau, "minus")) <= 1e-8
 
 
 def test_removability_window_nonempty():
@@ -272,10 +280,9 @@ def test_hardy_condition_equivalence():
         p = rng.uniform(1.05, 6.0)
         sp = SchrodingerParams(N, alpha, ell, p)
         image = sigma_params(sp)
-        ind = derive(image)
         q = (2.0 + alpha) / (p - 1.0)
         lhs = ell < q * (N - 2.0 - q)
-        rhs = image.standard_regime and (ind.serrin is not None and p > ind.serrin)
+        rhs = image.standard_regime and (image.serrin is not None and p > image.serrin)
         if abs(ell - q * (N - 2.0 - q)) < 1e-9:
             continue  # skip knife-edge draws
         assert lhs == rhs

@@ -18,7 +18,6 @@ from emdenlab import (
     asymptotic_constant,
     classify_decay,
     critical_exponents,
-    derive,
     dual_apply,
     dual_params,
     f_eval,
@@ -70,7 +69,7 @@ def test_v_infinity_kelvin_image_is_image_singular_solution():
 
 def test_shoot_asymptotics_and_ordering():
     res = shoot(PARAMS_11, kappa=1.0, r_max=1e6, tol=1e-10)
-    c0 = derive(PARAMS_11).c0
+    c0 = PARAMS_11.c0
     assert res.asymptotic_constant == pytest.approx(c0, rel=1e-2)
     assert res.converged
     assert res.classification is DecayClass.SLOW_DECAY
@@ -137,7 +136,7 @@ def test_series_start_underflow_is_a_numerical_error():
 
 
 def test_scaling_law():
-    lam = (PARAMS_11.p - 1.0) / (derive(PARAMS_11).tau + 2.0)
+    lam = (PARAMS_11.p - 1.0) / (PARAMS_11.tau + 2.0)
     base = shoot(PARAMS_11, kappa=1.0, r_max=1e5, tol=1e-10)
     for kappa in (0.5, 2.0, 10.0):
         scaled_grid = base.solution.grid.scaled(kappa**-lam)
@@ -186,15 +185,15 @@ def test_rescale_grid_out_of_the_float_range_is_a_numerical_error(kappa):
 def test_asymptotic_constant_on_singular_solution():
     grid = RadialGrid.logspaced(1e-2, 1e2, 600)
     v = v_infinity(PARAMS_11, grid)
-    w = RadialFunction(grid, v.times_power(derive(PARAMS_11).m_exp))
+    w = RadialFunction(grid, v.times_power(PARAMS_11.m_exp))
     est, converged = asymptotic_constant(w, PARAMS_11)
     assert converged
-    assert est == pytest.approx(derive(PARAMS_11).c0, rel=1e-12)
+    assert est == pytest.approx(PARAMS_11.c0, rel=1e-12)
 
 
 def test_asymptotic_constant_fast_decay_drifts_to_zero():
     grid = RadialGrid.logspaced(1.0, 1e4, 800)
-    w = RadialFunction(grid, 3.0 * grid.points ** (derive(PARAMS_11).m_exp + 2.0 - 11.0))
+    w = RadialFunction(grid, 3.0 * grid.points ** (PARAMS_11.m_exp + 2.0 - 11.0))
     est, converged = asymptotic_constant(w, PARAMS_11)
     assert not converged
     cls, _, fitted = classify_decay(w, PARAMS_11)
@@ -204,7 +203,7 @@ def test_asymptotic_constant_fast_decay_drifts_to_zero():
 
 def test_asymptotic_constant_needs_three_decades():
     grid = RadialGrid.logspaced(1.0, 10.0, 64)
-    w = RadialFunction(grid, v_infinity(PARAMS_11, grid).times_power(derive(PARAMS_11).m_exp))
+    w = RadialFunction(grid, v_infinity(PARAMS_11, grid).times_power(PARAMS_11.m_exp))
     with pytest.raises(InvalidParameterError):
         asymptotic_constant(w, PARAMS_11)
 
@@ -217,6 +216,20 @@ def test_tail_fit_of_an_underflowed_w_is_a_numerical_failure():
     for tail_function in (asymptotic_constant, classify_decay):
         with pytest.raises(NumericalError, match="normal positive float"):
             tail_function(w, PARAMS_11)
+
+
+def test_tail_and_residual_read_no_c0():
+    # m = 20 and c0 = 1560^200 overflows: residual and classify_decay need
+    # only N', tau and m, so they return; asymptotic_constant needs c0
+    params = ProblemParams(100, 0.0, -1.9, 1.005)
+    grid = RadialGrid.logspaced(1.0, 1e4, 400)
+    v = RadialFunction(grid, grid.points**-0.5)
+    assert math.isfinite(residual(v, params))
+    cls, drift, fitted = classify_decay(v, params)
+    assert cls is DecayClass.INCONCLUSIVE and drift > 0.0
+    assert fitted == pytest.approx(params.m_exp + 0.5, rel=1e-9)
+    with pytest.raises(NumericalError, match="c0 leaves the float range"):
+        asymptotic_constant(v, params)
 
 
 def test_shoot_where_w_overflows_is_a_numerical_failure():
@@ -233,7 +246,7 @@ def test_shoot_on_a_grid_too_coarse_for_a_tail_fit_is_inconclusive():
                          (RadialGrid.logspaced(1e-3, 1e-1, 300), "3 decades")):
         res = shoot(PARAMS_11, kappa=1.0, r_max=grid.r_max, grid=grid)
         assert res.classification is DecayClass.INCONCLUSIVE and not res.converged
-        m = derive(PARAMS_11).m_exp
+        m = PARAMS_11.m_exp
         endpoint = res.solution.values[-1] * grid.r_max**m
         assert res.asymptotic_constant == pytest.approx(endpoint, rel=1e-9)
         with pytest.raises(InvalidParameterError, match=reason):
@@ -308,7 +321,7 @@ def test_shoot_reaches_n_prime_100(p):
     res = shoot(params, 1.0, 1e6, tol=1e-10)
     assert res.converged
     assert res.classification is DecayClass.SLOW_DECAY
-    assert abs(res.asymptotic_constant / derive(params).c0 - 1.0) <= 1e-6
+    assert abs(res.asymptotic_constant / params.c0 - 1.0) <= 1e-6
     focus = f_eval(p, 100.0, 0.0) > 98.0**2 / 4.0
     assert res.ordering_vs_singular is (Ordering.CROSSES if focus else Ordering.BELOW)
 
@@ -404,7 +417,7 @@ def _assert_profile_gates(res: ShootingResult):
     p_c = critical_exponents(params.n_prime, params.tau).p_c
     want = Ordering.BELOW if p_c is not None and params.p >= p_c else Ordering.CROSSES
     assert res.ordering_vs_singular is want, label
-    assert abs(res.asymptotic_constant / derive(params).c0 - 1.0) <= 1e-6, label
+    assert abs(res.asymptotic_constant / params.c0 - 1.0) <= 1e-6, label
 
 
 def test_step_bound_keeps_the_first_steps_inside_the_series_region():
@@ -529,9 +542,8 @@ def test_tail_fit_that_lagged_the_amplitude_gate():
 def test_asymptotic_constant_extrapolates_the_linearised_tail(params):
     # r^m v - c0 is 1e-5 c0 at mid-decade and follows the linearisation at
     # c0 (only the last decade is read); a linear fit lags by about 1e-5
-    ind = derive(params)
-    rho = 0.5 * (ind.n_prime - 2.0 - 2.0 * ind.m_exp)
-    disc = (ind.n_prime - 2.0) ** 2 - 4.0 * f_eval(params.p, ind.n_prime, ind.tau)
+    rho = 0.5 * (params.n_prime - 2.0 - 2.0 * params.m_exp)
+    disc = (params.n_prime - 2.0) ** 2 - 4.0 * f_eval(params.p, params.n_prime, params.tau)
     half = 0.5 * math.sqrt(abs(disc))
     grid = RadialGrid.logspaced(1.0, 1e4, 513)
     s = grid.log_points - (grid.log_points[-1] - 0.5 * math.log(10.0))
@@ -539,7 +551,7 @@ def test_asymptotic_constant_extrapolates_the_linearised_tail(params):
         tail = np.exp(-rho * s) * np.cos(half * s + 1.0)
     else:
         tail = np.exp((half - rho) * s) - 0.5 * np.exp(-(half + rho) * s)
-    w = RadialFunction(grid, ind.c0 * (1.0 + 1e-5 * tail))
+    w = RadialFunction(grid, params.c0 * (1.0 + 1e-5 * tail))
     est, converged = asymptotic_constant(w, params)
     assert converged
-    assert est == pytest.approx(ind.c0, rel=1e-12)
+    assert est == pytest.approx(params.c0, rel=1e-12)

@@ -11,7 +11,6 @@ from emdenlab import (
     RadialFunction,
     RadialGrid,
     SchrodingerParams,
-    derive,
     dual_apply,
     dual_params,
     kelvin_apply,
@@ -33,8 +32,7 @@ def test_kelvin_params_beta():
 def test_kelvin_params_serrin_boundary():
     # at p = serrin the image tau equals -2 exactly
     params = ProblemParams(5, 0.5, 0.25, (5.5 - 0.25) / 3.5)
-    ind = derive(params)
-    assert params.p == ind.serrin
+    assert params.p == params.serrin
     image = kelvin_params(params)
     assert image.l - image.theta == pytest.approx(-2.0, abs=1e-14)
 
@@ -49,9 +47,8 @@ def test_kelvin_params_tau_sign():
         params = ProblemParams(N, theta, l, p)
         if not params.standard_regime:
             continue
-        ind = derive(params)
         image = kelvin_params(params)
-        assert (image.l - image.theta > -2.0) == (p > ind.serrin)
+        assert (image.l - image.theta > -2.0) == (p > params.serrin)
 
 
 def test_kelvin_params_involution():
@@ -199,11 +196,10 @@ def test_dual_apply_involution_and_endpoints():
 def test_dual_apply_singular_solution():
     # the dual image of c0 r^(-m) is c0 s^(+m), a solution of the dual equation
     params = ProblemParams(5, 0.0, 0.0, 3.0)
-    ind = derive(params)
     grid = RadialGrid.logspaced(0.1, 10.0, 2001)
     v = v_infinity(params, grid)
     z = dual_apply(v)
-    expect = ind.c0 * z.grid.points**ind.m_exp
+    expect = params.c0 * z.grid.points**params.m_exp
     assert np.max(np.abs(z.values - expect) / expect) < 1e-13
     image_params = dual_params(params)
     assert residual(z, image_params) < 1e-5
