@@ -9,9 +9,9 @@ exponents reports the regime of p only when --p is given.
 
 Outputs are deterministic: identical inputs with the same tool version
 produce byte-identical bytes.  The envelope's timestamp is therefore null
-unless the SOURCE_DATE_EPOCH convention supplies a fixed value.
-Infinite critical powers serialize as the string "infinity" in JSON and
-as an empty cell in CSV.
+unless the SOURCE_DATE_EPOCH convention supplies a fixed value.  Every
+envelope value is a plain float, int, bool, str or None, printed as given;
+an infinite critical power is "infinity" in a report, an empty sweep cell.
 
 Sweep configuration is a flat key-value text file, one ``key = value``
 per line, ``#`` for comments.  Values may be a scalar, a comma list
@@ -79,29 +79,11 @@ _PARAMS = ("N", "theta", "l", "p")
 #: A negative number in exponent notation, which argparse mistakes for an option.
 _NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
-#: Accepted keys per sweep mode, besides ``mode`` itself.
+#: Keys per sweep mode besides ``mode``, each with its default (None: required).
 _SWEEP_KEYS = {
-    "exponents": ("nprime", "tau"),
-    "spectrum": ("N", "theta", "l", "p", "a", "b", "n"),
+    "exponents": {"nprime": None, "tau": None},
+    "spectrum": dict.fromkeys(("N", "theta", "l", "p")) | {"a": "1e-3", "b": "1e3", "n": "2000"},
 }
-#: Keys a sweep of each mode cannot do without.
-_SWEEP_REQUIRED = {"exponents": ("nprime", "tau"), "spectrum": ("N", "theta", "l", "p")}
-
-
-def _jsonable(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if hasattr(x, "tolist"):
-        return _jsonable(x.tolist())
-    if hasattr(x, "value"):
-        return x.value
-    return float(x)
 
 
 def _or_infinity(x):
@@ -119,9 +101,9 @@ def _envelope(args, inputs: tuple[str, ...], derived: dict | None, results: dict
         "tool": "emdenlab",
         "version": __version__,
         "command": args.command,
-        "inputs": _jsonable({name: getattr(args, name) for name in inputs}),
-        "derived": _jsonable(derived) if derived is not None else None,
-        "results": _jsonable(results),
+        "inputs": {name: getattr(args, name) for name in inputs},
+        "derived": derived,
+        "results": results,
         "timestamp": _timestamp(),
     }
 
@@ -160,14 +142,14 @@ def _csv_cell(value) -> str:
 
 
 def _derived_block(params: ProblemParams, with_p: bool = True) -> dict:
-    c0 = params.c0  # read first, with or without p: its NumericalError comes first
+    c0 = params.c0 if with_p else None  # read first: its NumericalError comes first
     return {
         "n_prime": params.n_prime,
         "tau": params.tau,
         "m_exp": params.m_exp if with_p else None,
         "serrin": params.serrin,
         "sobolev": params.sobolev,
-        "c0": c0 if with_p else None,
+        "c0": c0,
         "standard_regime": params.standard_regime,
     }
 
@@ -224,31 +206,29 @@ def _spectrum(
 
 def cmd_exponents(args) -> dict:
     has_p = args.p is not None
-    # Without --p the placeholder power feeds only m_exp and c0, reported as null.
+    # Without --p the placeholder power is never read: m_exp and c0 are reported as null.
     params = _problem_params(args, args.p if has_p else 2.0)
     if not params.standard_regime:
         raise InvalidParameterError(
             "exponent report requires the standard regime N + theta > 2, l - theta > -2"
         )
-    c0 = params.c0  # read first: its NumericalError precedes the exponent checks
+    derived = _derived_block(params, with_p=has_p)  # c0 precedes the exponent checks
     exps = critical_exponents(params.n_prime, params.tau)
     results = {
         "serrin": exps.serrin,
         "sobolev": exps.sobolev,
         "p_tilde_c": exps.p_tilde_c,
-        "p_minus": exps.p_tilde_c,
-        "p_plus": exps.p_c,
         "p_c": _or_infinity(exps.p_c),
         "hardy_level": hardy_constant(params.n_prime),
         "quadratic_coeffs": list(exps.quadratic_coeffs),
     }
     if has_p:
         cls = classify_p(params)
-        results["c0"] = c0
+        results["c0"] = derived["c0"]
         results["f_p"] = f_eval(params.p, params.n_prime, params.tau)
         results["regime"] = cls.label.value
         results["condition_weight_balance"] = cls.condition_weight_balance
-    return _envelope(args, _PARAMS, _derived_block(params, with_p=has_p), results)
+    return _envelope(args, _PARAMS, derived, results)
 
 
 def cmd_classify(args) -> dict:
@@ -339,27 +319,22 @@ def cmd_transform(args) -> dict:
         params = _problem_params(args, args.p)
         inputs = ("kind", *_PARAMS)
         derived = _derived_block(params)
-        if kind is TransformKind.KELVIN:
-            image = kelvin_params(params)
-            checks = {
-                "tau_image": image.l - image.theta,
-                "tau_image_above_minus2": (image.l - image.theta) > -2.0,
-            }
-        elif kind is TransformKind.DUAL:
-            image = dual_params(params)
-            checks = {
-                "n_prime_sum": params.n_prime + image.n_prime,
-                "tau_sum": params.tau + image.tau,
-            }
-        elif kind is TransformKind.SIGMA_INVERSE:
+        if kind is TransformKind.SIGMA_INVERSE:
             sp = sigma_inverse(params)
             results = {
                 "schrodinger": {"N": sp.N, "alpha": sp.alpha, "ell": sp.ell, "p": sp.p},
                 "identity_checks": {"sigma": sp.sigma},
             }
             return _envelope(args, inputs, derived, results)
-        else:
-            raise InvalidParameterError(f"unsupported transform kind {args.kind}")
+        if kind is TransformKind.KELVIN:
+            image = kelvin_params(params)
+            checks = {"tau_image": image.tau, "tau_image_above_minus2": image.tau > -2.0}
+        else:  # TransformKind.DUAL
+            image = dual_params(params)
+            checks = {
+                "n_prime_sum": params.n_prime + image.n_prime,
+                "tau_sum": params.tau + image.tau,
+            }
     results = {
         "image": {"N": image.N, "theta": image.theta, "l": image.l, "p": image.p},
         "image_n_prime": image.n_prime,
@@ -422,12 +397,13 @@ def cmd_sweep(args) -> str:
     unknown = sorted(set(config) - set(_SWEEP_KEYS[mode]))
     if unknown:
         raise InvalidParameterError(f"unknown keys for mode = {mode}: {', '.join(unknown)}")
-    missing = [key for key in _SWEEP_REQUIRED[mode] if key not in config]
+    config = {**_SWEEP_KEYS[mode], **config}  # in table order, defaults filled in
+    missing = [key for key, value in config.items() if value is None]
     if missing:
         raise InvalidParameterError(f"mode = {mode} needs {', '.join(missing)}")
 
     def values(key):
-        return _parse_values(key, config[key]) if config.get(key) else []
+        return _parse_values(key, config[key]) if config[key] else []
 
     if mode == "exponents":
         inputs = ["n_prime", "tau"]
@@ -443,9 +419,8 @@ def cmd_sweep(args) -> str:
         outputs = ["f_p", "hardy_level", "negative_count", "min_eigenvalue"]
         N = _number("N", config["N"], integer=True)
         theta, l = _number("theta", config["theta"]), _number("l", config["l"])
-        a = _number("a", config.get("a", "1e-3"))
-        b = _number("b", config.get("b", "1e3"))
-        n = _number("n", config.get("n", "2000"), integer=True)
+        a, b = _number("a", config["a"]), _number("b", config["b"])
+        n = _number("n", config["n"], integer=True)
         grid = [(N, theta, l, p) for p in values("p")]
 
         def compute(N, theta, l, p):
@@ -478,12 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_p=True):
+    def add_common(p):
         p.add_argument("--N", type=int, default=None, help="space dimension (integer >= 2)")
         p.add_argument("--theta", type=float, default=None, help="gradient weight exponent")
         p.add_argument("--l", type=float, default=None, help="nonlinearity weight exponent")
-        if with_p:
-            p.add_argument("--p", type=float, default=None, help="nonlinearity power (> 1)")
+        p.add_argument("--p", type=float, default=None, help="nonlinearity power (> 1)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="optional output path")
 

@@ -254,7 +254,9 @@ def _hardy_level(n_prime: float) -> float:
     try:
         return (n_prime - 2.0) ** 2 / 4.0
     except OverflowError:
-        raise NumericalError(f"(N'-2)^2/4 overflows at N' = {n_prime}") from None
+        raise NumericalError(
+            f"(N'-2)^2/4 overflows: it leaves the float range at N' = {n_prime}"
+        ) from None
 
 
 def _bisect_crossing(n_prime: float, tau: float, level: float, lo: float, hi: float) -> float:

@@ -435,7 +435,7 @@ def residual(v: RadialFunction, params: ProblemParams) -> float:
     if v.grid.n < 3:
         raise InvalidParameterError("residual needs at least three grid points")
     vals = v.values
-    dtype = vals.dtype if np.issubdtype(vals.dtype, np.floating) else np.float64
+    dtype = vals.dtype  # always floating: RadialFunction keeps float64 or wider
     # Work in the precision of the samples: the log coordinates must carry
     # the same accuracy, or grid jitter re-floors the stencil noise.
     t = np.log(v.grid.points.astype(dtype))

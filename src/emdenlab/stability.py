@@ -250,18 +250,17 @@ def q_value(params: ProblemParams, v: RadialFunction, psi: TestFunction) -> floa
 
     Quadratic in psi; the angular area factor is omitted on all routes.
     """
-    half = (params.n_prime - 2.0) / 2.0
     P = potential(params.p, 2.0 + params.tau, v, psi.grid.points)
-    return _form_value(half * half, P, psi, half)  # inf, not OverflowError, for a huge N'
+    return _form_value(_hardy_level(params.n_prime), P, psi, (params.n_prime - 2.0) / 2.0)
 
 
 def q_value_schrodinger(
     schrodinger: SchrodingerParams, u: RadialFunction, phi: TestFunction
 ) -> float:
     """Hardy-potential form in t: chi = r^((N-2)/2) phi, level (N-2)^2/4 - ell."""
-    half = (schrodinger.N - 2.0) / 2.0
     P = potential(schrodinger.p, 2.0 + schrodinger.alpha, u, phi.grid.points)
-    return _form_value(half * half - schrodinger.ell, P, phi, half)
+    level = _hardy_level(schrodinger.N) - schrodinger.ell
+    return _form_value(level, P, phi, (schrodinger.N - 2.0) / 2.0)
 
 
 def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> float:

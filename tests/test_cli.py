@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from emdenlab import f_eval, hardy_constant
+from emdenlab import cli, f_eval, hardy_constant
 from emdenlab.cli import main
 
 
@@ -545,3 +545,123 @@ def test_shoot_out_where_w_underflows_at_the_head(argv, tmp_path, capsys):
         rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
     assert all(v > 0.0 for _, v, _ in rows)
     assert rows[0][1] == pytest.approx(1.0, rel=1e-4) and rows[0][2] == 0.0
+
+
+def test_exponents_without_p_reads_no_singular_amplitude(capsys):
+    # without --p the placeholder power must not reach c0 (which would leave
+    # the float range at p = 2.0): the fault reported is the level's overflow
+    argv = ["exponents", "--N", "2", "--theta", "1e200", "--l", "1.5e200"]
+    err = run_json(argv, capsys, expect_code=3)
+    assert err["error"]["type"] == "numerical_failure"
+    assert err["error"]["message"].startswith("(N'-2)^2/4 overflows"), err
+    assert "p = 2.0" not in err["error"]["message"]
+
+
+@pytest.mark.parametrize("p", [[], ["--p", "3"]], ids=["no-p", "p"])
+@pytest.mark.parametrize(
+    "weights", [["--N", "5", "--theta", "0", "--l", "0"], ["--N", "11", "--theta", "0", "--l", "0"]],
+    ids=["p_c-infinite", "p_c-finite"],
+)
+def test_no_exponents_report_has_a_null_critical_power(weights, p, capsys):
+    # an infinite critical power is the string "infinity", never null
+    results = run_json(["exponents", *weights, *p], capsys)["results"]
+    powers = {k: v for k, v in results.items() if k.startswith("p_")}
+    assert set(powers) == {"p_tilde_c", "p_c"}
+    assert None not in powers.values()
+    code, out = run_cli(["exponents", *weights, *p, "--format", "csv"], capsys)
+    header, row = (line.split(",") for line in out.strip().splitlines())
+    cells = {k: v for k, v in zip(header, row) if k.startswith("results.p_")}
+    assert code == 0 and set(cells) == {"results.p_tilde_c", "results.p_c"}
+    assert "" not in cells.values()
+
+
+#: One argv per report kind: every command but sweep, both spectrum profiles,
+#: every transform kind, exponents with and without --p.
+EVERY_REPORT = [
+    ["exponents", "--N", "11", "--theta", "0", "--l", "0"],
+    ["exponents", "--N", "11", "--theta", "0.5", "--l", "1.5", "--p", "3"],
+    ["classify", "--N", "11", "--theta", "0", "--l", "0", "--p", "3"],
+    ["shoot", "--N", "11", "--theta", "0", "--l", "0", "--p", "7", "--rmax", "1e4",
+     "--points-per-decade", "16"],
+    ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3", "--n", "100"],
+    ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7", "--profile", "shoot:1",
+     "--a", "0.1", "--b", "1e3", "--n", "100"],
+    ["transform", "--kind", "kelvin", "--N", "5", "--theta", "0", "--l", "0", "--p", "3"],
+    ["transform", "--kind", "dual", "--N", "5", "--theta", "0", "--l", "0", "--p", "3"],
+    ["transform", "--kind", "sigma_inverse", "--N", "5", "--theta", "0", "--l", "0", "--p", "3"],
+    ["transform", "--kind", "sigma", "--N", "5", "--alpha", "0", "--ell", "2", "--p", "3"],
+]
+PLAIN_TYPES = {float, int, bool, str, type(None)}
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", EVERY_REPORT, ids=[
+    "exponents", "exponents-p", "classify", "shoot", "spectrum", "spectrum-shoot", "kelvin",
+    "dual", "sigma_inverse", "sigma"])
+def test_every_report_leaf_is_a_plain_python_value(argv, fmt, tmp_path, monkeypatch, capsys):
+    # the envelope is printed as built: a numpy scalar here would print as
+    # np.float64(...) in a CSV cell, so each leaf must be exactly a plain type
+    envelopes = []
+    real = cli._envelope
+    monkeypatch.setattr(cli, "_envelope", lambda *a: envelopes.append(real(*a)) or envelopes[-1])
+    code, out = run_cli([*argv, "--format", fmt], capsys)
+    assert code == 0, out
+    [envelope] = envelopes
+    assert {type(x) for x in _leaves(envelope)} <= PLAIN_TYPES
+    assert "np." not in out
+
+
+@pytest.mark.parametrize("config", [
+    "mode = exponents\nnprime = 9:12:4\ntau = 0,1\n",
+    "mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 1.5,3,7\nn = 100\n",
+], ids=["exponents", "spectrum"])
+def test_every_sweep_cell_is_a_plain_python_value(config, tmp_path, monkeypatch, capsys):
+    cells = []
+    real = cli._csv_cell
+    monkeypatch.setattr(cli, "_csv_cell", lambda value: cells.append(value) or real(value))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0 and cells, out
+    assert {type(x) for x in cells} <= PLAIN_TYPES
+    assert "np." not in out
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    (None, ["spectrum", "--N", "2", "--theta", "0", "--l", "0", "--p", "3"],
+     "need N' > 2 and tau > -2"),
+    (None, ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3",
+            "--profile", "v_zero"], "profile must be 'v_infinity' or 'shoot:<kappa>'"),
+    ("nprime = 11:15\ntau = 0\n", None, "range must be start:stop:count, got '11:15'"),
+    ("nprime = 11:15:-1\ntau = 0\n", None, "range count must be >= 0"),
+    ("nprime = 11\ntau = 0\nmode exponents\n", None, "expected 'key = value'"),
+    ("mode = spectra\n", None, "unknown sweep mode 'spectra'"),
+], ids=["spectrum-n-prime-2", "unknown-profile", "two-part-range", "negative-count",
+        "no-equals-sign", "unknown-mode"])
+def test_input_check_names_its_fault(config, argv, message, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    err = run_json(argv or ["sweep", "--config", str(cfg)], capsys, expect_code=2)
+    assert err["error"]["type"] == "invalid_input"
+    assert message in err["error"]["message"]
+
+
+def test_sweep_one_point_range_is_its_start(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("nprime = 11:15:1\ntau = 0\n")
+    code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(row["n_prime"], row["tau"]) for row in rows] == [("11.0", "0.0")]

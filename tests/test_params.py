@@ -52,6 +52,12 @@ def test_derive_c0_out_of_the_float_range_raises_only_where_read():
             params.c0
 
 
+@pytest.mark.parametrize("N", [1, 2.5])
+def test_problem_params_rejects_a_non_integer_or_small_dimension(N):
+    with pytest.raises(InvalidParameterError, match="N must be an integer >= 2"):
+        ProblemParams(N, 0.0, 0.0, 3.0)
+
+
 def test_derive_rejects_p_at_most_one():
     with pytest.raises(InvalidParameterError):
         ProblemParams(5, 0.0, 0.0, 1.0)

@@ -94,6 +94,18 @@ def test_shoot_rejects_bad_inputs():
         shoot(ProblemParams(11, 0.0, 0.0, 1.4), kappa=1.0, r_max=1e4)  # below sobolev
     with pytest.raises(InvalidParameterError):
         shoot(ProblemParams(3, -1.0, -1.0, 3.0), kappa=1.0, r_max=1e4)  # N' = 2
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        shoot(PARAMS_11, kappa=1.0, r_max=1e4, tol=0.0)
+    with pytest.raises(InvalidParameterError, match="grid extends beyond r_max"):
+        shoot(PARAMS_11, kappa=1.0, r_max=1e4, grid=RadialGrid.logspaced(1e-3, 1e5, 100))
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
+def test_shooting_result_rejects_a_non_positive_kappa(kappa):
+    grid = RadialGrid.logspaced(1e-3, 1e3, 10)
+    with pytest.raises(InvalidParameterError, match="kappa must be positive"):
+        ShootingResult(PARAMS_11, kappa, RadialFunction(grid, np.zeros(10)), 1.0, True,
+                       DecayClass.SLOW_DECAY, Ordering.BELOW, 0, 0.0, 0.0)
 
 
 def test_shoot_series_start_oracle():
@@ -257,6 +269,12 @@ def test_residual_zero_function():
     grid = RadialGrid.logspaced(0.1, 10.0, 64)
     v = RadialFunction(grid, np.zeros(64))
     assert residual(v, PARAMS_5) == 0.0
+
+
+def test_residual_needs_three_points():
+    v = RadialFunction(RadialGrid.logspaced(1.0, 2.0, 2), np.ones(2))
+    with pytest.raises(InvalidParameterError, match="at least three grid points"):
+        residual(v, PARAMS_5)
 
 
 def test_residual_perturbed_singular_solution():

@@ -390,6 +390,17 @@ def test_smallest_eigenvalues_match_high_precision_sturm_counts(N, p):
         assert _mp_count_below(d, e, lam + gap) == j + 1
 
 
+@pytest.mark.parametrize("k", [0, 6])
+def test_smallest_eigenvalues_needs_1_to_n_of_them(k):
+    with pytest.raises(NumericalError, match=f"cannot extract {k} eigenvalues from order 5"):
+        tridiag.smallest_eigenvalues(np.full(5, 2.0), np.full(4, -1.0), k)
+
+
+def test_radial_morse_index_needs_a_below_b():
+    with pytest.raises(InvalidParameterError, match="need 0 < a < b"):
+        radial_morse_index(ProblemParams(11, 0.0, 0.0, 3.0), 1.0, 1.0, 1.0, 100)
+
+
 def test_eigenvector_matches_q_value():
     # q_value on an eigenvector-interpolated test function reproduces
     # eigenvalue * mass norm to discretization accuracy
@@ -442,6 +453,22 @@ def test_q_value_basics():
     q1 = q_value(params, v, psi)
     q2 = q_value(params, v, TestFunction(psi.grid, 2.0 * psi.values))
     assert q2 == pytest.approx(4.0 * q1, rel=1e-12)
+
+
+def test_q_value_uses_the_level_of_the_assembled_matrix():
+    # At N' = 14.5563, (N'-2)**2/4 (the assembly's and hardy_constant's level)
+    # and half * half differ in the last bit, and so do the two form values
+    params = ProblemParams(3, 11.5563, 11.5563, 3.0)
+    half = (params.n_prime - 2.0) / 2.0
+    level = hardy_constant(params.n_prime)
+    assert level != half * half
+    psi = bump_test_function(0.1, 10.0, 41)
+    zero = RadialFunction(psi.grid, np.zeros(psi.grid.n))
+    t, phi = psi.grid.log_points, psi.times_power(half)
+    kinetic = float(np.sum(np.diff(phi) ** 2 / np.diff(t)))
+    value = q_value(params, zero, psi)
+    assert value == kinetic + float(np.trapezoid(level * phi**2, t))
+    assert value != kinetic + float(np.trapezoid(half * half * phi**2, t))
 
 
 def test_q_value_nonnegative_for_stable_profile():

@@ -130,6 +130,19 @@ def test_logspaced_needs_two_points(n):
         RadialGrid.logspaced(1.0, 2.0, n)
 
 
+@pytest.mark.parametrize("points, message", [
+    ([1.0], "at least two points"),
+    ([0.0, 1.0, 2.0], "finite and positive"),
+    ([-1.0, 1.0], "finite and positive"),
+    ([1.0, 1.0, 1.0], "strictly increasing"),
+    ([2.0, 1.0, 0.5], "strictly increasing"),
+    ([1.0, 2.0, 3.0], "not log-uniform"),
+], ids=["one-point", "zero", "negative", "constant", "decreasing", "uniform"])
+def test_grid_constructor_rejects_what_is_not_a_log_uniform_grid(points, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        RadialGrid(np.array(points))
+
+
 def test_kelvin_apply_maps_singular_to_image_singular():
     params = ProblemParams(5, 0.0, 0.0, 3.0)
     grid = RadialGrid.logspaced(0.1, 10.0, 4001)
