@@ -18,7 +18,7 @@ loads ``scipy.linalg``, and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 #: Home module of every public name.
 _HOMES = {
@@ -39,8 +39,8 @@ _HOMES = {
     ),
     "stability": (
         "TestFunction", "FormAssembly", "SpectrumReport", "log_nodes", "potential",
-        "assemble_forms", "radial_morse_index", "q_value", "q_value_schrodinger",
-        "hardy_rayleigh_min", "invariance_check", "stable_estimate_check",
+        "assemble_forms", "radial_morse_index", "profile_spectrum", "q_value",
+        "q_value_schrodinger", "hardy_rayleigh_min", "invariance_check", "stable_estimate_check",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

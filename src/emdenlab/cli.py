@@ -23,18 +23,8 @@ and 1e3) and n (an integer, default 2000).  A missing file, an unknown
 key, a missing required key, a key given twice or a malformed value is
 invalid input (exit 2).
 
-The spectrum's ``eigenvalues`` and ``min_eigenvalue`` are eigenvalues of
-the stability form in t = log r, phi = r^((N'-2)/2) psi, relative to
-integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr): dimensionless, and
-(4/h^2) sin^2(k pi h / 2L) + (N'-2)^2/4 - f(p) about v_infinity, with
-L = log(b/a) and h = L/(n+1).  About v_infinity the potential is the
-constant f(p): no profile is sampled, the eigenvalues are that closed
-form, certified by inertia counts, and no scipy module loads.  A
-``shoot:<kappa>`` profile is shot on the nodes out to r_max = b, with
-P = p e^((p-1) y), y = log(r^m v), and its eigenvalues come from LAPACK
-bisection.  ``results.diagnostics`` reports the matrix scale that sets
-``negative_tol`` and the count's margin, the distance from the nearest
-listed eigenvalue to -negative_tol.
+``spectrum`` and a spectrum sweep print ``stability.profile_spectrum``'s report, which
+the ``stability`` docstrings define (``results.diagnostics`` is its last two fields).
 """
 
 from __future__ import annotations
@@ -48,7 +38,6 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import EmdenlabError, InvalidParameterError, NumericalError
@@ -68,16 +57,14 @@ from .transforms import (
     sigma_params,
 )
 
-if TYPE_CHECKING:  # numpy and scipy load only with the commands that need them
-    from .stability import SpectrumReport
-
 INFINITY_TOKEN = "infinity"
 
 #: Command-line values that make up a ProblemParams.
 _PARAMS = ("N", "theta", "l", "p")
 
-#: A negative number in exponent notation, which argparse mistakes for an option.
-_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+#: A value that starts "-" then a digit or "." and a digit, which argparse may take for an
+#: option: "-1.", "-1_0", "-2.5e-3" or "-.5".
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 #: Keys per sweep mode besides ``mode``, each with its default (None: required).
 _SWEEP_KEYS = {
@@ -175,35 +162,6 @@ def _number(key: str, text: str, integer: bool = False) -> float | int:
     return int(value)
 
 
-def _spectrum(
-    params: ProblemParams, profile: str, a: float, b: float, n: int, tol: float | None
-) -> SpectrumReport:
-    """Radial Morse count on [a, b] about the ``v_infinity`` or ``shoot:<kappa>`` profile.
-
-    ``tol`` is the shooting tolerance; the singular profile does not use it.
-    """
-    from .stability import _log_step, log_nodes, radial_morse_index
-
-    _log_step(a, b, n)  # a, b and n are checked before the profile's conditions
-    if profile == "v_infinity":
-        c0 = params.c0  # read first: its NumericalError precedes the checks below
-        if not params.standard_regime:
-            raise InvalidParameterError("need N' > 2 and tau > -2")
-        if c0 is None:
-            raise InvalidParameterError("singular solution needs p above the Serrin exponent")
-        P = f_eval(params.p, params.n_prime, params.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
-    elif profile.startswith("shoot:"):
-        from .radial_ode import shoot
-        kappa = _number("kappa of --profile shoot:<kappa>", profile[len("shoot:"):])
-        nodes = log_nodes(a, b, n)
-        y = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=nodes).log_scaled.values
-        # = p r^(2+tau) v^(p-1) since (p-1) m = 2+tau; exact where w = e^y underflows
-        P = [params.p * math.exp((params.p - 1.0) * x) for x in y[1:-1].tolist()]
-    else:
-        raise InvalidParameterError("profile must be 'v_infinity' or 'shoot:<kappa>'")
-    return radial_morse_index(params, P, a, b, n)
-
-
 def cmd_exponents(args) -> dict:
     has_p = args.p is not None
     # Without --p the placeholder power is never read: m_exp and c0 are reported as null.
@@ -285,8 +243,16 @@ def cmd_shoot(args) -> dict:
 
 
 def cmd_spectrum(args) -> dict:
+    from .stability import profile_spectrum
+
     params = _problem_params(args, args.p)
-    report = _spectrum(params, args.profile, args.a, args.b, args.n, args.tol)
+    if args.profile == "v_infinity":
+        kappa = None
+    elif args.profile.startswith("shoot:"):
+        kappa = _number("kappa of --profile shoot:<kappa>", args.profile[len("shoot:"):])
+    else:
+        raise InvalidParameterError("profile must be 'v_infinity' or 'shoot:<kappa>'")
+    report = profile_spectrum(params, args.a, args.b, args.n, kappa, args.tol)
     results = {
         "a": args.a,
         "b": args.b,
@@ -298,7 +264,7 @@ def cmd_spectrum(args) -> dict:
         "eigenvalues": report.eigenvalues.tolist(),
         "diagnostics": {k: getattr(report, k) for k in ("matrix_scale", "count_margin")},
     }
-    inputs = (*_PARAMS, "profile", "a", "b", "n")
+    inputs = (*_PARAMS, "profile", "a", "b", "n", "tol")
     return _envelope(args, inputs, _derived_block(params), results)
 
 
@@ -415,6 +381,8 @@ def cmd_sweep(args) -> str:
             return [exps.serrin, exps.sobolev, exps.p_tilde_c, exps.p_c]
 
     else:
+        from .stability import profile_spectrum
+
         inputs = ["N", "theta", "l", "p"]
         outputs = ["f_p", "hardy_level", "negative_count", "min_eigenvalue"]
         N = _number("N", config["N"], integer=True)
@@ -425,7 +393,7 @@ def cmd_sweep(args) -> str:
 
         def compute(N, theta, l, p):
             params = ProblemParams(N=N, theta=theta, l=l, p=p)
-            report = _spectrum(params, "v_infinity", a, b, n, tol=None)
+            report = profile_spectrum(params, a, b, n)
             return [
                 f_eval(p, params.n_prime, params.tau),
                 hardy_constant(params.n_prime),
@@ -504,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # attach such a value to its option: "--theta -1e-05" -> "--theta=-1e-05"
+    # attach such a value to the option before it: "--l -1." -> "--l=-1."
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
+        if argv[i - 1].startswith("--") and _NEGATIVE_NUMBER.match(argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

@@ -112,6 +112,18 @@ class ProblemParams:
         return c0
 
 
+def _require_regime(params: ProblemParams) -> None:
+    if not params.standard_regime:
+        raise InvalidParameterError("need N' > 2 and tau > -2")
+
+
+def _require_singular(params: ProblemParams) -> None:
+    """Raise ``InvalidParameterError`` unless the singular solution c0 r^(-m) exists."""
+    _require_regime(params)
+    if params.c0 is None:  # c0 raises only inside the standard regime
+        raise InvalidParameterError("singular solution needs p above the Serrin exponent")
+
+
 class RegimeLabel(str, Enum):
     """Position of p relative to the critical powers at (N', tau)."""
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import ProblemParams, _hardy_level, f_eval
+from .params import ProblemParams, _hardy_level, _require_regime, _require_singular, f_eval
 
 #: Series start radius relative to the intrinsic kappa scale, lowered near
 #: tau = -2 where the origin series converges only very close to 0.
@@ -159,12 +159,7 @@ def v_infinity(params: ProblemParams, grid: RadialGrid, dtype=float) -> RadialFu
     Raises NumericalError where v would leave the normal range of that
     dtype on the grid.
     """
-    if not params.standard_regime:
-        raise InvalidParameterError("need N' > 2 and tau > -2")
-    if params.c0 is None:
-        raise InvalidParameterError(
-            "singular solution needs p above the Serrin exponent"
-        )
+    _require_singular(params)
     # c0 r^(-m) = exp(m (log s - log r)) with log s = log(c0)/m: neither
     # s = c0^(1/m) nor any power of r is formed, so nothing under- or
     # overflows unless v itself does; extended precision keeps the
@@ -205,8 +200,7 @@ def shoot(
     amplitude c0.
     """
     c0 = params.c0  # read first: its NumericalError precedes the checks below
-    if not params.standard_regime:
-        raise InvalidParameterError("need N' > 2 and tau > -2")
+    _require_regime(params)
     if not params.p > params.sobolev:
         raise InvalidParameterError(
             f"shooting requires p above the Sobolev exponent {params.sobolev}"
@@ -472,9 +466,8 @@ def sphere_constant_check(params: ProblemParams) -> float:
     identity exactly, so the returned residual |c0^p - f(p)/p * c0|
     vanishes up to rounding.  NumericalError where c0^p leaves the float range.
     """
+    _require_singular(params)
     c0 = params.c0
-    if c0 is None:
-        raise InvalidParameterError("needs p above the Serrin exponent")
     level = f_eval(params.p, params.n_prime, params.tau) / params.p
     try:
         value = abs(c0**params.p - level * c0)

@@ -40,7 +40,15 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import ProblemParams, SchrodingerParams, _hardy_level, gamma_of_p, hardy_constant
+from .params import (
+    ProblemParams,
+    SchrodingerParams,
+    _hardy_level,
+    _require_singular,
+    f_eval,
+    gamma_of_p,
+    hardy_constant,
+)
 from .transforms import (
     TransformKind,
     dual_apply,
@@ -157,9 +165,9 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
     """Assemble the stability form with potential P on the annulus [a, b].
 
     P is one number or its n values on the interior nodes of ``log_nodes``,
-    for example ``p * np.exp((p - 1) * y.values[1:-1])`` for the state
-    y = log(r^m v) of a shot on those nodes; the ends are Dirichlet.  A
-    diagonal out of the float range (a huge N') raises ``NumericalError``.
+    as ``profile_spectrum`` forms them from a shot on those nodes; the ends
+    are Dirichlet.  A diagonal out of the float range (a huge N') raises
+    ``NumericalError``.
     """
     h = _log_step(a, b, n)
     P = np.asarray(P, dtype=float)
@@ -225,6 +233,28 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
         matrix_scale=scale,
         count_margin=float(np.min(np.abs(eigs + tol))),
     )
+
+
+def profile_spectrum(
+    params: ProblemParams, a: float, b: float, n: int, kappa: float | None = None,
+    tol: float = 1e-10,
+) -> SpectrumReport:
+    """Radial Morse count on [a, b] about v_infinity (``kappa=None``) or the shot v(0) = kappa.
+
+    About v_infinity P is the constant f(p) and no profile is sampled.  A shot
+    runs with tolerance ``tol`` on ``log_nodes(a, b, n)`` out to r_max = b, and
+    P = p e^((p-1) y) from its state y = log(r^m v), exact where v underflows.
+    a, b and n are checked before the profile's conditions.
+    """
+    _log_step(a, b, n)
+    if kappa is None:
+        _require_singular(params)
+        P = f_eval(params.p, params.n_prime, params.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
+    else:
+        from .radial_ode import shoot  # not loaded on the v_infinity and Hardy paths
+        y = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=log_nodes(a, b, n)).log_scaled
+        P = [params.p * math.exp((params.p - 1.0) * x) for x in y.values[1:-1].tolist()]
+    return radial_morse_index(params, P, a, b, n)
 
 
 def _log_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:

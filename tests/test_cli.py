@@ -374,6 +374,24 @@ def test_negative_value_in_exponent_notation_is_a_value(capsys):
     assert run_cli(joined, capsys) == (0, out)
 
 
+@pytest.mark.parametrize("value", ["-1.", "-1_0", "-2.5e-3", "-.5"])
+def test_negative_value_after_a_space_is_the_option_value(value, capsys):
+    # argparse takes "-1." and "-1_0" for options unless they are attached
+    common = ["exponents", "--N", "20", "--l", "0"]
+    code, out = run_cli([*common, "--theta", value], capsys)
+    assert code == 0, out
+    assert json.loads(out)["inputs"]["theta"] == float(value)
+    assert run_cli([*common, f"--theta={value}"], capsys) == (0, out)
+
+
+def test_spectrum_echoes_the_shooting_tolerance(capsys):
+    env = run_json(["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
+                    "--profile", "shoot:1", "--a", "0.1", "--b", "1e3", "--n", "100",
+                    "--tol", "1e-8"], capsys)
+    assert env["inputs"] == {"N": 11, "theta": 0.0, "l": 0.0, "p": 7.0, "profile": "shoot:1",
+                             "a": 0.1, "b": 1e3, "n": 100, "tol": 1e-8}
+
+
 def test_spectrum_profile_outside_the_float_range_exit_code(capsys):
     # c0 r^(-m) leaves the float64 range on [1e-12, 1e12], but the potential
     # about it is the constant f(p): the spectrum has its Liouville count

@@ -60,6 +60,7 @@ from emdenlab import (
     invariance_check,
     kelvin_apply,
     kelvin_params,
+    profile_spectrum,
     q_value,
     radial_morse_index,
     radial_ode,
@@ -325,6 +326,8 @@ def test_v_infinity_spectrum_samples_no_profile(tmp_path, monkeypatch, capsys):
     common = ["--N", "100", "--theta", "0", "--l", "0"]
     assert main(["spectrum", *common, "--p", "1.0408", "--a", "1e-12", "--b", "1e12"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["negative_count"] == 174
+    assert profile_spectrum(ProblemParams(100, 0.0, 0.0, 1.0408), 1e-12, 1e12, 2000
+                            ).negative_count == 174
     config = tmp_path / "sweep.cfg"
     config.write_text("mode = spectrum\nN = 100\ntheta = 0\nl = 0\np = 1.0408,3\n"
                       "a = 1e-12\nb = 1e12\nn = 2000\n")

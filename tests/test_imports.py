@@ -17,7 +17,7 @@ import emdenlab
 SRC = str(Path(emdenlab.__file__).resolve().parents[1])
 
 #: Runs the statements in argv[1] one by one, stdout silenced, and prints
-#: the numpy and scipy modules loaded after each.
+#: the numpy and scipy modules, and the emdenlab modules, loaded after each.
 _PROBE = """
 import contextlib, io, json, sys
 namespace = {}
@@ -25,18 +25,20 @@ loaded = []
 for statement in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         exec(statement, namespace)
-    loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")))
+    loaded.append([sorted(m for m in sys.modules if m.partition(".")[0] in packages)
+                   for packages in (("numpy", "scipy"), ("emdenlab",))])
 print(json.dumps(loaded))
 """
 
 
-def heavy_modules_after(statements):
+def modules_after(statements):
+    """statement -> (numpy and scipy modules, emdenlab modules) loaded once it has run."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(statements)],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
-    return dict(zip(statements, json.loads(out)))
+    return dict(zip(statements, map(tuple, json.loads(out))))
 
 
 def test_parameter_commands_load_neither_numpy_nor_scipy(tmp_path):
@@ -55,8 +57,10 @@ def test_parameter_commands_load_neither_numpy_nor_scipy(tmp_path):
     ]
     statements = ["import emdenlab", "from emdenlab import cli"]
     statements += [f"assert cli.main({argv!r}) == 0" for argv in commands]
-    loaded = heavy_modules_after(statements)
-    assert loaded == {statement: [] for statement in statements}
+    loaded = modules_after(statements)
+    assert {s: heavy for s, (heavy, _) in loaded.items()} == {s: [] for s in statements}
+    for statement, (_, own) in loaded.items():
+        assert "emdenlab.stability" not in own, statement
 
 
 def test_spectrum_loads_scipy_only_about_a_shot(tmp_path):
@@ -73,18 +77,23 @@ def test_spectrum_loads_scipy_only_about_a_shot(tmp_path):
             "--b", "1e3", "--n", "200"]
     statements = ["from emdenlab import cli"]
     statements += [f"assert cli.main({argv!r}) == 0" for argv in [*singular, shot]]
-    loaded = heavy_modules_after(statements)
+    loaded = modules_after(statements)
     for statement in statements[1:-1]:
-        assert "numpy" in loaded[statement], statement
-        assert not [m for m in loaded[statement] if m.startswith("scipy")], statement
-    assert {"scipy.linalg", "scipy.integrate"} <= set(loaded[statements[-1]])
+        heavy, own = loaded[statement]
+        assert "numpy" in heavy, statement
+        assert not [m for m in heavy if m.startswith("scipy")], statement
+        assert "emdenlab.radial_ode" not in own, statement
+    heavy, own = loaded[statements[-1]]
+    assert {"scipy.linalg", "scipy.integrate"} <= set(heavy)
+    assert "emdenlab.radial_ode" in own
 
 
 def test_hardy_minimum_loads_no_scipy():
     statement = "import emdenlab; emdenlab.hardy_rayleigh_min(0.0, 5, 1.0, 1e2, 1000)"
-    loaded = heavy_modules_after([statement])[statement]
-    assert "numpy" in loaded
-    assert not [m for m in loaded if m.startswith("scipy")]
+    heavy, own = modules_after([statement])[statement]
+    assert "numpy" in heavy
+    assert not [m for m in heavy if m.startswith("scipy")]
+    assert "emdenlab.radial_ode" not in own
 
 
 def test_every_public_name_is_its_home_module_attribute():

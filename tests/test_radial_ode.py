@@ -323,8 +323,10 @@ def test_transform_images_of_shooting_output_keep_residual():
 def test_sphere_constant_check():
     assert sphere_constant_check(PARAMS_5) <= 1e-12
     assert sphere_constant_check(ProblemParams(11, 0.0, 0.0, 13.0 / 9.0)) <= 1e-12
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="above the Serrin exponent"):
         sphere_constant_check(ProblemParams(5, 0.0, 0.0, 1.5))  # below serrin
+    with pytest.raises(InvalidParameterError, match="need N' > 2 and tau > -2"):
+        sphere_constant_check(ProblemParams(5, 0.0, -2.5, 3.0))  # p is above serrin = 5/6
     # consistency: the constant limit equals the singular amplitude
     res = shoot(PARAMS_11, kappa=1.0, r_max=1e6, tol=1e-10)
     level = f_eval(PARAMS_11.p, 11.0, 0.0) / PARAMS_11.p

@@ -26,6 +26,7 @@ from emdenlab import (
     kelvin_params,
     log_nodes,
     potential,
+    profile_spectrum,
     q_value,
     q_value_schrodinger,
     radial_morse_index,
@@ -34,7 +35,7 @@ from emdenlab import (
     stable_estimate_check,
     v_infinity,
 )
-from emdenlab import tridiag
+from emdenlab import stability, tridiag
 from emdenlab.cli import main
 
 
@@ -523,7 +524,7 @@ def test_out_of_range_form_value_is_a_numerical_error():
 
 
 def test_shoot_profile_spectrum_matches_a_dense_reference(capsys):
-    # the CLI's shoot:<kappa> spectrum shoots on the assembly nodes, so P is
+    # a shoot:<kappa> spectrum shoots on the assembly nodes, so P is
     # the formula's own value there; its low eigenvalues match those of P
     # interpolated from a profile sampled at 8192 points per decade
     rng = np.random.default_rng(61)
@@ -545,13 +546,46 @@ def test_shoot_profile_spectrum_matches_a_dense_reference(capsys):
                                    atol=1e-5)
 
 
+@pytest.mark.parametrize("kappa", [None, 1.0], ids=["v_infinity", "shoot"])
+def test_profile_spectrum_is_the_report_of_its_potential(kappa, monkeypatch):
+    # bit for bit: f(p) about v_infinity, math.exp on the shot's state otherwise
+    # (np.exp differs in the last bit on some nodes)
+    params, a, b, n = ProblemParams(11, 0.0, 0.0, 3.0), 1e-2, 1e3, 600
+    if kappa is None:
+        P = f_eval(params.p, params.n_prime, params.tau)
+    else:
+        y = shoot(params, kappa, r_max=b, grid=log_nodes(a, b, n)).log_scaled.values
+        P = [params.p * math.exp((params.p - 1.0) * x) for x in y[1:-1].tolist()]
+    seen = []
+    monkeypatch.setattr(stability, "radial_morse_index",
+                        lambda *args: seen.append(args[1]) or radial_morse_index(*args))
+    got, want = profile_spectrum(params, a, b, n, kappa), radial_morse_index(params, P, a, b, n)
+    assert np.asarray(seen[0]).tobytes() == np.asarray(P).tobytes()
+    assert got.negative_count > 0
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
+
+
+@pytest.mark.parametrize("kappa", [None, 1.0], ids=["v_infinity", "shoot"])
+@pytest.mark.parametrize(("a", "b", "n", "message"), [
+    (1e3, 1e-3, 100, "need 0 < a < b"),
+    (1e-3, 1e3, 4, "need at least 8 interior nodes"),
+], ids=["a-above-b", "n-below-8"])
+def test_profile_spectrum_checks_the_annulus_before_the_profile(a, b, n, message, kappa):
+    params = ProblemParams(11, 0.0, 0.0, 1.01)  # below Serrin: no singular or shot profile
+    with pytest.raises(InvalidParameterError, match="Serrin|Sobolev"):
+        profile_spectrum(params, 1e-3, 1e3, 100, kappa)
+    with pytest.raises(InvalidParameterError, match=message):
+        profile_spectrum(params, a, b, n, kappa)
+
+
 @pytest.mark.parametrize(("params", "a", "b", "count"), [
     (ProblemParams(11, 0.0, 0.0, 3.0), 1e-3, 1e5, 6),
     # w = e^y is about e^-787 at a, below the float range, while v is about 1
     (ProblemParams(100, 0.0, -1.9, 1.012), 1e-41, 1e3, 0),
 ], ids=["n11", "w_underflows_at_a"])
 def test_shoot_spectrum_potential_from_w_matches_potential_of_v(params, a, b, count, capsys):
-    # the CLI takes P = p w^(p-1) = p e^((p-1) y) from the shot's state
+    # profile_spectrum takes P = p w^(p-1) = p e^((p-1) y) from the shot's state
     # y = log(r^m v), which is p r^(2+tau) v^(p-1) since (p-1) m = 2+tau: it
     # matches ``potential`` of v on the nodes, and the count matches that potential's
     n = 3000
