@@ -18,7 +18,7 @@ loads ``scipy.linalg``, and shooting ``scipy.integrate``.
 
 import importlib
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 #: Home module of every public name.
 _HOMES = {

@@ -44,6 +44,7 @@ from .errors import EmdenlabError, InvalidParameterError, NumericalError
 from .params import (
     ProblemParams,
     SchrodingerParams,
+    _require_regime,
     classify_p,
     critical_exponents,
     f_eval,
@@ -166,10 +167,7 @@ def cmd_exponents(args) -> dict:
     has_p = args.p is not None
     # Without --p the placeholder power is never read: m_exp and c0 are reported as null.
     params = _problem_params(args, args.p if has_p else 2.0)
-    if not params.standard_regime:
-        raise InvalidParameterError(
-            "exponent report requires the standard regime N + theta > 2, l - theta > -2"
-        )
+    _require_regime(params)
     derived = _derived_block(params, with_p=has_p)  # c0 precedes the exponent checks
     exps = critical_exponents(params.n_prime, params.tau)
     results = {

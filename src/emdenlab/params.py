@@ -38,13 +38,17 @@ ROOT_RESIDUAL_TOL = 1e-10
 CROSSCHECK_TOL = 1e-8
 
 
+def _require_p_above_one(p: float) -> None:
+    if not p > 1.0:
+        raise InvalidParameterError(f"p must exceed 1, got {p}")
+
+
 def _check_fields(params, floats: tuple[str, ...]) -> None:
     """Require an integer N >= 2 (stored as int), p > 1 and finite ``floats``."""
     if int(params.N) != params.N or params.N < 2:
         raise InvalidParameterError(f"N must be an integer >= 2, got {params.N}")
     object.__setattr__(params, "N", int(params.N))
-    if not params.p > 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {params.p}")
+    _require_p_above_one(params.p)
     for name in floats:
         if not math.isfinite(getattr(params, name)):
             raise InvalidParameterError(f"{name} must be finite")
@@ -214,16 +218,14 @@ def f_eval(p: float, n_prime: float, tau: float) -> float:
     Vanishes at the Serrin exponent and tends to (2+tau)*(N'-2) as
     p -> infinity.
     """
-    if not p > 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
+    _require_p_above_one(p)
     m = (2.0 + tau) / (p - 1.0)
     return p * m * (n_prime - 2.0 - m)
 
 
 def gamma_of_p(p: float) -> float:
     """Upper endpoint 2p + 2*sqrt(p(p-1)) - 1 of the admissible test-power range."""
-    if not p > 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
+    _require_p_above_one(p)
     return 2.0 * p + 2.0 * math.sqrt(p * (p - 1.0)) - 1.0
 
 
@@ -233,8 +235,7 @@ def capital_gamma(p: float, tau: float) -> float:
     Gamma(p) = 2*(2+tau)*(1 + 1/(p-1) + sqrt(1 + 1/(p-1))) + 2 is strictly
     decreasing on (1, inf), from +infinity down to 10 + 4*tau.
     """
-    if not p > 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
+    _require_p_above_one(p)
     s = 1.0 + 1.0 / (p - 1.0)
     return 2.0 * (2.0 + tau) * (s + math.sqrt(s)) + 2.0
 
@@ -245,8 +246,7 @@ def delta(n_prime: float, p: float, gamma: float, tau: float) -> float:
     At gamma = gamma_of_p(p) this equals (p-1)*(N' - capital_gamma(p, tau))
     and vanishes exactly at p = p_c(N', tau).
     """
-    if not p > 1.0:
-        raise InvalidParameterError(f"p must exceed 1, got {p}")
+    _require_p_above_one(p)
     return n_prime * (p - 1.0) - (2.0 + tau) * gamma - 2.0 * p - tau
 
 
@@ -429,10 +429,7 @@ def classify_p(params: ProblemParams) -> Classification:
     carries the weight-balance condition and min(p_c(N',tau), p_c(N,0)),
     since the removability conclusions require p below that minimum.
     """
-    if not params.standard_regime:
-        raise InvalidParameterError(
-            "classification requires N + theta > 2 and l - theta > -2"
-        )
+    _require_regime(params)
     p = params.p
     np_, tau = params.n_prime, params.tau
     exps = critical_exponents(np_, tau)

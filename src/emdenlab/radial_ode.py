@@ -14,9 +14,9 @@ module provides
   at the origin) and advanced by LSODA (scipy.integrate.odeint behind
   the ``solve_ivp`` seam) in t = log r on the Emden-Fowler state
   y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
-  s' = e^((p-1) y - s) - (N'-2) + e^s.  No power of r appears, the
-  fixed point (log c0, log m) is the singular solution, and zeta > 0
-  makes v' < 0 by construction; a shot keeps y and forms v on read,
+  s' = e^((p-1) y - s) - (N'-2) + e^s, with no power of r.  Its fixed
+  point (log c0, log m) is the singular solution, zeta > 0 makes v' < 0,
+  a shot keeps y and forms v on read, and a spectrum reads y alone,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
 * asymptotic-constant extraction (the limit of w, fit with the tail's
   linearisation at c0), decay classification of w (a converged tail is
@@ -197,9 +197,53 @@ def shoot(
     relative and absolute tolerance on the state (y, s), applied as
     tol/1000.  The hypothesis p above the Sobolev exponent is enforced; there the solution
     is positive, strictly decreasing, and r^m v(r) tends to the singular
-    amplitude c0.
+    amplitude c0.  It reports the tail fit, classification and ordering of ``_shot_state``'s run.
     """
-    c0 = params.c0  # read first: its NumericalError precedes the checks below
+    c0 = params.c0  # read first: its NumericalError precedes the shot's checks
+    grid, y, s, nfev = _shot_state(params, kappa, r_max, tol, grid=grid, r_min=r_min,
+                                   points_per_decade=points_per_decade, r_start=r_start)
+    if not np.max(y) < math.log(np.finfo(float).max):
+        raise NumericalError("non-finite state or w = e^y overflows in shooting output")
+    w = RadialFunction(grid=grid, values=np.exp(y))
+
+    try:
+        estimate, converged = asymptotic_constant(w, params)
+    except InvalidParameterError:
+        # Too short or too coarse for a trustworthy tail fit: report the
+        # naive endpoint estimate and flag the run inconclusive.
+        estimate, converged = float(w.values[-1]), False
+        classification = DecayClass.INCONCLUSIVE
+    else:
+        # converged is classify_decay's own slow-decay test on the same fit
+        classification = (DecayClass.SLOW_DECAY if converged
+                          else classify_decay(w, params)[0])
+
+    gap = y - math.log(c0)  # log(v / (c0 r^(-m)))
+    band = ORDERING_NOISE_FACTOR * tol
+    if np.any(gap > band):
+        ordering = Ordering.CROSSES if np.any(gap < -band) else Ordering.ABOVE
+    else:
+        # Never meaningfully above the singular solution; ties within the
+        # noise band count toward "below".
+        ordering = Ordering.BELOW
+
+    return ShootingResult(
+        params=params,
+        kappa=kappa,
+        log_scaled=RadialFunction(grid=grid, values=y),
+        asymptotic_constant=estimate,
+        converged=converged,
+        classification=classification,
+        ordering_vs_singular=ordering,
+        nfev=nfev,
+        zeta_residual=abs(math.exp(s[-1]) - params.m_exp),
+        log_amplitude_residual=abs(float(gap[-1])),
+    )
+
+
+def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_decade=128,
+                r_start=None) -> tuple[RadialGrid, np.ndarray, np.ndarray, int]:
+    """(grid, y, s, nfev) of ``shoot``'s run: its checks and integration, none of its report."""
     _require_regime(params)
     if not params.p > params.sobolev:
         raise InvalidParameterError(
@@ -235,10 +279,14 @@ def shoot(
                 f"series start radius {r_start:.6g} of kappa = {kappa} lies beyond "
                 f"r_max = {r_max:.6g} at tau = {tau}"
             )
+        if grid is None and r_min is None and r_max / r_start == math.inf:
+            raise NumericalError(f"series start radius underflows below r_max at tau = {tau}")
     if grid is None:
         lo = r_min if r_min is not None else r_start
         if not (0.0 < lo < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
+        if r_max / lo == math.inf:  # lo was given: a computed series start is checked above
+            raise InvalidParameterError("log(r_max/r_min) must be finite")
         n = max(2, int(round(math.log10(r_max / lo) * points_per_decade)) + 1)
         grid = RadialGrid.logspaced(lo, r_max, n)
     if grid.r_max > r_max * (1.0 + 1e-12):
@@ -272,44 +320,9 @@ def shoot(
     if not sol.success:
         raise NumericalError(f"integrator failed: {sol.message}")
 
-    y, s = sol.y
-    if not (np.all(np.isfinite(sol.y)) and np.max(y) < math.log(np.finfo(float).max)):
+    if not np.all(np.isfinite(sol.y)):
         raise NumericalError("non-finite state or w = e^y overflows in shooting output")
-    w = RadialFunction(grid=grid, values=np.exp(y))
-
-    try:
-        estimate, converged = asymptotic_constant(w, params)
-    except InvalidParameterError:
-        # Too short or too coarse for a trustworthy tail fit: report the
-        # naive endpoint estimate and flag the run inconclusive.
-        estimate, converged = float(w.values[-1]), False
-        classification = DecayClass.INCONCLUSIVE
-    else:
-        # converged is classify_decay's own slow-decay test on the same fit
-        classification = (DecayClass.SLOW_DECAY if converged
-                          else classify_decay(w, params)[0])
-
-    gap = y - math.log(c0)  # log(v / (c0 r^(-m)))
-    band = ORDERING_NOISE_FACTOR * tol
-    if np.any(gap > band):
-        ordering = Ordering.CROSSES if np.any(gap < -band) else Ordering.ABOVE
-    else:
-        # Never meaningfully above the singular solution; ties within the
-        # noise band count toward "below".
-        ordering = Ordering.BELOW
-
-    return ShootingResult(
-        params=params,
-        kappa=kappa,
-        log_scaled=RadialFunction(grid=grid, values=y),
-        asymptotic_constant=estimate,
-        converged=converged,
-        classification=classification,
-        ordering_vs_singular=ordering,
-        nfev=int(sol.nfev),
-        zeta_residual=abs(math.exp(s[-1]) - m),
-        log_amplitude_residual=abs(float(gap[-1])),
-    )
+    return grid, *sol.y, int(sol.nfev)
 
 
 def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:

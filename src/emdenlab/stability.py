@@ -241,19 +241,19 @@ def profile_spectrum(
 ) -> SpectrumReport:
     """Radial Morse count on [a, b] about v_infinity (``kappa=None``) or the shot v(0) = kappa.
 
-    About v_infinity P is the constant f(p) and no profile is sampled.  A shot
-    runs with tolerance ``tol`` on ``log_nodes(a, b, n)`` out to r_max = b, and
-    P = p e^((p-1) y) from its state y = log(r^m v), exact where v underflows.
-    a, b and n are checked before the profile's conditions.
+    About v_infinity P is the constant f(p) and no profile is sampled.  A shot runs
+    ``shoot``'s checks and integration, not its report, on ``log_nodes(a, b, n)`` to b
+    with tolerance ``tol``; P = p e^((p-1) y) from its state y = log(r^m v) is exact
+    where v underflows.  a, b and n are checked before the profile's conditions.
     """
     _log_step(a, b, n)
     if kappa is None:
         _require_singular(params)
         P = f_eval(params.p, params.n_prime, params.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
     else:
-        from .radial_ode import shoot  # not loaded on the v_infinity and Hardy paths
-        y = shoot(params, kappa=kappa, r_max=b, tol=tol, grid=log_nodes(a, b, n)).log_scaled
-        P = [params.p * math.exp((params.p - 1.0) * x) for x in y.values[1:-1].tolist()]
+        from .radial_ode import _shot_state  # not loaded on the v_infinity and Hardy paths
+        y = _shot_state(params, kappa, b, tol, grid=log_nodes(a, b, n))[1]
+        P = [params.p * math.exp((params.p - 1.0) * x) for x in y[1:-1].tolist()]
     return radial_morse_index(params, P, a, b, n)
 
 

@@ -406,14 +406,48 @@ def test_spectrum_profile_outside_the_float_range_exit_code(capsys):
 
 
 def test_spectrum_shoot_profile_on_a_coarse_grid_is_inconclusive_not_invalid(capsys):
-    # n = 8 puts 2 nodes in the last decade of [1e-3, 1e3]: too few for a
-    # tail fit, so the shot is inconclusive and the spectrum still returns
+    # n = 8 puts 2 nodes in the last decade of [1e-3, 1e3]: too few for the
+    # shot's tail fit, which the spectrum does not read, so it still returns
     env = run_json(
         ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
          "--profile", "shoot:1", "--a", "1e-3", "--b", "1e3", "--n", "8"],
         capsys,
     )
     assert env["results"]["negative_count"] == 0
+
+
+def test_spectrum_shoot_profile_near_the_origin_where_the_tail_fit_fails(capsys):
+    # w = r^30 v underflows on [1e-20, 1e-12]: the shot's own report fails
+    # (exit 3 before 0.14.0), the spectrum reads only its state and starts
+    # just above the level (N'-2)^2/4 = 1332.25
+    argv = ["spectrum", "--N", "75", "--theta", "0", "--l", "0", "--p", "1.0666666666666667",
+            "--profile", "shoot:1", "--a", "1e-20", "--b", "1e-12", "--n", "400"]
+    results = run_json(argv, capsys)["results"]
+    assert results["negative_count"] == 0
+    assert 1332.25 < results["min_eigenvalue"] < 1332.25 + 0.1
+    shot = ["shoot", *argv[1:9], "--kappa", "1", "--rmin", "1e-20", "--rmax", "1e-12"]
+    err = run_json(shot, capsys, expect_code=3)
+    assert "not a normal positive float" in err["error"]["message"]
+
+
+def test_spectrum_shoot_profile_reports_c0_outside_the_float_range(capsys):
+    # the spectrum itself returns, but the derived block prints c0
+    argv = ["spectrum", "--N", "100", "--theta", "0", "--l=-1.9", "--p", "1.005",
+            "--profile", "shoot:1", "--a", "1e-3", "--b", "1e3", "--n", "2000"]
+    err = run_json(argv, capsys, expect_code=3)
+    assert err["error"]["message"] == "c0 leaves the float range at N' = 100.0, p = 1.005"
+
+
+@pytest.mark.parametrize(("argv", "code", "message"), [
+    (["--rmax", "1e300", "--rmin", "1e-10"], 2, "log(r_max/r_min) must be finite"),
+    # the series start is about 1e-306
+    (["--kappa", "1e300"], 3, "series start radius underflows below r_max at tau = 0.0"),
+], ids=["r_min", "series-start"])
+def test_shoot_grid_whose_ratio_overflows_is_a_typed_error(argv, code, message, capsys):
+    # r_max over the grid's start overflows: a typed error, not an OverflowError
+    err = run_json(["shoot", "--N", "5", "--theta", "0", "--l", "0", "--p", "3", *argv], capsys,
+                   expect_code=code)
+    assert err["error"]["message"] == message
 
 
 def test_spectrum_shoot_profile_with_its_series_start_above_a(capsys):
@@ -659,14 +693,17 @@ def test_every_sweep_cell_is_a_plain_python_value(config, tmp_path, monkeypatch,
 @pytest.mark.parametrize("config, argv, message", [
     (None, ["spectrum", "--N", "2", "--theta", "0", "--l", "0", "--p", "3"],
      "need N' > 2 and tau > -2"),
+    (None, ["classify", "--N", "5", "--theta", "0", "--l=-2", "--p", "3"],
+     "need N' > 2 and tau > -2"),
+    (None, ["exponents", "--N", "5", "--theta", "0", "--l=-2"], "need N' > 2 and tau > -2"),
     (None, ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "3",
             "--profile", "v_zero"], "profile must be 'v_infinity' or 'shoot:<kappa>'"),
     ("nprime = 11:15\ntau = 0\n", None, "range must be start:stop:count, got '11:15'"),
     ("nprime = 11:15:-1\ntau = 0\n", None, "range count must be >= 0"),
     ("nprime = 11\ntau = 0\nmode exponents\n", None, "expected 'key = value'"),
     ("mode = spectra\n", None, "unknown sweep mode 'spectra'"),
-], ids=["spectrum-n-prime-2", "unknown-profile", "two-part-range", "negative-count",
-        "no-equals-sign", "unknown-mode"])
+], ids=["spectrum-n-prime-2", "classify-tau-minus-2", "exponents-tau-minus-2",
+        "unknown-profile", "two-part-range", "negative-count", "no-equals-sign", "unknown-mode"])
 def test_input_check_names_its_fault(config, argv, message, tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     if config is not None:

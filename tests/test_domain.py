@@ -10,7 +10,9 @@ b/a up to 1e24.  ``spectrum --profile shoot:<kappa>`` does the same with
 kappa over twelve decades, series starts above a and b/a up to 1e24, and
 exits 2 only where p is not above the Sobolev exponent; ``sweep`` with
 ``mode = spectrum`` writes one CSV row per p, each with its results or
-its error.
+its error.  On annuli as close to the origin as a = 1e-40, where w = r^m v
+underflows, ``profile_spectrum`` about a shot returns whenever p is above
+the Sobolev exponent, since it reads only the shot's state.
 Across N' 2.05-100.5, b/a 1.5-1e24 and n 8-20000, ``hardy_rayleigh_min``
 returns a finite value above its continuum bound, with no warning.  An
 infinite N', kappa, r_max or tol, or a b/a that overflows, is an
@@ -276,6 +278,46 @@ def test_cli_shoot_spectrum_exits_with_json_across_the_domain(capsys):
             codes.append(code)
             starts_above_a += start_above_a and code == 0
     assert codes.count(0) >= len(codes) // 2 and starts_above_a >= 3, (codes, starts_above_a)
+
+
+def _near_origin_draws(seed: int, count: int):
+    """(params, a, b, n, kappa, p above Sobolev) with a in 1e-40-1e2 and b/a in 10-1e24."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.9, 3.0)
+        np_ = N + theta
+        sobolev = (np_ + 2.0 + 2.0 * tau) / (np_ - 2.0)
+        p = 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(-0.2, 2.5))
+        kappa = 10.0 ** rng.uniform(-3.0, 3.0)
+        a = 10.0 ** rng.uniform(-40.0, 2.0)
+        b = a * 10.0 ** rng.uniform(1.0, 24.0)
+        n = rng.randint(8, 300)
+        yield ProblemParams(N, theta, theta + tau, p), a, b, n, kappa, p > sobolev
+
+
+def test_shot_spectrum_on_annuli_near_the_origin_returns_above_sobolev():
+    # a shot spectrum reads only the shot's state, so it returns where the
+    # shot's report fails: w = kappa r^m underflows in the last decade, or c0
+    # leaves the float range; below Sobolev it is invalid input
+    failures, returned = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, a, b, n, kappa, valid in _near_origin_draws(seed=67, count=200):
+            label = f"{params}, a={a!r}, b={b!r}, n={n}, kappa={kappa!r}"
+            try:
+                report = profile_spectrum(params, a, b, n, kappa=kappa)
+            except InvalidParameterError:
+                if valid:
+                    failures.append(f"{label}: invalid input above Sobolev")
+                continue
+            except Exception as exc:  # collected, so one run lists every defect
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            if not (valid and _finite(report)):
+                failures.append(f"{label}: returned {report}")
+            returned += 1
+    assert not failures, "\n".join(failures)
+    assert returned >= 150, returned
 
 
 def test_cli_sweep_spectrum_writes_a_row_per_p_across_the_domain(tmp_path, capsys):

@@ -88,6 +88,15 @@ def test_spectrum_loads_scipy_only_about_a_shot(tmp_path):
     assert "emdenlab.radial_ode" in own
 
 
+def test_stability_loads_no_shooting_module():
+    # profile_spectrum imports radial_ode only on its shot branch
+    statement = "import emdenlab.stability"
+    heavy, own = modules_after([statement])[statement]
+    assert not [m for m in heavy if m.startswith("scipy")]
+    assert own == ["emdenlab", "emdenlab.errors", "emdenlab.grids", "emdenlab.params",
+                   "emdenlab.stability", "emdenlab.transforms", "emdenlab.tridiag"]
+
+
 def test_hardy_minimum_loads_no_scipy():
     statement = "import emdenlab; emdenlab.hardy_rayleigh_min(0.0, 5, 1.0, 1e2, 1000)"
     heavy, own = modules_after([statement])[statement]

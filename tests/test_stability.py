@@ -35,7 +35,7 @@ from emdenlab import (
     stable_estimate_check,
     v_infinity,
 )
-from emdenlab import stability, tridiag
+from emdenlab import radial_ode, stability, tridiag
 from emdenlab.cli import main
 
 
@@ -564,6 +564,45 @@ def test_profile_spectrum_is_the_report_of_its_potential(kappa, monkeypatch):
     assert got.negative_count > 0
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
     assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
+
+
+def test_shot_spectrum_reads_only_the_shot_state(monkeypatch):
+    # the spectrum takes y from the shot's integration: neither shoot, its tail
+    # fit and classification, nor c0 is read, and the report is the same
+    params, a, b, n = ProblemParams(11, 0.0, 0.0, 7.0), 1e-1, 1e3, 400
+    want = profile_spectrum(params, a, b, n, kappa=1.0)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a shot spectrum read the shot's report")
+
+    for name in ("shoot", "asymptotic_constant", "classify_decay"):
+        monkeypatch.setattr(radial_ode, name, unread)
+    monkeypatch.setattr(ProblemParams, "c0", property(unread))
+    got = profile_spectrum(params, a, b, n, kappa=1.0)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
+
+
+def test_shot_spectrum_near_the_origin_where_the_tail_fit_fails():
+    # m = 30: w = r^m v is 1e-600 to 1e-360 on [1e-20, 1e-12], so the shot's own
+    # tail fit fails there; P is about 0, so the spectrum starts just above
+    # the level (N'-2)^2/4 = 1332.25, by at most (pi/L)^2
+    params, a, b = ProblemParams(75, 0.0, 0.0, 1.0666666666666667), 1e-20, 1e-12
+    with pytest.raises(NumericalError, match="not a normal positive float"):
+        shoot(params, 1.0, r_max=b, grid=log_nodes(a, b, 400))
+    report = profile_spectrum(params, a, b, 400, kappa=1.0)
+    assert report.negative_count == 0
+    assert 1332.25 < report.min_eigenvalue <= 1332.25 + (math.pi / math.log(b / a)) ** 2
+
+
+def test_shot_spectrum_where_c0_leaves_the_float_range():
+    # c0 = (m (N'-2-m))^(1/(p-1)) with p - 1 = 0.005 overflows, but the
+    # state y and P = p e^((p-1) y) do not
+    params = ProblemParams(100, 0.0, -1.9, 1.005)
+    with pytest.raises(NumericalError, match="c0 leaves the float range"):
+        params.c0
+    report = profile_spectrum(params, 1e-3, 1e3, 2000, kappa=1.0)
+    assert report.negative_count == 0 and math.isfinite(report.min_eigenvalue)
 
 
 @pytest.mark.parametrize("kappa", [None, 1.0], ids=["v_infinity", "shoot"])
