@@ -9,16 +9,17 @@ and its Hardy-potential Schrodinger form.
 
 Public names resolve lazily (PEP 562): ``import emdenlab`` loads no
 module of the package, and a name loads only its home module on first
-use.  The exponent algebra and the parameter-level transforms need
-neither numpy nor scipy; grids, profiles and spectra load numpy.  A
-spectrum about v_infinity (one number for the potential) is closed form
-and loads no scipy; the low spectrum of a potential given on the nodes
-loads ``scipy.linalg``, and shooting ``scipy.integrate``.
+use.  The exponent algebra, the parameter-level transforms, the Hardy
+minimum and a spectrum about v_infinity (one number for the potential,
+closed form) load neither numpy nor scipy: their constant-coefficient
+forms are counted on Python floats.  Grids, profiles and a potential
+given on the nodes load numpy; the low spectrum of such a potential loads
+``scipy.linalg``, and shooting ``scipy.integrate``.
 """
 
 import importlib
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 #: Home module of every public name.
 _HOMES = {

@@ -129,8 +129,13 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _derived_block(params: ProblemParams, with_p: bool = True) -> dict:
-    c0 = params.c0 if with_p else None  # read first: its NumericalError comes first
+def _derived_block(params: ProblemParams, with_p: bool = True, c0_or_null: bool = False) -> dict:
+    try:
+        c0 = params.c0 if with_p else None  # read first: its NumericalError comes first
+    except NumericalError:
+        if not c0_or_null:
+            raise
+        c0 = None  # a spectrum reads no c0: null where it leaves the float range
     return {
         "n_prime": params.n_prime,
         "tau": params.tau,
@@ -259,11 +264,11 @@ def cmd_spectrum(args) -> dict:
         "negative_count": report.negative_count,
         "min_eigenvalue": report.min_eigenvalue,
         "negative_tol": report.negative_tol,
-        "eigenvalues": report.eigenvalues.tolist(),
+        "eigenvalues": list(report.eigenvalues),
         "diagnostics": {k: getattr(report, k) for k in ("matrix_scale", "count_margin")},
     }
     inputs = (*_PARAMS, "profile", "a", "b", "n", "tol")
-    return _envelope(args, inputs, _derived_block(params), results)
+    return _envelope(args, inputs, _derived_block(params, c0_or_null=True), results)
 
 
 def cmd_transform(args) -> dict:

@@ -4,21 +4,29 @@ All radial data in this package lives on strictly positive, log-uniform
 grids.  Log spacing makes the inversion r -> 1/r map a grid onto another
 grid of the same family (reversed), so the Kelvin and dual transforms
 never interpolate.
+
+numpy is imported inside the functions that touch arrays, so importing
+this module (as ``stability`` does for the Hardy minimum and the spectrum
+about v_infinity, which need no grid) loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Allowed spread of log-spacing increments (grid invariant).
 LOG_SPACING_TOL = 1e-12
 
 
 def _readonly(a, preserve_dtype=False) -> np.ndarray:
+    import numpy as np
+
     if preserve_dtype and isinstance(a, np.ndarray) and np.issubdtype(a.dtype, np.floating):
         arr = a.copy()
     else:
@@ -34,6 +42,8 @@ class RadialGrid:
     points: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         pts = _readonly(self.points)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
@@ -50,6 +60,8 @@ class RadialGrid:
 
     @classmethod
     def logspaced(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
+        import numpy as np
+
         if not (0.0 < r_min < r_max < np.inf):
             raise InvalidParameterError("need 0 < r_min < r_max < inf")
         if not int(n) >= 2:
@@ -90,6 +102,8 @@ class RadialFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         # Extended-precision values are preserved; anything else becomes float64.
         vals = _readonly(self.values, preserve_dtype=True)
         object.__setattr__(self, "values", vals)
@@ -100,6 +114,8 @@ class RadialFunction:
 
     def times_power(self, power: float) -> np.ndarray:
         """values * r^power, formed in logs: only a product out of range raises."""
+        import numpy as np
+
         # v = 0 gives 0; a power so large that power * log r overflows gives NaN there
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logs = power * self.grid.log_points + np.log(np.abs(self.values))
@@ -114,6 +130,8 @@ class RadialFunction:
         Rejects radii outside the grid range (beyond a relative slack of
         1e-12); transforms and potentials never extrapolate.
         """
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         slack = 1e-12
         if np.any(r < self.grid.r_min * (1.0 - slack)) or np.any(

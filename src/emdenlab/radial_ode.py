@@ -282,11 +282,11 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
         if grid is None and r_min is None and r_max / r_start == math.inf:
             raise NumericalError(f"series start radius underflows below r_max at tau = {tau}")
     if grid is None:
-        lo = r_min if r_min is not None else r_start
+        lo, name = (r_min, "r_min") if r_min is not None else (r_start, "r_start")
         if not (0.0 < lo < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
         if r_max / lo == math.inf:  # lo was given: a computed series start is checked above
-            raise InvalidParameterError("log(r_max/r_min) must be finite")
+            raise InvalidParameterError(f"log(r_max/{name}) must be finite")
         n = max(2, int(round(math.log10(r_max / lo) * points_per_decade)) + 1)
         grid = RadialGrid.logspaced(lo, r_max, n)
     if grid.r_max > r_max * (1.0 + 1e-12):

@@ -29,14 +29,18 @@ The Rayleigh bound of the weighted Hardy inequality uses the same
 variables but exact piecewise-linear finite elements instead of
 differences: only a conforming discretization guarantees the one-sided
 bound min >= (N'-2)^2/4 on every annulus.
+
+Both constant-coefficient forms, the Hardy minimum and the spectrum about
+v_infinity, run on Python floats through ``tridiag.Constant`` and load no
+numpy; numpy is imported inside the functions that touch arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
@@ -59,6 +63,10 @@ from .transforms import (
     sigma_inverse,
 )
 from . import tridiag
+from .tridiag import Constant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Negative eigenvalues are counted below -NEGATIVE_TOL_FACTOR * matrix scale.
 NEGATIVE_TOL_FACTOR = 1e-9
@@ -95,16 +103,17 @@ class FormAssembly:
 class SpectrumReport:
     """Low end of the stability spectrum and the negative-eigenvalue count.
 
-    ``eigenvalues`` lists the smallest eigenvalues (always including every
-    negative one); ``negative_count`` is the exact inertia count below the
-    noise tolerance ``negative_tol`` and is the radial Morse-index estimate
-    (a lower bound for the full index).  ``matrix_scale`` is the bound
-    max|d| + 2 max|e| on the matrix norm that sets the tolerance, and
-    ``count_margin`` the distance from the nearest listed eigenvalue to
-    -``negative_tol``: how far the count is from flipping.
+    ``eigenvalues`` lists the smallest eigenvalues as a tuple of floats
+    (always including every negative one); ``negative_count`` is the exact
+    inertia count below the noise tolerance ``negative_tol`` and is the
+    radial Morse-index estimate (a lower bound for the full index).
+    ``matrix_scale`` is the bound max|d| + 2 max|e| on the matrix norm that
+    sets the tolerance, and ``count_margin`` the distance from the nearest
+    listed eigenvalue to -``negative_tol``: how far the count is from
+    flipping.
     """
 
-    eigenvalues: np.ndarray
+    eigenvalues: tuple[float, ...]
     negative_count: int
     min_eigenvalue: float
     negative_tol: float
@@ -130,6 +139,8 @@ def potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:
     ``power`` is 2+tau on the weighted side and 2+alpha on the Hardy side.
     At f's own nodes the values are the formula's, with nothing interpolated.
     """
+    import numpy as np
+
     with np.errstate(divide="ignore", over="ignore"):  # f = 0 gives P = 0
         P = p * np.exp(power * f.grid.log_points + (p - 1.0) * np.log(np.abs(f.values)))
     if not np.all(np.isfinite(P)):
@@ -139,6 +150,8 @@ def potential(p: float, power: float, f: RadialFunction, r) -> np.ndarray:
 
 def _form_value(level: float, P: np.ndarray, psi: TestFunction, power: float) -> float:
     """sum(diff(phi)^2 / diff(t)) + trapezoid((level - P) phi^2, t), phi = r^power psi."""
+    import numpy as np
+
     t = psi.grid.log_points
     phi = psi.times_power(power)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,6 +174,41 @@ def log_nodes(a: float, b: float, n: int) -> RadialGrid:
     return RadialGrid.logspaced(a, b, n + 2)
 
 
+def _abs_max(x) -> float:
+    """max |x| of a float, a ``tridiag.Constant`` or an array; NaN or inf if an entry is."""
+    if isinstance(x, Constant):
+        return abs(x.value)
+    if isinstance(x, float):
+        return abs(x)
+    import numpy as np
+
+    return float(np.max(np.abs(x)))
+
+
+def _diagonal(params: ProblemParams, P, a: float, b: float, n: int):
+    """(diag, h) of the form, with ``assemble_forms``'s checks in its order.
+
+    diag is a ``tridiag.Constant`` where P is one number, else an array.
+    """
+    h = _log_step(a, b, n)
+    if isinstance(P, (int, float)) or getattr(P, "ndim", None) == 0:  # a numpy scalar too
+        P = float(P)
+    else:
+        import numpy as np
+
+        P = np.asarray(P, dtype=float)
+        if P.shape != (n,):
+            raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
+    if not math.isfinite(_abs_max(P)):
+        raise InvalidParameterError("potential values must be finite")
+    diag = 2.0 / h**2 + _hardy_level(params.n_prime) - P
+    if isinstance(diag, float):
+        diag = Constant(diag, n)
+    if not math.isfinite(_abs_max(diag)):
+        raise NumericalError(f"assembled diagonal leaves the float range at N' = {params.n_prime}")
+    return diag, h
+
+
 def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> FormAssembly:
     """Assemble the stability form with potential P on the annulus [a, b].
 
@@ -169,16 +217,10 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
     are Dirichlet.  A diagonal out of the float range (a huge N') raises
     ``NumericalError``.
     """
-    h = _log_step(a, b, n)
-    P = np.asarray(P, dtype=float)
-    if P.shape not in ((), (n,)):
-        raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise InvalidParameterError("potential values must be finite")
-    diag = np.full(n, 2.0 / h**2 + _hardy_level(params.n_prime)) - P
-    if not np.all(np.isfinite(diag)):
-        raise NumericalError(f"assembled diagonal leaves the float range at N' = {params.n_prime}")
-    return FormAssembly(diag=diag, off=np.full(n - 1, -1.0 / h**2), h=h)
+    import numpy as np
+
+    diag, h = _diagonal(params, P, a, b, n)
+    return FormAssembly(diag=np.asarray(diag), off=np.full(n - 1, -1.0 / h**2), h=h)
 
 
 def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> SpectrumReport:
@@ -195,22 +237,23 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
     enters the band because the assembled diagonal rounds 2/h^2 + level
     before P is subtracted, which the matrix scale does not bound where
     level - P cancels.  A failed certificate raises ``NumericalError``.
-    A potential given on the nodes takes the eigenvalues from LAPACK
-    bisection on the same matrix.
+    That route runs on Python floats (``tridiag.Constant`` rows) and loads
+    no numpy.  A potential given on the nodes takes the eigenvalues from
+    LAPACK bisection on the same matrix.
     """
-    asm = assemble_forms(params, P, a, b, n)
-    d, e = asm.diag, asm.off
-    scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    d, h = _diagonal(params, P, a, b, n)
+    e = Constant(-1.0 / h**2, n - 1)
+    scale = _abs_max(d) + 2.0 * _abs_max(e)
     tol = NEGATIVE_TOL_FACTOR * scale
     negative = tridiag.count_below(d, e, -tol)
     k = min(max(negative + 8, 16), n)
-    if np.ndim(P) == 0:
+    if isinstance(d, Constant):
         level = _hardy_level(params.n_prime)
-        j = np.arange(1, k + 1)
-        eigs = 4.0 / asm.h**2 * np.sin(j * (math.pi / (2.0 * (n + 1)))) ** 2
-        eigs += level - float(P)
-        closed = int(np.count_nonzero(eigs < -tol))
-        shift = float(eigs[-1]) + 64.0 * float(np.finfo(float).eps) * (scale + level)
+        width, gap, x = 4.0 / h**2, level - float(P), math.pi / (2.0 * (n + 1))
+        sines = [math.sin(j * x) for j in range(1, k + 1)]
+        eigs = tuple(width * (s * s) + gap for s in sines)
+        closed = sum(lam < -tol for lam in eigs)
+        shift = eigs[-1] + 64.0 * sys.float_info.epsilon * (scale + level)
         bracket = tridiag.count_below(d, e, shift)
         if closed != negative or bracket != k:
             raise NumericalError(
@@ -219,19 +262,19 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
                 f"(expected equal counts and {k})"
             )
     else:
-        eigs = tridiag.smallest_eigenvalues(d, e, k)
+        eigs = tuple(tridiag.smallest_eigenvalues(d, e, k).tolist())
         # The inertia count and the bisection see the same matrix, so the list
         # must hold at least that many negative eigenvalues (it may show a few
         # extra within the noise band around zero).
-        if int(np.count_nonzero(eigs < 0.0)) < negative:
+        if sum(lam < 0.0 for lam in eigs) < negative:
             raise NumericalError("inertia count disagrees with the extracted spectrum")
     return SpectrumReport(
         eigenvalues=eigs,
         negative_count=negative,
-        min_eigenvalue=float(eigs[0]),
+        min_eigenvalue=eigs[0],
         negative_tol=tol,
         matrix_scale=scale,
-        count_margin=float(np.min(np.abs(eigs + tol))),
+        count_margin=min(abs(lam + tol) for lam in eigs),
     )
 
 
@@ -258,6 +301,8 @@ def profile_spectrum(
 
 
 def _log_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     dv = np.empty_like(values)
     dv[1:-1] = (values[2:] - values[:-2]) / (t[2:] - t[:-2])
     h = t[1] - t[0]
@@ -267,6 +312,8 @@ def _log_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _log_second_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     h = t[1] - t[0]
     d2 = np.empty_like(values)
     d2[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
@@ -316,16 +363,14 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     """
     level = hardy_constant(N + theta)
     h = _log_step(a, b, n)
-    mass_diag = np.full(n, 4.0 * h / 6.0)
-    mass_off = np.full(n - 1, h / 6.0)
-    stiff_diag = 2.0 / h + level * mass_diag
-    stiff_off = -1.0 / h + level * mass_off
+    md, me = 4.0 * h / 6.0, h / 6.0
+    stiff = Constant(2.0 / h + level * md, n), Constant(-1.0 / h + level * me, n - 1)
+    mass = Constant(md, n), Constant(me, n - 1)
     s = math.sin(math.pi / (2.0 * (n + 1))) ** 2
     value = level + 12.0 / h**2 * s / (3.0 - 2.0 * s)
-    band = 64.0 * float(np.finfo(float).eps) * (1.0 / h**2 + level)
+    band = 64.0 * sys.float_info.epsilon * (1.0 / h**2 + level)
     counts = [
-        tridiag.count_below_pencil(stiff_diag, stiff_off, mass_diag, mass_off, shift)
-        for shift in (value - band, value + band)
+        tridiag.count_below_pencil(*stiff, *mass, shift) for shift in (value - band, value + band)
     ]
     if counts != [0, 1]:
         raise NumericalError(
@@ -382,6 +427,8 @@ def stable_estimate_check(
     m >= max((p+gamma)/(p-1), 2), and |psi| <= 1.  Raises NumericalError
     where either integral leaves the float range.
     """
+    import numpy as np
+
     p = params.p
     gamma_max = gamma_of_p(p)
     if not (1.0 <= gamma < gamma_max):

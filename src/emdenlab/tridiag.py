@@ -19,43 +19,78 @@ pencil eigenvalue is computed here: the pencil count certifies one known
 in closed form, with no eigenvalue just below it and one just above it,
 and the standard count certifies the closed-form spectrum of a Toeplitz
 stability form in the same way.
+A constant diagonal is a ``Constant``, its value and its length with no
+array behind it, which the counts read as the value repeated.  So the two
+constant-coefficient forms (the Hardy pencil and the stability form about
+v_infinity) are counted on Python floats and load no numpy; only an array
+argument loads numpy.
 All routines are pure functions of their inputs, so repeated calls are
 bit-reproducible.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import NumericalError
 
 #: Absolute bisection tolerance for ``dstebz``: near underflow, so every
 #: eigenvalue is resolved to full relative accuracy.
-STEBZ_TOL = 2.0 * np.finfo(float).tiny
+STEBZ_TOL = 2.0 * sys.float_info.min
 
 
-def _pivmin(e2: np.ndarray) -> float:
-    emax = float(np.max(e2)) if e2.size else 0.0
-    # a Python float, so a floored pivot keeps the loop off numpy scalars
-    return float(np.finfo(float).tiny) * max(1.0, emax)
+@dataclass(frozen=True)
+class Constant:
+    """A diagonal whose ``n`` entries all equal ``value``, with no array behind it."""
+
+    value: float
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))  # keeps the loop on Python floats
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+
+        return np.full(self.n, self.value, dtype=dtype)
 
 
-def count_below(d: np.ndarray, e: np.ndarray, shift: float) -> int:
+def count_below(d, e, shift: float) -> int:
     """Number of eigenvalues of tridiag(d, e) strictly below shift.
 
     Counts the negative LDL^T pivots of tridiag(d, e) - shift (Sylvester
     inertia), one row at a time in Python floats.  A pivot at or above
     the pivot floor costs one comparison before the next update; only a
     pivot below it takes the rare branch, which counts it if negative
-    and floors |q| at the pivot minimum.
+    and floors |q| at the pivot minimum.  d and e are arrays or
+    ``Constant``s; a ``Constant`` feeds the loop its value repeated.
     """
-    e = np.asarray(e, dtype=float)
-    e2 = e * e
-    piv = _pivmin(e2)
-    d = (np.asarray(d, dtype=float) - shift).tolist()
-    q = d[0]
+    if isinstance(e, Constant):
+        emax = e.value * e.value
+        e2 = repeat(emax, e.n)
+    else:
+        import numpy as np
+
+        e = np.asarray(e, dtype=float)
+        e2 = e * e
+        emax = float(np.max(e2)) if e2.size else 0.0
+        e2 = e2.tolist()
+    piv = sys.float_info.min * max(1.0, emax)  # unused where e is empty
+    if isinstance(d, Constant):
+        q = d.value - shift
+        rows = repeat(q, d.n - 1)
+    else:
+        import numpy as np
+
+        d = (np.asarray(d, dtype=float) - shift).tolist()
+        q, rows = d[0], d[1:]
     count = 0
-    for di, ei2 in zip(d[1:], e2.tolist()):
+    for di, ei2 in zip(rows, e2):
         if q < piv:
             if q < 0.0:
                 count += 1
@@ -68,11 +103,11 @@ def count_below(d: np.ndarray, e: np.ndarray, shift: float) -> int:
     return count + (q < 0.0)
 
 
-def smallest_eigenvalues(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+def smallest_eigenvalues(d, e, k: int):
     """The k smallest eigenvalues of tridiag(d, e), ascending (LAPACK dstebz)."""
     from scipy.linalg import eigh_tridiagonal
 
-    n = np.size(d)
+    n = len(d)
     if not 1 <= k <= n:
         raise NumericalError(f"cannot extract {k} eigenvalues from order {n}")
     return eigh_tridiagonal(
@@ -86,15 +121,17 @@ def smallest_eigenvalues(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     )
 
 
-def count_below_pencil(
-    ad: np.ndarray,
-    ae: np.ndarray,
-    md: np.ndarray,
-    me: np.ndarray,
-    shift: float,
-) -> int:
+def count_below_pencil(ad, ae, md, me, shift: float) -> int:
     """Eigenvalues of the pencil (A, M) strictly below shift, M tridiagonal SPD.
 
-    The standard count of the tridiagonal A - shift*M below 0.
+    The standard count of the tridiagonal A - shift*M below 0, which is a
+    ``Constant`` on each diagonal where A's and M's both are.
     """
-    return count_below(ad - shift * md, ae - shift * me, 0.0)
+    return count_below(_minus(ad, shift, md), _minus(ae, shift, me), 0.0)
+
+
+def _minus(a, shift: float, m):
+    """a - shift*m entry by entry; a ``Constant`` where a and m both are."""
+    if isinstance(a, Constant) and isinstance(m, Constant):
+        return Constant(a.value - shift * m.value, a.n)
+    return a - shift * m

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from emdenlab import cli, f_eval, hardy_constant
+from emdenlab import ProblemParams, cli, f_eval, hardy_constant, profile_spectrum
 from emdenlab.cli import main
 
 
@@ -431,11 +431,20 @@ def test_spectrum_shoot_profile_near_the_origin_where_the_tail_fit_fails(capsys)
 
 
 def test_spectrum_shoot_profile_reports_c0_outside_the_float_range(capsys):
-    # the spectrum itself returns, but the derived block prints c0
+    # a shot spectrum reads no c0, so the derived block prints it as null
+    # where it leaves the float range, and the count is the library's
     argv = ["spectrum", "--N", "100", "--theta", "0", "--l=-1.9", "--p", "1.005",
             "--profile", "shoot:1", "--a", "1e-3", "--b", "1e3", "--n", "2000"]
-    err = run_json(argv, capsys, expect_code=3)
-    assert err["error"]["message"] == "c0 leaves the float range at N' = 100.0, p = 1.005"
+    env = run_json(argv, capsys)
+    assert env["derived"]["c0"] is None
+    params = ProblemParams(100, 0.0, -1.9, 1.005)
+    report = profile_spectrum(params, 1e-3, 1e3, 2000, kappa=1.0)
+    assert env["results"]["negative_count"] == report.negative_count == 0
+    assert env["results"]["eigenvalues"] == list(report.eigenvalues)
+    # the parameter commands still read c0, and so does a v_infinity spectrum
+    for command in (["classify"], ["spectrum", "--n", "100"]):
+        err = run_json([*command, *argv[1:8]], capsys, expect_code=3)
+        assert err["error"]["message"] == "c0 leaves the float range at N' = 100.0, p = 1.005"
 
 
 @pytest.mark.parametrize(("argv", "code", "message"), [

@@ -575,3 +575,11 @@ def test_asymptotic_constant_extrapolates_the_linearised_tail(params):
     est, converged = asymptotic_constant(w, params)
     assert converged
     assert est == pytest.approx(params.c0, rel=1e-12)
+
+
+def test_shoot_names_the_start_radius_whose_ratio_overflows():
+    # with r_start given and no r_min, the grid starts at r_start
+    with pytest.raises(InvalidParameterError, match=r"^log\(r_max/r_start\) must be finite$"):
+        shoot(PARAMS_5, 1.0, 1e300, r_start=1e-10)
+    with pytest.raises(InvalidParameterError, match=r"^log\(r_max/r_min\) must be finite$"):
+        shoot(PARAMS_5, 1.0, 1e300, r_min=1e-10, r_start=1e-10)

@@ -180,7 +180,7 @@ def test_singular_profile_spectrum_matches_discrete_closed_form(N, p, a, b, n):
     rep = spectrum_of(params, v, a, b, n)
     L = math.log(b / a)
     h = L / (n + 1)
-    k = np.arange(1, rep.eigenvalues.size + 1)
+    k = np.arange(1, len(rep.eigenvalues) + 1)
     shift = hardy_constant(N) - f_eval(p, N, 0.0)
     exact = 4.0 / h**2 * np.sin(k * math.pi * h / (2.0 * L)) ** 2 + shift
     np.testing.assert_allclose(rep.eigenvalues, exact, rtol=1e-10, atol=0.0)
@@ -222,12 +222,12 @@ def test_singular_profile_counts_across_the_domain():
         assert rep.negative_count == np.count_nonzero(exact < -rep.negative_tol)
         scale = rep.matrix_scale
         assert rep.negative_tol == 1e-9 * scale
-        np.testing.assert_allclose(rep.eigenvalues, exact[:rep.eigenvalues.size],
+        np.testing.assert_allclose(rep.eigenvalues, exact[:len(rep.eigenvalues)],
                                    rtol=0.0, atol=1e-13 * scale)
         asm = assemble_forms(params, f_eval(p, n_prime, tau), a, b, n)
-        lapack = tridiag.smallest_eigenvalues(asm.diag, asm.off, rep.eigenvalues.size)
+        lapack = tridiag.smallest_eigenvalues(asm.diag, asm.off, len(rep.eigenvalues))
         np.testing.assert_allclose(lapack, exact[:lapack.size], rtol=0.0, atol=1e-13 * scale)
-        assert rep.count_margin == np.min(np.abs(rep.eigenvalues + rep.negative_tol))
+        assert rep.count_margin == np.min(np.abs(np.asarray(rep.eigenvalues) + rep.negative_tol))
 
 
 def test_singular_profile_outside_the_float_range_is_a_numerical_error():
@@ -562,7 +562,7 @@ def test_profile_spectrum_is_the_report_of_its_potential(kappa, monkeypatch):
     got, want = profile_spectrum(params, a, b, n, kappa), radial_morse_index(params, P, a, b, n)
     assert np.asarray(seen[0]).tobytes() == np.asarray(P).tobytes()
     assert got.negative_count > 0
-    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert np.asarray(got.eigenvalues).tobytes() == np.asarray(want.eigenvalues).tobytes()
     assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
 
 
@@ -579,7 +579,7 @@ def test_shot_spectrum_reads_only_the_shot_state(monkeypatch):
         monkeypatch.setattr(radial_ode, name, unread)
     monkeypatch.setattr(ProblemParams, "c0", property(unread))
     got = profile_spectrum(params, a, b, n, kappa=1.0)
-    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert np.asarray(got.eigenvalues).tobytes() == np.asarray(want.eigenvalues).tobytes()
     assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
 
 
@@ -735,6 +735,67 @@ def test_count_below_pencil_matches_a_dense_generalized_count():
             assert count == tridiag.count_below(ad - shift * md, ae - shift * me, 0.0)
             checked += 1
     assert checked > 500
+
+
+def _toeplitz_shifts(lam, rng, k):
+    # closed-form eigenvalues (all of them on a small matrix; both ends and k
+    # more on a large one) and one ulp to either side
+    picks = lam if lam.size <= 32 else np.concatenate([lam[:2], lam[-2:], rng.choice(lam, k)])
+    return np.concatenate([picks, np.nextafter(picks, -np.inf), np.nextafter(picks, np.inf)])
+
+
+def test_constant_diagonals_count_as_their_arrays():
+    # a tridiag.Constant is read as its value repeated: every standard and
+    # pencil count equals that of the same matrix as np.full arrays, at each
+    # closed-form eigenvalue d + 2 e cos(j pi/(n+1)) (the pencil's is its
+    # ratio for A over M) and one ulp to either side, and at exact-zero
+    # pivots (d = 0, or a shift equal to d)
+    rng = np.random.default_rng(26)
+    Constant = tridiag.Constant
+    cases = [(0.0, 1.0, 8), (-0.0, -1.0, 9), (0.0, 0.5, 20000), (2.0, -1.0, 20000)]
+    for _ in range(12):
+        d = float(rng.choice([0.0, rng.uniform(-10.0, 10.0)]))
+        n = round(10.0 ** rng.uniform(math.log10(8), math.log10(20000)))
+        cases.append((d, rng.uniform(-5.0, 5.0), n))
+    checked = 0
+    for d, e, n in cases:
+        x = np.arange(1, n + 1) * (math.pi / (n + 1))
+        full = np.full(n, d), np.full(n - 1, e)
+        const = Constant(d, n), Constant(e, n - 1)
+        assert (len(const[0]), len(const[1])) == (n, n - 1)
+        lam = d + 2.0 * e * np.cos(x)
+        for shift in [*_toeplitz_shifts(lam, rng, 8).tolist(), d, 0.0, -0.0]:
+            count = tridiag.count_below(*const, shift)
+            assert type(count) is int and count == tridiag.count_below(*full, shift), (d, e, n)
+            checked += 1
+        assert tridiag.count_below(full[0], const[1], d) == tridiag.count_below(*full, d)
+        # an SPD mass m_d > 2 |m_e| shares the sine eigenvectors
+        md = rng.uniform(1.0, 4.0)
+        me = rng.uniform(-0.49, 0.49) * md
+        mass_full = np.full(n, md), np.full(n - 1, me)
+        mass = Constant(md, n), Constant(me, n - 1)
+        ratio = lam / (md + 2.0 * me * np.cos(x))
+        for shift in _toeplitz_shifts(ratio, rng, 4).tolist():
+            count = tridiag.count_below_pencil(*const, *mass, shift)
+            assert count == tridiag.count_below_pencil(*full, *mass_full, shift), (d, e, n, shift)
+            checked += 1
+    assert checked > 1000
+
+
+def test_hardy_rayleigh_min_is_the_closed_form_it_certifies():
+    # the certificate counts on Constant diagonals and returns the closed
+    # form level + (12/h^2) s/(3 - 2s) itself, to the bit
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        n_prime = rng.uniform(2.05, 100.5)
+        N = max(2, math.floor(n_prime))
+        a = 10.0 ** rng.uniform(-6.0, 6.0)
+        b = a * 10.0 ** rng.uniform(math.log10(1.5), 24.0)
+        n = round(10.0 ** rng.uniform(math.log10(8), math.log10(20000)))
+        h = math.log(b / a) / (n + 1)
+        s = math.sin(math.pi / (2.0 * (n + 1))) ** 2
+        value = hardy_constant(N + (n_prime - N)) + 12.0 / h**2 * s / (3.0 - 2.0 * s)
+        assert hardy_rayleigh_min(n_prime - N, N, a, b, n) == value
 
 
 @pytest.mark.parametrize("wrong", [0, 1, 2], ids=["never", "always-one", "two"])
