@@ -14,12 +14,13 @@ minimum and a spectrum about v_infinity (one number for the potential,
 closed form) load neither numpy nor scipy: their constant-coefficient
 forms are counted on Python floats.  Grids, profiles and a potential
 given on the nodes load numpy; the low spectrum of such a potential loads
-``scipy.linalg``, and shooting ``scipy.integrate``.
+``scipy.linalg``.  Shooting loads scipy's compiled LSODA extension from
+its file and no scipy package, ``scipy.integrate`` included.
 """
 
 import importlib
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 #: Home module of every public name.
 _HOMES = {

@@ -122,9 +122,14 @@ def _require_regime(params: ProblemParams) -> None:
 
 
 def _require_singular(params: ProblemParams) -> None:
-    """Raise ``InvalidParameterError`` unless the singular solution c0 r^(-m) exists."""
+    """Raise ``InvalidParameterError`` unless the singular solution c0 r^(-m) exists.
+
+    Tests the base m (N'-2-m) of c0, not c0 itself: a c0 out of the float
+    range stops only the callers that read it.
+    """
     _require_regime(params)
-    if params.c0 is None:  # c0 raises only inside the standard regime
+    m = params.m_exp
+    if not m * (params.n_prime - 2.0 - m) > 0.0:
         raise InvalidParameterError("singular solution needs p above the Serrin exponent")
 
 

@@ -11,8 +11,9 @@ module provides
   in logs,
 * a shooting integrator for the regular solution with v(0) = kappa,
   started from a two-term series at a tiny radius (the ODE is singular
-  at the origin) and advanced by LSODA (scipy.integrate.odeint behind
-  the ``solve_ivp`` seam) in t = log r on the Emden-Fowler state
+  at the origin) and advanced by LSODA (the compiled driver of
+  scipy.integrate.odeint, loaded without the scipy.integrate package,
+  behind the ``solve_ivp`` seam) in t = log r on the Emden-Fowler state
   y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
   s' = e^((p-1) y - s) - (N'-2) + e^s, with no power of r.  Its fixed
   point (log c0, log m) is the singular solution, zeta > 0 makes v' < 0,
@@ -30,7 +31,11 @@ no state; parameter sweeps may run concurrently.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -115,21 +120,59 @@ class OdeSolution:
     message: str
 
 
+#: LSODA's outcome text for each ``istate`` it returns, as ``scipy.integrate.odeint`` words it.
+_ISTATE_MESSAGES = {
+    2: "Integration successful.",
+    1: "Nothing was done; the integration time was 0.",
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
+
+
+@functools.cache
+def _lsoda():
+    """The ``odeint`` driver of scipy's compiled ``scipy.integrate._odepack``.
+
+    The extension file is found on disk and loaded alone, once: neither
+    ``scipy`` nor ``scipy.integrate`` runs its package import, which loads
+    355 scipy modules that a shot never calls.  It is not entered in
+    ``sys.modules``, so a later ``import scipy.integrate`` loads its own
+    copy as usual.  A missing file is an ``ImportError`` naming where it
+    was looked for.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("LSODA needs scipy, which is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "integrate")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.integrate._odepack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's compiled LSODA (_odepack) is missing from {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.odeint
+
+
 def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, max_step) -> OdeSolution:
-    """LSODA (``scipy.integrate.odeint``) with ``scipy.integrate.solve_ivp``'s
-    call shape; scipy is imported on first call.
+    """LSODA, the driver behind ``scipy.integrate.odeint``, with
+    ``scipy.integrate.solve_ivp``'s call shape.
 
     ``fun(t, y)`` is integrated from ``t_span[0]``, with steps of at most
     ``max_step``, and sampled on ``t_eval``, which ends at ``t_span[1]``.
     A start within rounding of ``t_eval[0]``, where LSODA refuses to step,
     starts at ``t_eval[0]``.  Each output interval may take 500 steps, or
-    500 per ``max_step`` where it is longer.  A failure is reported as
-    ``success=False`` with odeint's message, not as an ``ODEintWarning``.
+    500 per ``max_step`` where it is longer.  The compiled driver gets the
+    arguments ``odeint`` passes it, so the results are odeint's to the bit,
+    and the ``scipy.integrate`` package is never imported.  ``fun`` may
+    return one array that it overwrites on each call: LSODA copies every
+    result out at once, and a stand-in integrator must do the same.  A
+    failure is ``success=False`` with odeint's message for LSODA's istate.
     """
-    import warnings
-
-    from scipy.integrate import ODEintWarning, odeint
-
     t0 = float(t_span[0])
     rounding = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t_eval[0]))
     times = t_eval if t_eval[0] - t0 <= rounding else np.concatenate(([t0], t_eval))
@@ -137,15 +180,15 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, max_step) -> OdeSolution:
     # max_step gets 500 per max_step, as if it were cut into outputs
     longest = float(np.max(np.diff(times))) if times.size > 1 else 0.0
     budget = 500 * max(1, math.ceil(longest / max_step))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        y, info = odeint(fun, y0, times, rtol=rtol, atol=atol, hmax=max_step,
-                         mxstep=budget, full_output=True, tfirst=True)
+    # (fun, y0, t, args, Dfun, col_deriv, ml, mu, full_output, rtol, atol, tcrit,
+    #  h0, hmax, hmin, ixpr, mxstep, mxhnil, mxordn, mxords, tfirst)
+    y, info, istate = _lsoda()(fun, y0, times, (), None, 0, -1, -1, 1, rtol, atol, None,
+                               0.0, max_step, 0.0, 0, budget, 0, 12, 5, 1)
     return OdeSolution(
         y=y[times.size - t_eval.size:].T,
         nfev=int(info["nfe"][-1]),
-        success=info["message"] == "Integration successful.",
-        message=info["message"],
+        success=istate == 2,
+        message=_ISTATE_MESSAGES[istate],
     )
 
 
@@ -301,10 +344,15 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
     head = math.log1p(-math.exp(log_q) / ((2.0 + tau) * (np_ + tau)))
     state0 = (m * t0 + math.log(kappa) + head, log_q - math.log(np_ + tau) - head)
 
+    p1, n2 = p - 1.0, np_ - 2.0
+    slope = np.empty(2)  # one per run, so runs share no state
+
     def rhs(t, state):
         y, s = state.tolist()  # Python floats: numpy scalar arithmetic costs 4x
         zeta = math.exp(s)
-        return (m - zeta, math.exp((p - 1.0) * y - s) - (np_ - 2.0) + zeta)
+        slope[0] = m - zeta
+        slope[1] = math.exp(p1 * y - s) - n2 + zeta
+        return slope  # LSODA reads an array in place but converts a tuple
 
     # LSODA at a thousandth of tol (floored where it rejects rtol as below
     # rounding) keeps the global error in log v inside the ordering band;

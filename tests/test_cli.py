@@ -441,10 +441,26 @@ def test_spectrum_shoot_profile_reports_c0_outside_the_float_range(capsys):
     report = profile_spectrum(params, 1e-3, 1e3, 2000, kappa=1.0)
     assert env["results"]["negative_count"] == report.negative_count == 0
     assert env["results"]["eigenvalues"] == list(report.eigenvalues)
-    # the parameter commands still read c0, and so does a v_infinity spectrum
-    for command in (["classify"], ["spectrum", "--n", "100"]):
-        err = run_json([*command, *argv[1:8]], capsys, expect_code=3)
-        assert err["error"]["message"] == "c0 leaves the float range at N' = 100.0, p = 1.005"
+    # the parameter commands still read c0
+    err = run_json(["classify", *argv[1:8]], capsys, expect_code=3)
+    assert err["error"]["message"] == "c0 leaves the float range at N' = 100.0, p = 1.005"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--N", "100", "--theta", "0", "--l=-1.9", "--p", "1.005", "--n", "100"],
+    ["--N", "60", "--theta=0.0", "--l=-1.9797724287503649", "--p", "1.0027246832364296",
+     "--a", "6.165266222187123e-13", "--b", "6228.143080579422", "--n", "19155"],
+], ids=["n-prime-100", "n-prime-60"])
+def test_v_infinity_spectrum_runs_where_only_c0_leaves_the_float_range(argv, capsys):
+    # the closed form reads f(p), not c0: the singular solution's existence is
+    # the sign of c0's base m (N'-2-m), so c0 prints as null
+    env = run_json(["spectrum", *argv], capsys)
+    assert env["derived"]["c0"] is None
+    inputs = env["inputs"]
+    params = ProblemParams(inputs["N"], inputs["theta"], inputs["l"], inputs["p"])
+    report = profile_spectrum(params, inputs["a"], inputs["b"], inputs["n"])
+    assert env["results"]["negative_count"] == report.negative_count == 0
+    assert env["results"]["eigenvalues"] == list(report.eigenvalues)
 
 
 @pytest.mark.parametrize(("argv", "code", "message"), [

@@ -66,7 +66,8 @@ def test_parameter_commands_load_neither_numpy_nor_scipy(tmp_path):
 def test_spectrum_loads_scipy_only_about_a_shot(tmp_path):
     # about v_infinity the spectrum is closed form, certified by inertia
     # counts on Python floats, so neither numpy nor scipy loads; a shot
-    # profile needs numpy, the integrator and LAPACK bisection
+    # profile needs numpy, scipy's compiled LSODA (loaded without the
+    # scipy.integrate package) and LAPACK bisection
     config = tmp_path / "sweep.cfg"
     config.write_text("mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 2,3,7\nn = 200\n")
     common = ["--N", "11", "--theta", "0", "--l", "0"]
@@ -84,8 +85,31 @@ def test_spectrum_loads_scipy_only_about_a_shot(tmp_path):
         assert heavy == [], statement
         assert "emdenlab.radial_ode" not in own, statement
     heavy, own = loaded[statements[-1]]
-    assert {"numpy", "scipy.linalg", "scipy.integrate"} <= set(heavy)
+    assert {"numpy", "scipy.linalg"} <= set(heavy)
+    assert [m for m in heavy if m.startswith("scipy.integrate")] == []
     assert "emdenlab.radial_ode" in own
+
+
+def test_shoot_loads_numpy_and_no_scipy_module():
+    # LSODA's extension is loaded from its file, outside sys.modules, so a
+    # later scipy.integrate imports as usual and changes no shot
+    statements = [
+        "from emdenlab import cli",
+        "assert cli.main(['shoot', '--N', '11', '--theta', '0', '--l', '0', '--p', '7']) == 0",
+        "import emdenlab; params = emdenlab.ProblemParams(11, 0, 0, 7);"
+        " first = emdenlab.shoot(params, 1.0, 1e4).log_scaled.values.tobytes()",
+        "import math, scipy.integrate;"
+        " y = scipy.integrate.odeint(lambda y, t: -y, 1.0, [0.0, 1.0], rtol=1e-12, atol=1e-12);"
+        " assert abs(y[-1, 0] - math.exp(-1.0)) < 1e-10",
+        "assert emdenlab.shoot(params, 1.0, 1e4).log_scaled.values.tobytes() == first",
+    ]
+    loaded = modules_after(statements)
+    for statement in statements[1:3]:
+        heavy, own = loaded[statement]
+        assert "numpy" in heavy, statement
+        assert [m for m in heavy if m.partition(".")[0] == "scipy"] == [], statement
+        assert "emdenlab.radial_ode" in own
+    assert "scipy.integrate" in loaded[statements[3]][0]
 
 
 def test_stability_loads_no_shooting_module():

@@ -244,6 +244,18 @@ def test_tail_and_residual_read_no_c0():
         asymptotic_constant(v, params)
 
 
+def test_v_infinity_needs_c0_only_in_range_where_it_is_sampled():
+    # c0 = 1560^200 overflows, but c0 r^-20 is a normal float on [1e20, 1e30]:
+    # v_infinity works in logs and returns it; sphere_constant_check reads c0
+    params = ProblemParams(100, 0.0, -1.9, 1.005)
+    grid = RadialGrid.logspaced(1e20, 1e30, 50)
+    log_c0 = math.log(params.m_exp * (98.0 - params.m_exp)) / (params.p - 1.0)
+    got = np.log(v_infinity(params, grid).values)
+    np.testing.assert_allclose(got, log_c0 - params.m_exp * grid.log_points, rtol=1e-12)
+    with pytest.raises(NumericalError, match="c0 leaves the float range"):
+        sphere_constant_check(params)
+
+
 def test_shoot_where_w_overflows_is_a_numerical_failure():
     # c0 = 1.77e308 lies just under the float maximum, and the crossing
     # tail's first overshoot takes w = e^y above it
@@ -462,7 +474,9 @@ def test_start_within_rounding_of_the_first_output():
 def _dop853(fun, t_span, y0, *, t_eval, rtol, atol, max_step):
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(fun, t_span, y0, method="DOP853", t_eval=t_eval, rtol=1e-13, atol=1e-13)
+    # the shot's fun overwrites one array per call, and DOP853 keeps its stages
+    return solve_ivp(lambda t, y: np.array(fun(t, y)), t_span, y0, method="DOP853",
+                     t_eval=t_eval, rtol=1e-13, atol=1e-13)
 
 
 def _profile_draws(seed: int, count: int):
@@ -506,18 +520,72 @@ def test_tolerance_below_the_lsoda_floor_runs_without_warnings():
     assert res.classification is DecayClass.SLOW_DECAY
 
 
+def _public_odeint(fun, t_span, y0, *, t_eval, rtol, atol, max_step):
+    """The reference: the same times, step budget and options through the public
+    ``scipy.integrate.odeint`` wrapper, its warning silenced."""
+    from scipy.integrate import ODEintWarning, odeint
+
+    t0 = float(t_span[0])
+    rounding = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t_eval[0]))
+    times = t_eval if t_eval[0] - t0 <= rounding else np.concatenate(([t0], t_eval))
+    longest = float(np.max(np.diff(times))) if times.size > 1 else 0.0
+    budget = 500 * max(1, math.ceil(longest / max_step))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(fun, y0, times, rtol=rtol, atol=atol, hmax=max_step,
+                         mxstep=budget, full_output=True, tfirst=True)
+    return y[times.size - t_eval.size:].T, int(info["nfe"][-1]), info["message"]
+
+
+def _assert_matches_public_odeint(sol, fun, t_span, y0, **kwargs):
+    y, nfev, message = _public_odeint(fun, t_span, y0, **kwargs)
+    assert sol.y.tobytes() == y.tobytes()
+    assert (sol.nfev, sol.success, sol.message) == (
+        nfev, message == "Integration successful.", message)
+
+
 def test_a_failing_integration_is_reported_not_warned():
     # y'' = -1e8 y needs far more than odeint's 500 steps per output interval
     def oscillator(t, y):
         return (y[1], -1e8 * y[0])
 
+    kwargs = dict(t_eval=np.array([10.0]), rtol=1e-10, atol=1e-10, max_step=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = radial_ode.solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), t_eval=np.array([10.0]),
-                                   rtol=1e-10, atol=1e-10, max_step=1.0)
+        sol = radial_ode.solve_ivp(oscillator, (0.0, 10.0), (1.0, 0.0), **kwargs)
     assert not sol.success
     assert "Excess work" in sol.message
     assert sol.nfev > 0
+    _assert_matches_public_odeint(sol, oscillator, (0.0, 10.0), (1.0, 0.0), **kwargs)
+
+
+def test_the_compiled_driver_matches_the_public_odeint(monkeypatch):
+    real = radial_ode.solve_ivp
+    calls = []
+
+    def compared(fun, t_span, y0, **kwargs):
+        sol = real(fun, t_span, y0, **kwargs)
+        _assert_matches_public_odeint(sol, fun, t_span, y0, **kwargs)
+        calls.append(sol.success)
+        return sol
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", compared)
+    for params, kappa in _profile_draws(seed=27, count=20):
+        shoot(params, kappa, R_MAX, tol=TOL)
+    assert calls == [True] * 20
+
+
+def test_a_missing_lsoda_extension_is_an_import_error_naming_where(monkeypatch):
+    import importlib.machinery
+    import os
+
+    import scipy
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    where = os.path.join(os.path.dirname(scipy.__file__), "integrate")
+    with pytest.raises(ImportError, match=f"missing from {re.escape(where)}$"):
+        radial_ode._lsoda.__wrapped__()  # the uncached loader
 
 
 def test_a_failing_integration_is_a_numerical_error(monkeypatch):
