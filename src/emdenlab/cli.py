@@ -9,7 +9,8 @@ exponents reports the regime of p only when --p is given.
 
 Outputs are deterministic: identical inputs with the same tool version
 produce byte-identical bytes.  The envelope's timestamp is therefore null
-unless the SOURCE_DATE_EPOCH convention supplies a fixed value.  Every
+unless the SOURCE_DATE_EPOCH convention supplies a fixed value, which must
+be an integer.  An unwritable --out path is invalid input (exit 2).  Every
 envelope value is a plain float, int, bool, str or None, printed as given;
 an infinite critical power is "infinity" in a report, an empty sweep cell.
 
@@ -30,7 +31,6 @@ the ``stability`` docstrings define (``results.diagnostics`` is its last two fie
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -80,7 +80,14 @@ def _or_infinity(x):
 
 def _timestamp():
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    return int(epoch) if epoch is not None else None
+    if epoch is None:
+        return None
+    try:
+        return int(epoch)
+    except ValueError:
+        raise InvalidParameterError(
+            f"SOURCE_DATE_EPOCH must be an integer, got {epoch!r}"
+        ) from None
 
 
 def _envelope(args, inputs: tuple[str, ...], derived: dict | None, results: dict) -> dict:
@@ -97,6 +104,8 @@ def _envelope(args, inputs: tuple[str, ...], derived: dict | None, results: dict
 
 
 def _flatten_csv(envelope: dict) -> str:
+    import csv
+
     flat: dict[str, object] = {}
 
     def walk(prefix, obj):
@@ -206,6 +215,15 @@ def cmd_classify(args) -> dict:
     return _envelope(args, _PARAMS, _derived_block(params), results)
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` given as --out; an unwritable path is invalid input."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
+
+
 def cmd_shoot(args) -> dict:
     from .radial_ode import shoot
 
@@ -220,12 +238,15 @@ def cmd_shoot(args) -> dict:
     )
     grid = result.log_scaled.grid
     if args.out:
+        import csv
+
         # v is formed before the file opens: where it underflows, no file is left
         rows = zip(grid.points, result.solution.values, map(math.exp, result.log_scaled.values))
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["r", "v", "scaled"])
-            writer.writerows([repr(float(x)) for x in row] for row in rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["r", "v", "scaled"])
+        writer.writerows([repr(float(x)) for x in row] for row in rows)
+        _write_out(args.out, buf.getvalue())
     results = {
         "kappa": result.kappa,
         "r_min": grid.r_min,
@@ -359,6 +380,8 @@ def _read_config(path: str) -> dict[str, str]:
 
 def cmd_sweep(args) -> str:
     """CSV text of a sweep: one row per input cell, failures recorded per row."""
+    import csv
+
     config = _read_config(args.config)
     mode = config.pop("mode", "exponents")
     if mode not in _SWEEP_KEYS:
@@ -492,8 +515,7 @@ def main(argv=None) -> int:
         # always goes to stdout
         out = None if args.command == "shoot" else args.out
         if out:
-            with open(out, "w", newline="") as fh:
-                fh.write(text)
+            _write_out(out, text)
         else:
             sys.stdout.write(text)
     except (InvalidParameterError, NumericalError) as exc:

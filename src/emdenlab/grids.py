@@ -7,12 +7,13 @@ never interpolate.
 
 numpy is imported inside the functions that touch arrays, so importing
 this module (as ``stability`` does for the Hardy minimum and the spectrum
-about v_infinity, which need no grid) loads none.
+about v_infinity, which need no grid) loads none.  Grids and grid functions
+are immutable: ``__init__`` checks and sets their slots once, and any later
+assignment or deletion raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, NumericalError
@@ -35,16 +36,21 @@ def _readonly(a, preserve_dtype=False) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of an immutable object."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class RadialGrid:
     """Strictly increasing, strictly positive, log-uniform radii."""
 
-    points: np.ndarray
+    __slots__ = ("points", "_logs")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
+    def __init__(self, points):
         import numpy as np
 
-        pts = _readonly(self.points)
+        pts = _readonly(points)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise InvalidParameterError("grid needs at least two points")
@@ -94,20 +100,20 @@ class RadialGrid:
         return RadialGrid(self.points * factor)
 
 
-@dataclass(frozen=True)
 class RadialFunction:
     """Values of a radial function on a :class:`RadialGrid`."""
 
-    grid: RadialGrid
-    values: np.ndarray
+    __slots__ = ("grid", "values")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
+    def __init__(self, grid: RadialGrid, values):
         import numpy as np
 
         # Extended-precision values are preserved; anything else becomes float64.
-        vals = _readonly(self.values, preserve_dtype=True)
+        vals = _readonly(values, preserve_dtype=True)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
+        if vals.shape != grid.points.shape:
             raise InvalidParameterError("values and grid have different lengths")
         if not np.all(np.isfinite(vals)):
             raise InvalidParameterError("values must be finite")

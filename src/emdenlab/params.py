@@ -25,7 +25,7 @@ concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidParameterError, NumericalError
@@ -34,7 +34,7 @@ from .errors import InvalidParameterError, NumericalError
 BISECTION_WIDTH = 1e-12
 #: Every returned root must satisfy |f(root) - hardy_level| below this.
 ROOT_RESIDUAL_TOL = 1e-10
-#: Allowed disagreement between closed-form and bisection roots.
+#: Allowed disagreement between closed-form and bisection roots, relative to max(1, |root|).
 CROSSCHECK_TOL = 1e-8
 
 
@@ -43,19 +43,23 @@ def _require_p_above_one(p: float) -> None:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
 
 
-def _check_fields(params, floats: tuple[str, ...]) -> None:
-    """Require an integer N >= 2 (stored as int), p > 1 and finite ``floats``."""
-    if int(params.N) != params.N or params.N < 2:
-        raise InvalidParameterError(f"N must be an integer >= 2, got {params.N}")
-    object.__setattr__(params, "N", int(params.N))
-    _require_p_above_one(params.p)
-    for name in floats:
-        if not math.isfinite(getattr(params, name)):
+def _check_fields(cls, N, a: float, b: float, p: float):
+    """The ``cls`` tuple (N, a, b, p): an integer N >= 2 (stored as int), p > 1, finite a, b, p."""
+    if int(N) != N or N < 2:
+        raise InvalidParameterError(f"N must be an integer >= 2, got {N}")
+    _require_p_above_one(p)
+    for name, value in zip(cls._fields[1:], (a, b, p)):
+        if not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite")
+    return tuple.__new__(cls, (int(N), a, b, p))
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+def _checked_make(cls, iterable):
+    """``_make``, and so ``_replace``, of a checked record: through ``__new__`` and its checks."""
+    return cls(*iterable)
+
+
+class ProblemParams(namedtuple("ProblemParams", "N theta l p")):
     """Parameters (N, theta, l, p) of the weighted equation and their indices.
 
     ``standard_regime`` records the standing assumption N + theta > 2 and
@@ -66,15 +70,17 @@ class ProblemParams:
     singular.  ``c0``, the amplitude of the singular solution c0 r^(-m_exp),
     exists exactly when N' > 2, tau > -2 and p exceeds the Serrin exponent,
     and raises NumericalError where it leaves the float range.
+
+    A named tuple: immutable, it compares, hashes and unpacks as the tuple
+    (N, theta, l, p).  Construction, ``_make``, ``_replace`` and unpickling
+    all run the checks (an integer N >= 2, p > 1, all finite).
     """
 
-    N: int
-    theta: float
-    l: float
-    p: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        _check_fields(self, ("theta", "l", "p"))
+    def __new__(cls, N: int, theta: float, l: float, p: float):
+        return _check_fields(cls, N, theta, l, p)
 
     @property
     def n_prime(self) -> float:
@@ -143,8 +149,9 @@ class RegimeLabel(str, Enum):
     AT_OR_ABOVE_PC = "at_or_above_pc"
 
 
-@dataclass(frozen=True)
-class CriticalExponents:
+class CriticalExponents(
+    namedtuple("CriticalExponents", "serrin sobolev p_c p_tilde_c quadratic_coeffs")
+):
     """Roots of f(p) = (N'-2)^2/4 for a fixed (N', tau).
 
     ``p_tilde_c``, the lower crossing, always exists and lies strictly
@@ -154,36 +161,33 @@ class CriticalExponents:
     2 < N' <= 10 + 4*tau.  Infinity is always this explicit None, never a
     float sentinel.  ``serrin`` and ``sobolev`` are the ends of the window
     that holds ``p_tilde_c``.  ``quadratic_coeffs`` are the coefficients
-    (a, b, c) of the equivalent quadratic a*p**2 - b*p + c = 0.
+    (a, b, c) of the equivalent quadratic a*p**2 - b*p + c = 0.  A named
+    tuple of those five fields, in that order.
     """
 
-    serrin: float
-    sobolev: float
-    p_c: float | None
-    p_tilde_c: float
-    quadratic_coeffs: tuple[float, float, float]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SchrodingerParams:
+class SchrodingerParams(namedtuple("SchrodingerParams", "N alpha ell p")):
     """Parameters (N, alpha, ell, p) of the Hardy-potential equation.
 
     Requires ell < (N-2)^2/4 so that the exponent sigma of the change of
-    variables v = |x|^sigma u is defined.
+    variables v = |x|^sigma u is defined.  A named tuple whose construction,
+    ``_make``, ``_replace`` and unpickling run ``ProblemParams``' checks and
+    this one.
     """
 
-    N: int
-    alpha: float
-    ell: float
-    p: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        _check_fields(self, ("alpha", "ell", "p"))
+    def __new__(cls, N: int, alpha: float, ell: float, p: float):
+        self = _check_fields(cls, N, alpha, ell, p)
         cap = (self.N - 2.0) ** 2 / 4.0
         if not self.ell < cap:
             raise InvalidParameterError(
                 f"ell must be below (N-2)^2/4 = {cap}, got {self.ell}"
             )
+        return self
 
     @property
     def sigma(self) -> float:
@@ -191,8 +195,10 @@ class SchrodingerParams:
         return half - math.sqrt(half * half - self.ell)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", (
+    "label", "condition_weight_balance", "p_c_weighted", "p_c_dimension",
+    "removability_upper", "removability_applies",
+))):
     """Regime label plus the auxiliary facts the label depends on.
 
     ``condition_weight_balance`` is the inequality
@@ -201,15 +207,11 @@ class Classification:
     ``removability_applies`` is True when p sits strictly between
     p_tilde_c and that minimum and is not the Sobolev exponent; only then
     do the removable-singularity / fast-decay conclusions apply.  The
-    label itself partitions (1, inf) using p_c(N', tau) alone.
+    label itself partitions (1, inf) using p_c(N', tau) alone.  A named
+    tuple of those six fields, in that order.
     """
 
-    label: RegimeLabel
-    condition_weight_balance: bool
-    p_c_weighted: float | None
-    p_c_dimension: float | None
-    removability_upper: float | None
-    removability_applies: bool
+    __slots__ = ()
 
 
 def _serrin_sobolev(n_prime: float, tau: float) -> tuple[float, float]:
@@ -339,8 +341,8 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
     N' = 4*tau + 10 the quadratic degenerates to a linear equation with
     root c/b = 4/3.  Each returned root is verified against the defining
     equation f(p) = (N'-2)^2/4 at absolute tolerance 1e-10 and against an
-    independent bisection root at 1e-8; any disagreement raises
-    :class:`NumericalError`.
+    independent bisection root at 1e-8 max(1, |root|); any disagreement
+    raises :class:`NumericalError`.
 
     Raises :class:`InvalidParameterError` for N' <= 2 or tau <= -2, where
     the theory provides no positive solutions on punctured balls, and for
@@ -397,7 +399,7 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
 
     # Independent bisection cross-check of every returned root.
     bis_minus = crossing_by_bisection(n_prime, tau, "minus")
-    if abs(bis_minus - p_minus) > CROSSCHECK_TOL:
+    if abs(bis_minus - p_minus) > CROSSCHECK_TOL * max(1.0, abs(p_minus)):
         raise NumericalError(
             f"closed-form P_minus {p_minus} disagrees with bisection {bis_minus}"
         )

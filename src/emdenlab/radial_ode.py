@@ -36,14 +36,16 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .grids import RadialFunction, RadialGrid
-from .params import ProblemParams, _hardy_level, _require_regime, _require_singular, f_eval
+from .params import (
+    ProblemParams, _checked_make, _hardy_level, _require_regime, _require_singular, f_eval,
+)
 
 #: Series start radius relative to the intrinsic kappa scale, lowered near
 #: tau = -2 where the origin series converges only very close to 0.
@@ -74,30 +76,28 @@ class Ordering(str, Enum):
     ABOVE = "above"
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+class ShootingResult(namedtuple("ShootingResult", (
+    "params", "kappa", "log_scaled", "asymptotic_constant", "converged", "classification",
+    "ordering_vs_singular", "nfev", "zeta_residual", "log_amplitude_residual",
+))):
     """Output of a shooting run with initial value kappa at the origin.
 
     ``log_scaled`` is y = log w, w = r^m v, and ``solution`` forms v from it on read.
     ``nfev`` counts right-hand-side evaluations; ``zeta_residual`` = |zeta - m|
     and ``log_amplitude_residual`` = |y - log c0| are the end state's
     distances from the singular fixed point, both near 0 on slow decay.
+    A named tuple of those ten fields, in that order; construction, ``_make``
+    and ``_replace`` check that kappa is positive.
     """
 
-    params: ProblemParams
-    kappa: float
-    log_scaled: RadialFunction
-    asymptotic_constant: float
-    converged: bool
-    classification: DecayClass
-    ordering_vs_singular: Ordering
-    nfev: int
-    zeta_residual: float
-    log_amplitude_residual: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
         if not self.kappa > 0.0:
             raise InvalidParameterError("kappa must be positive")
+        return self
 
     @property
     def solution(self) -> RadialFunction:
@@ -109,15 +109,12 @@ class ShootingResult:
         return RadialFunction(grid=grid, values=values)
 
 
-@dataclass(frozen=True)
-class OdeSolution:
+class OdeSolution(namedtuple("OdeSolution", "y nfev success message")):
     """What ``solve_ivp`` returns: the state on ``t_eval`` (one row per
-    component), the right-hand-side evaluation count and the outcome."""
+    component), the right-hand-side evaluation count and the outcome, as a
+    named tuple (y, nfev, success, message)."""
 
-    y: np.ndarray
-    nfev: int
-    success: bool
-    message: str
+    __slots__ = ()
 
 
 #: LSODA's outcome text for each ``istate`` it returns, as ``scipy.integrate.odeint`` words it.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, NumericalError
@@ -72,35 +72,35 @@ if TYPE_CHECKING:
 NEGATIVE_TOL_FACTOR = 1e-9
 
 
-@dataclass(frozen=True)
 class TestFunction(RadialFunction):
     """Radial function vanishing at both ends of its grid."""
 
+    __slots__ = ()
     __test__ = False  # keep pytest from collecting the class by name
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, grid: RadialGrid, values):
+        super().__init__(grid, values)
         if self.values[0] != 0.0 or self.values[-1] != 0.0:
             raise InvalidParameterError("test function must vanish at both endpoints")
 
 
-@dataclass(frozen=True)
-class FormAssembly:
+class FormAssembly(namedtuple("FormAssembly", "diag off h")):
     """Stability form on an annulus as one symmetric tridiagonal matrix.
 
     ``diag``/``off`` hold the central-difference matrix of
     -phi_tt + ((N'-2)^2/4 - P) phi on the n interior nodes of ``log_nodes``,
     uniform in t = log r with step ``h``.  Its eigenvalues are those of Q_v
-    relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).
+    relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).  A named
+    tuple (diag, off, h).
     """
 
-    diag: np.ndarray
-    off: np.ndarray
-    h: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(namedtuple("SpectrumReport", (
+    "eigenvalues", "negative_count", "min_eigenvalue", "negative_tol", "matrix_scale",
+    "count_margin",
+))):
     """Low end of the stability spectrum and the negative-eigenvalue count.
 
     ``eigenvalues`` lists the smallest eigenvalues as a tuple of floats
@@ -110,15 +110,10 @@ class SpectrumReport:
     ``matrix_scale`` is the bound max|d| + 2 max|e| on the matrix norm that
     sets the tolerance, and ``count_margin`` the distance from the nearest
     listed eigenvalue to -``negative_tol``: how far the count is from
-    flipping.
+    flipping.  A named tuple of those six fields, in that order.
     """
 
-    eigenvalues: tuple[float, ...]
-    negative_count: int
-    min_eigenvalue: float
-    negative_tol: float
-    matrix_scale: float
-    count_margin: float
+    __slots__ = ()
 
 
 def _log_step(a: float, b: float, n: int) -> float:

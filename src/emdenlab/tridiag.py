@@ -31,7 +31,6 @@ bit-reproducible.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import NumericalError
@@ -41,15 +40,23 @@ from .errors import NumericalError
 STEBZ_TOL = 2.0 * sys.float_info.min
 
 
-@dataclass(frozen=True)
 class Constant:
-    """A diagonal whose ``n`` entries all equal ``value``, with no array behind it."""
+    """A diagonal whose ``n`` entries all equal ``value``, with no array behind it.
 
-    value: float
-    n: int
+    Immutable: ``value`` (a Python float) and ``n`` are set once.  ``len`` is n,
+    and ``numpy.asarray`` gives the n entries.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))  # keeps the loop on Python floats
+    __slots__ = ("value", "n")
+
+    def __init__(self, value: float, n: int):
+        object.__setattr__(self, "value", float(value))  # keeps the loop on Python floats
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Constant is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return self.n

@@ -745,3 +745,43 @@ def test_sweep_one_point_range_is_its_start(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert [(row["n_prime"], row["tau"]) for row in rows] == [("11.0", "0.0")]
+
+
+@pytest.mark.parametrize("command", ["exponents", "sweep", "shoot"])
+def test_unwritable_out_path_is_invalid_input(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("nprime = 11\ntau = 0\n")
+    argv = {
+        "exponents": ["exponents", "--N", "11", "--theta", "0", "--l", "0"],
+        "sweep": ["sweep", "--config", str(cfg)],
+        "shoot": ["shoot", "--N", "11", "--theta", "0", "--l", "0", "--p", "7", "--rmax", "1e3"],
+    }[command]
+    err = run_json([*argv, "--out", str(out)], capsys, expect_code=2)
+    assert err["error"] == {
+        "type": "invalid_input",
+        "message": f"cannot write --out {str(out)!r}: No such file or directory",
+    }
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1.5", ""])
+def test_malformed_source_date_epoch_is_invalid_input(epoch, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    err = run_json(["exponents", "--N", "11", "--theta", "0", "--l", "0"], capsys, expect_code=2)
+    assert err["error"] == {
+        "type": "invalid_input",
+        "message": f"SOURCE_DATE_EPOCH must be an integer, got {epoch!r}",
+    }
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    env = run_json(["exponents", "--N", "11", "--theta", "0", "--l", "0"], capsys)
+    assert env["timestamp"] == 1700000000
+
+
+def test_exponents_where_the_lower_crossing_is_near_2e8(capsys):
+    # N' = 2 + 1e-8: the closed form and bisection differ by about one ulp of
+    # p_tilde_c = 2.0000000247e8, far above an absolute 1e-8
+    argv = ["exponents", "--N", "3", "--theta=-0.99999999", "--l=-0.99999999"]
+    results = run_json(argv, capsys)["results"]
+    assert results["p_tilde_c"] == pytest.approx(200000002.4654942, rel=1e-15)
+    assert results["serrin"] < results["p_tilde_c"] < results["sobolev"]

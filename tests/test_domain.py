@@ -29,7 +29,6 @@ spectrum, the tail fits, ``residual``, ``sphere_constant_check`` and
 ``v_infinity`` with N', theta, l or p as large as 1e160 to 1e300.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -386,7 +385,7 @@ EXTREMES = (math.nan, math.inf, -math.inf, 1e300, -1e300)
 
 
 def _finite(x) -> bool:
-    """Every number in x, through tuples, arrays and dataclasses, is finite."""
+    """Every number in x, through tuples, arrays and slotted objects, is finite."""
     if x is None or isinstance(x, str):  # str covers the str enums
         return True
     if isinstance(x, (int, float)):
@@ -395,7 +394,9 @@ def _finite(x) -> bool:
         return bool(np.all(np.isfinite(x)))
     if isinstance(x, (tuple, list)):
         return all(map(_finite, x))
-    return all(_finite(getattr(x, field.name)) for field in dataclasses.fields(x))
+    slots = [name for cls in type(x).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert slots, f"no fields to walk in {x!r}"
+    return all(_finite(getattr(x, name)) for name in slots)
 
 
 def _extreme_calls(seed: int, draws: int):

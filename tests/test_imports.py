@@ -17,7 +17,7 @@ import emdenlab
 SRC = str(Path(emdenlab.__file__).resolve().parents[1])
 
 #: Runs the statements in argv[1] one by one, stdout silenced, and prints
-#: the numpy and scipy modules, and the emdenlab modules, loaded after each.
+#: the modules of each group of top-level packages in argv[2] loaded after each.
 _PROBE = """
 import contextlib, io, json, sys
 namespace = {}
@@ -26,16 +26,22 @@ for statement in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         exec(statement, namespace)
     loaded.append([sorted(m for m in sys.modules if m.partition(".")[0] in packages)
-                   for packages in (("numpy", "scipy"), ("emdenlab",))])
+                   for packages in json.loads(sys.argv[2])])
 print(json.dumps(loaded))
 """
 
+#: The stdlib modules that records and CSV output used to load on every start.
+STDLIB = (("dataclasses", "inspect", "csv"),)
 
-def modules_after(statements):
-    """statement -> (numpy and scipy modules, emdenlab modules) loaded once it has run."""
+
+def modules_after(statements, groups=(("numpy", "scipy"), ("emdenlab",))):
+    """statement -> (modules of each group) loaded once it has run.
+
+    By default the groups are numpy and scipy, then emdenlab.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(statements)],
+        [sys.executable, "-c", _PROBE, json.dumps(statements), json.dumps(groups)],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     return dict(zip(statements, map(tuple, json.loads(out))))
@@ -131,6 +137,43 @@ def test_hardy_minimum_loads_no_scipy():
     heavy, own = modules_after([statement])[statement]
     assert heavy == []
     assert "emdenlab.radial_ode" not in own
+
+
+def test_records_load_neither_dataclasses_nor_inspect(tmp_path):
+    # records are named tuples and slotted classes; only a CSV writer loads csv
+    exponents, spectrum = tmp_path / "exponents.cfg", tmp_path / "spectrum.cfg"
+    exponents.write_text("nprime = 3:12:4\ntau = -1,0,1\n")
+    spectrum.write_text("mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 2,3,7\nn = 200\n")
+    common = ["--N", "11", "--theta", "0", "--l", "0"]
+    reports = [
+        ["exponents", *common],
+        ["exponents", *common, "--p", "7"],
+        ["classify", *common, "--p", "3"],
+        ["transform", "--kind", "kelvin", *common, "--p", "3"],
+        ["transform", "--kind", "dual", *common, "--p", "3"],
+        ["transform", "--kind", "sigma", "--N", "5", "--alpha", "0", "--ell", "2", "--p", "3"],
+        ["transform", "--kind", "sigma_inverse", "--N", "5", "--theta", "1", "--l", "0",
+         "--p", "3"],
+        ["spectrum", *common, "--p", "3", "--n", "200"],
+    ]
+    sweeps = [["sweep", "--config", str(exponents)], ["sweep", "--config", str(spectrum)]]
+    statements = [f"assert cli.main({argv!r}) == 0" for argv in [*reports, *sweeps]]
+    statements = ["from emdenlab import cli", *statements, "import emdenlab.stability",
+                  "emdenlab.stability.hardy_rayleigh_min(0.0, 5, 1.0, 1e2, 1000)"]
+    loaded = modules_after(statements, STDLIB)
+    for statement in statements[:len(reports) + 1]:
+        assert loaded[statement] == ([],), statement
+    for statement in statements[len(reports) + 1:]:
+        assert [m for m in loaded[statement][0] if m != "csv"] == [], statement
+
+
+def test_shoot_loads_no_dataclasses():
+    statements = [
+        "from emdenlab import cli",
+        "assert cli.main(['shoot', '--N', '11', '--theta', '0', '--l', '0', '--p', '7']) == 0",
+    ]
+    modules = modules_after(statements, STDLIB)[statements[-1]][0]
+    assert "dataclasses" not in modules and "csv" not in modules
 
 
 def test_every_public_name_is_its_home_module_attribute():

@@ -563,7 +563,7 @@ def test_profile_spectrum_is_the_report_of_its_potential(kappa, monkeypatch):
     assert np.asarray(seen[0]).tobytes() == np.asarray(P).tobytes()
     assert got.negative_count > 0
     assert np.asarray(got.eigenvalues).tobytes() == np.asarray(want.eigenvalues).tobytes()
-    assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
+    assert {**got._asdict(), "eigenvalues": None} == {**want._asdict(), "eigenvalues": None}
 
 
 def test_shot_spectrum_reads_only_the_shot_state(monkeypatch):
@@ -580,7 +580,7 @@ def test_shot_spectrum_reads_only_the_shot_state(monkeypatch):
     monkeypatch.setattr(ProblemParams, "c0", property(unread))
     got = profile_spectrum(params, a, b, n, kappa=1.0)
     assert np.asarray(got.eigenvalues).tobytes() == np.asarray(want.eigenvalues).tobytes()
-    assert {**vars(got), "eigenvalues": None} == {**vars(want), "eigenvalues": None}
+    assert {**got._asdict(), "eigenvalues": None} == {**want._asdict(), "eigenvalues": None}
 
 
 def test_shot_spectrum_near_the_origin_where_the_tail_fit_fails():
