@@ -9,15 +9,17 @@ module provides
 
 * the explicit singular solution c0 * r^(-m), m = (2+tau)/(p-1), formed
   in logs,
-* a shooting integrator for the regular solution with v(0) = kappa,
-  started from a two-term series at a tiny radius (the ODE is singular
-  at the origin) and advanced by LSODA (the compiled driver of
+* a shooting integrator for the regular solution with v(0) = kappa in
+  t = log r on the Emden-Fowler state y = log(r^m v), s = log(zeta),
+  zeta = -r v'/v > 0: y' = m - e^s, s' = e^((p-1) y - s) - (N'-2) + e^s,
+  with no power of r.  The ODE is singular at the origin, where the
+  solution is its power series in x = kappa^(p-1) r^(2+tau)/((2+tau)(N'+tau)):
+  24 terms give the state in closed form, in logs, up to the switch where
+  the series is exact to rounding, and LSODA (the compiled routine of
   scipy.integrate.odeint, loaded without the scipy.integrate package,
-  behind the ``solve_ivp`` seam) in t = log r on the Emden-Fowler state
-  y = log(r^m v), s = log(zeta), zeta = -r v'/v > 0: y' = m - e^s,
-  s' = e^((p-1) y - s) - (N'-2) + e^s, with no power of r.  Its fixed
-  point (log c0, log m) is the singular solution, zeta > 0 makes v' < 0,
-  a shot keeps y and forms v on read, and a spectrum reads y alone,
+  behind the ``solve_ivp`` seam) continues from there.  The fixed point
+  (log c0, log m) is the singular solution, zeta > 0 makes v' < 0, a shot
+  keeps y and forms v on read, and a spectrum reads y alone,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
 * asymptotic-constant extraction (the limit of w, fit with the tail's
   linearisation at c0), decay classification of w (a converged tail is
@@ -47,9 +49,19 @@ from .params import (
     ProblemParams, _checked_make, _hardy_level, _require_regime, _require_singular, f_eval,
 )
 
-#: Series start radius relative to the intrinsic kappa scale, lowered near
-#: tau = -2 where the origin series converges only very close to 0.
+#: First node of ``shoot``'s default grid relative to the intrinsic kappa
+#: scale, lowered near tau = -2 where q = (r/scale)^(2+tau) grows slowly in r.
 SERIES_START_FACTOR = 1e-6
+#: Terms of the origin series after its constant (fewer where a coefficient
+#: would leave the float range).
+SERIES_TERMS = 24
+#: The series hands over to LSODA where its last term is this fraction of
+#: its sum, far below rounding.
+SERIES_SWITCH_TOL = 1e-17
+#: Bound on the largest term of each series sum over the sum at the switch.
+SERIES_CANCELLATION = 16.0
+#: Most e-folds of q (each at least one LSODA step) from the switch to the grid.
+MAX_SERIES_GAP = 1e5
 #: Relative drift per decade below which the scaled tail counts as converged.
 SLOW_DRIFT_TOL = 5e-3
 #: Relative mismatch of the fitted tail exponent against N'-2 for fast decay.
@@ -232,12 +244,18 @@ def shoot(
     """Integrate the regular radial solution with v(0) = kappa out to r_max.
 
     Output is sampled on ``grid`` when given, else on a log grid from
-    ``r_min`` (default: the series start radius) to ``r_max`` with
-    ``points_per_decade`` (positive) nodes per decade.  ``tol`` sets the
-    relative and absolute tolerance on the state (y, s), applied as
-    tol/1000.  The hypothesis p above the Sobolev exponent is enforced; there the solution
-    is positive, strictly decreasing, and r^m v(r) tends to the singular
-    amplitude c0.  It reports the tail fit, classification and ordering of ``_shot_state``'s run.
+    ``r_min`` to ``r_max`` with ``points_per_decade`` (positive) nodes per
+    decade; without ``r_min`` the grid starts at ``r_start``, by default
+    1e-6 of the kappa scale (lower near tau = -2).  The origin series gives
+    the state on every node up to its switch (``_origin_series``) and LSODA
+    the rest, from the switch or from a given ``r_start`` below it, and
+    always at least the last interval.  ``tol`` sets the relative and
+    absolute tolerance of LSODA on the state (y, s), applied as tol/1000.
+    The hypothesis p above the Sobolev exponent is enforced; there the
+    solution is positive, strictly decreasing, and r^m v(r) tends to the
+    singular amplitude c0.  It reports the tail fit, classification and
+    ordering of ``_shot_state``'s run; ``nfev`` counts LSODA's
+    right-hand-side evaluations.
     """
     c0 = params.c0  # read first: its NumericalError precedes the shot's checks
     grid, y, s, nfev = _shot_state(params, kappa, r_max, tol, grid=grid, r_min=r_min,
@@ -306,23 +324,24 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
         raise NumericalError(
             f"length scale of kappa = {kappa} overflows at tau = {tau}"
         ) from None
-    if r_start is None:
-        # q = (r/scale)^(2+tau) drives the series; capping q/((2+tau)(N'+tau))
-        # at sqrt(tol) keeps the dropped O(q^2) term below tol near tau = -2
+    first = r_start
+    if grid is None and r_min is None and r_start is None:
+        # the default grid starts where q = (r/scale)^(2+tau) is small: at 1e-6
+        # scale, or lower near tau = -2, where x = q/((2+tau)(N'+tau)) is sqrt(tol)
         log_cap = (0.5 * math.log(tol) + math.log((2.0 + tau) * (np_ + tau))
                    ) / (2.0 + tau)
-        r_start = scale * min(SERIES_START_FACTOR, math.exp(min(log_cap, 0.0)))
-        if not r_start > 0.0:
+        first = scale * min(SERIES_START_FACTOR, math.exp(min(log_cap, 0.0)))
+        if not first > 0.0:
             raise NumericalError(f"series start radius underflows at tau = {tau}")
-        if grid is None and r_min is None and not r_start < r_max:
+        if not first < r_max:
             raise NumericalError(
-                f"series start radius {r_start:.6g} of kappa = {kappa} lies beyond "
+                f"series start radius {first:.6g} of kappa = {kappa} lies beyond "
                 f"r_max = {r_max:.6g} at tau = {tau}"
             )
-        if grid is None and r_min is None and r_max / r_start == math.inf:
+        if r_max / first == math.inf:
             raise NumericalError(f"series start radius underflows below r_max at tau = {tau}")
     if grid is None:
-        lo, name = (r_min, "r_min") if r_min is not None else (r_start, "r_start")
+        lo, name = (r_min, "r_min") if r_min is not None else (first, "r_start")
         if not (0.0 < lo < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
         if r_max / lo == math.inf:  # lo was given: a computed series start is checked above
@@ -331,15 +350,30 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
         grid = RadialGrid.logspaced(lo, r_max, n)
     if grid.r_max > r_max * (1.0 + 1e-12):
         raise InvalidParameterError("grid extends beyond r_max")
-    r_start = min(r_start, grid.r_min)
 
+    # The origin series gives the state on every node up to its switch, all
+    # in logs: log x = log x0 + (2+tau) t.  LSODA starts there, or at a given
+    # r_start below it, and always integrates at least the last interval.
     t_eval = grid.log_points
-    t0 = min(math.log(r_start), float(t_eval[0]))
-    # Two-term origin series v = kappa (1 - q/((2+tau)(N'+tau))) and
-    # r v' = -kappa q/(N'+tau), with q = kappa^(p-1) r^(2+tau).
-    log_q = (p - 1.0) * math.log(kappa) + (2.0 + tau) * t0
-    head = math.log1p(-math.exp(log_q) / ((2.0 + tau) * (np_ + tau)))
-    state0 = (m * t0 + math.log(kappa) + head, log_q - math.log(np_ + tau) - head)
+    coeffs, log_x_switch = _origin_series(np_, tau, p)
+    log_x0 = (p - 1.0) * math.log(kappa) - math.log((2.0 + tau) * (np_ + tau))
+    t0 = min((log_x_switch - log_x0) / (2.0 + tau), float(t_eval[-2]))
+    if r_start is not None:
+        if not r_start > 0.0:
+            raise InvalidParameterError(f"r_start must be positive, got {r_start}")
+        t0 = min(t0, math.log(r_start))
+    head = int(np.searchsorted(t_eval, t0, side="right"))
+    gap = (2.0 + tau) * (float(t_eval[head]) - t0)  # e-folds of q, at least one step each
+    if not gap <= MAX_SERIES_GAP:
+        raise NumericalError(
+            f"series start lies {gap:.3g} e-folds of q below the grid at tau = {tau}"
+        )
+    t_head = np.append(t_eval[:head], t0)
+    log_x = log_x0 + (2.0 + tau) * t_head
+    total, zeta_sum = _series_sums(coeffs, np.exp(log_x))
+    y_head = m * t_head + math.log(kappa) + np.log(total)
+    s_head = math.log(2.0 + tau) + log_x + np.log(zeta_sum) - np.log(total)
+    state0 = (float(y_head[-1]), float(s_head[-1]))
 
     p1, n2 = p - 1.0, np_ - 2.0
     slope = np.empty(2)  # one per run, so runs share no state
@@ -357,7 +391,7 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
     # jumping the series-to-nonlinear transition
     inner_tol = max(tol / 1000.0, 100.0 * np.finfo(float).eps)
     try:
-        sol = solve_ivp(rhs, (t0, float(t_eval[-1])), state0, t_eval=t_eval,
+        sol = solve_ivp(rhs, (t0, float(t_eval[-1])), state0, t_eval=t_eval[head:],
                         rtol=inner_tol, atol=inner_tol, max_step=1.0 / (2.0 + tau))
     except OverflowError as exc:
         # e^s overflows once the state leaves the cone v > 0, v' < 0
@@ -367,7 +401,51 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
 
     if not np.all(np.isfinite(sol.y)):
         raise NumericalError("non-finite state or w = e^y overflows in shooting output")
-    return grid, *sol.y, int(sol.nfev)
+    y, s = (np.concatenate((lead[:-1], rest)) for lead, rest in zip((y_head, s_head), sol.y))
+    return grid, y, s, int(sol.nfev)
+
+
+def _origin_series(np_: float, tau: float, p: float) -> tuple[list[float], float]:
+    """Coefficients [1, a_1, ..., a_K] of the regular solution's origin series
+    v = kappa sum a_k x^k, and log x at its switch to LSODA.
+
+    The variable x = q/((2+tau)(N'+tau)) makes a_1 = -1.  With c = 2+tau and
+    b_k the coefficients of (sum a_k x^k)^p by Miller's power rule,
+    a_k k (ck + N'-2) = -(N'+tau) b_(k-1).  The list ends at SERIES_TERMS,
+    or earlier where a b_k leaves the float range.  The switch is the
+    largest x <= 1, in halvings from where the last terms would be
+    SERIES_SWITCH_TOL of sums of 1, at which the last term of each of
+    ``_series_sums`` is at most SERIES_SWITCH_TOL times its sum and every
+    term at most SERIES_CANCELLATION times it.
+    """
+    c, n2 = 2.0 + tau, np_ - 2.0
+    a, b = [1.0], [1.0]
+    while len(a) <= SERIES_TERMS and math.isfinite(b[-1]):
+        k = len(a)
+        a.append(-b[-1] * ((n2 + c) / (k * (c * k + n2))))  # |a_k| <= |b_(k-1)|
+        b.append(sum(((p + 1.0) * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+    K = len(a) - 1
+    log_tol, log_last = math.log(SERIES_SWITCH_TOL), math.log(max(abs(a[K]), 1e-300))
+    log_x = min((log_tol - log_last) / K, (log_tol - log_last - math.log(K)) / (K - 1), 0.0)
+    while True:
+        total, zeta_sum = _series_sums(a, math.exp(log_x))
+        terms = [abs(a[k]) * math.exp(k * log_x) for k in range(K + 1)]
+        zeta_terms = [k * abs(a[k]) * math.exp((k - 1) * log_x) for k in range(1, K + 1)]
+        if (terms[-1] <= SERIES_SWITCH_TOL * total and zeta_terms[-1] <= SERIES_SWITCH_TOL * zeta_sum
+                and max(terms) <= SERIES_CANCELLATION * total
+                and max(zeta_terms) <= SERIES_CANCELLATION * zeta_sum):
+            return a, log_x
+        log_x -= math.log(2.0)
+
+
+def _series_sums(a, x):
+    """S = sum a_k x^k and Z = -sum k a_k x^(k-1) (1 at x = 0) by Horner, for
+    x a float or an array: v = kappa S and zeta = -r v'/v = (2+tau) x Z/S."""
+    total = zeta_sum = 0.0
+    for k in range(len(a) - 1, 0, -1):
+        total = total * x + a[k]
+        zeta_sum = zeta_sum * x - k * a[k]
+    return total * x + 1.0, zeta_sum
 
 
 def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:

@@ -476,14 +476,26 @@ def test_shoot_grid_whose_ratio_overflows_is_a_typed_error(argv, code, message, 
 
 
 def test_spectrum_shoot_profile_with_its_series_start_above_a(capsys):
-    # kappa = 0.01 puts the series start at r = 1, above a = 1e-3: the shot
-    # starts the series at a and is sampled on the assembly nodes
+    # kappa = 0.01 puts the intrinsic scale at r = 1e6, beyond b = 1e3: the
+    # origin series gives every assembly node but the last
     env = run_json(
         ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7",
          "--profile", "shoot:0.01", "--a", "1e-3", "--b", "1e3", "--n", "400"],
         capsys,
     )
     assert env["results"]["negative_count"] == 0
+
+
+def test_spectrum_shoot_profile_whose_series_start_lies_at_log_r_minus_2300(capsys):
+    # near tau = -2 the origin series hands over to LSODA at log r = -2300, far
+    # below the float range of r, so the start is formed in logs
+    env = run_json(
+        ["spectrum", "--N", "20", "--theta=0", "--l=-1.997", "--p", "2.201936167302555",
+         "--profile", "shoot:3", "--n", "200", "--a", "1e-1", "--b", "1e3"],
+        capsys,
+    )
+    assert env["results"]["negative_count"] == 0
+    assert env["results"]["min_eigenvalue"] == pytest.approx(81.0186, rel=1e-5)
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from emdenlab import (
     f_eval,
     kelvin_apply,
     kelvin_params,
+    log_nodes,
     radial_ode,
     rescale,
     residual,
@@ -124,8 +125,8 @@ def test_shoot_series_start_oracle():
 @pytest.mark.parametrize("N, l, p", [(5, -1.9, 3.0), (5, -1.9, 1.5), (11, -1.97, 3.0)])
 def test_series_start_near_tau_minus_two(N, l, p):
     # at r = 1e-6 scale the series parameter q = (r/scale)^(2+tau) is 0.25
-    # (tau = -1.9) or 0.66 (tau = -1.97); the start radius drops until the
-    # dropped O(q^2) term is below tol, so halving it moves nothing
+    # (tau = -1.9) or 0.66 (tau = -1.97); the default grid starts lower, and
+    # LSODA started from half its first radius agrees with the series head
     params = ProblemParams(N, 0.0, l, p)
     base = shoot(params, kappa=1.0, r_max=1e6)
     grid = base.solution.grid
@@ -382,10 +383,12 @@ def test_shoot_diagnostics():
 
 
 
-@pytest.mark.parametrize("N, p, nfev", [(11, 7.0, 2305), (40, 3.0, 3194), (100, 2.0, 2597)])
+@pytest.mark.parametrize("N, p, nfev", [(11, 7.0, 1191), (40, 3.0, 2377), (100, 2.0, 1816)],
+                         ids=["N11-p7", "N40-p3", "N100-p2"])
 def test_shooting_work_is_pinned(N, p, nfev):
     # the RHS evaluation count of LSODA on these shots: a change to the
-    # integrator, its tolerances, its step bound or the state moves it
+    # integrator, its tolerances, its step bound, the state or the origin
+    # series' switch moves it
     res = shoot(ProblemParams(N, 0.0, 0.0, p), kappa=1.0, r_max=1e6, tol=1e-10)
     assert (res.nfev, res.ordering_vs_singular) == (nfev, Ordering.BELOW)
 
@@ -617,6 +620,13 @@ def test_a_given_series_start_beyond_r_max_is_an_invalid_range():
         shoot(PARAMS_11, kappa=1.0, r_max=1e4, r_start=1e5)
 
 
+@pytest.mark.parametrize("r_start", [0.0, -1e-6, math.nan])
+def test_a_non_positive_series_start_on_a_given_grid_is_invalid(r_start):
+    grid = RadialGrid.logspaced(1e-3, 1e3, 100)
+    with pytest.raises(InvalidParameterError, match="r_start must be positive"):
+        shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid, r_start=r_start)
+
+
 def test_tail_fit_that_lagged_the_amplitude_gate():
     # The mid-decade value of a linear fit over the last decade read
     # |A/c0 - 1| = 1.04e-6 here, where the tail has decayed to e^-16.65
@@ -651,3 +661,107 @@ def test_shoot_names_the_start_radius_whose_ratio_overflows():
         shoot(PARAMS_5, 1.0, 1e300, r_start=1e-10)
     with pytest.raises(InvalidParameterError, match=r"^log\(r_max/r_min\) must be finite$"):
         shoot(PARAMS_5, 1.0, 1e300, r_min=1e-10, r_start=1e-10)
+
+
+def _lower_switch(monkeypatch, decades=1.0):
+    """Move the origin series' switch to LSODA ``decades`` decades of r lower."""
+    real = radial_ode._origin_series
+
+    def lowered(np_, tau, p):
+        coeffs, log_x = real(np_, tau, p)
+        return coeffs, log_x - (2.0 + tau) * decades * math.log(10.0)
+
+    monkeypatch.setattr(radial_ode, "_origin_series", lowered)
+
+
+@pytest.mark.parametrize("params, kappa, grid", [
+    (PARAMS_11, 1.0, None),
+    (ProblemParams(11, 0.0, 0.0, 1.6), 1.0, None),
+    (ProblemParams(100, 0.0, 0.0, 2.0), 1.0, None),
+    (ProblemParams(5, 0.0, -1.9, 3.0), 1.0, None),
+    # the spectrum shot whose series start lies at log r = -2300
+    (ProblemParams(20, 0.0, -1.997, 2.201936167302555), 3.0, log_nodes(1e-1, 1e3, 200)),
+], ids=["node", "focus", "n100", "tau-1.9", "tau-1.997"])
+def test_moving_the_switch_a_decade_lower_moves_y_by_less_than_1e_9(monkeypatch, params, kappa,
+                                                                     grid):
+    r_max = 1e3 if grid is not None else 1e6
+    _, y, _, _ = radial_ode._shot_state(params, kappa, r_max, 1e-10, grid=grid)
+    _lower_switch(monkeypatch)
+    _, lower, _, _ = radial_ode._shot_state(params, kappa, r_max, 1e-10, grid=grid)
+    assert np.max(np.abs(lower - y)) < 1e-9
+
+
+def test_lsoda_integrates_at_least_the_last_interval(monkeypatch):
+    # kappa = 0.002 puts the switch beyond r_max: the series gives every node
+    # but the last, and LSODA still integrates that interval
+    params = ProblemParams(67, 0.4199750224976402, -1.4417451111327608, 1.0094547745862608)
+    kappa = 0.0020418035762916945
+    real, calls = radial_ode.solve_ivp, []
+
+    def recorded(fun, t_span, y0, **kwargs):
+        calls.append(kwargs["t_eval"].size)
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", recorded)
+    res = shoot(params, kappa, 1e6)
+    assert calls == [1] and res.nfev > 0
+
+
+def _mp_sums(np_, tau, p, x, digits=40):
+    """S = sum a_k x^k and Z = -sum k a_k x^(k-1) of the full origin series at
+    40 digits, summed until a term falls below 1e-38."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        c, n2, p, x = mp.mpf(2) + tau, mp.mpf(np_) - 2, mp.mpf(p), mp.mpf(x)
+        a, b, total, zeta_sum, k = [mp.mpf(1)], [mp.mpf(1)], mp.mpf(1), mp.mpf(0), 0
+        while k < 6 or abs(a[k] * x**k) > mp.mpf(10) ** -38:
+            k += 1
+            a.append(-b[k - 1] * (n2 + c) / (k * (c * k + n2)))
+            b.append(mp.fsum(((p + 1) * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+            total += a[k] * x**k
+            zeta_sum -= k * a[k] * x ** (k - 1)
+        return total, zeta_sum
+
+
+def test_the_origin_series_matches_a_40_digit_series():
+    # N' - 2 over 1e-3..1e2, 2+tau over 1e-3..20, p up to e^3 times the
+    # Sobolev exponent's distance from 1; x at the switch and below it
+    mp = pytest.importorskip("mpmath")
+    rng, eps, worst = random.Random(29), np.finfo(float).eps, 0.0
+    for _ in range(200):
+        np_, c = 2.0 + 10.0 ** rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.3)
+        sobolev = (np_ - 2.0 + 2.0 * c) / (np_ - 2.0)
+        draw = (np_, c - 2.0, 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(0.0, 3.0)))
+        coeffs, log_x = radial_ode._origin_series(*draw)
+        for x in (math.exp(log_x), math.exp(log_x + rng.uniform(-8.0, 0.0))):
+            got, want = radial_ode._series_sums(coeffs, x), _mp_sums(*draw, x)
+            worst = max(worst, *(float(abs(g / w - 1)) for g, w in zip(got, want)))
+    assert mp and worst <= 4.0 * eps, worst / eps
+
+
+@pytest.mark.parametrize("np_, tau, p", [
+    (2.0 + 1e-9, 0.0, 3.0), (2.0 + 1e-9, 0.0, 4e9),  # N' -> 2: p_S ~ 4/(N'-2)
+    (5.0, -2.0 + 1e-12, 1.0 + 1e-12), (100.0, -1.9999999999999998, 1.0 + 4.4e-16),  # tau -> -2
+    (100.0, 0.0, 1.05), (100.0, 98.0, 5.0),
+    (5.0, 0.0, 1e150), (5.0, 0.0, 1e300), (5.0, 0.0, 1.7e308),  # huge p
+])
+def test_the_switch_bounds_the_series_at_the_domain_edges(np_, tau, p):
+    coeffs, log_x = radial_ode._origin_series(np_, tau, p)
+    K = len(coeffs) - 1
+    assert all(map(math.isfinite, coeffs)) and math.isfinite(log_x) and log_x <= 0.0
+    total, zeta_sum = radial_ode._series_sums(coeffs, math.exp(log_x))
+    terms = [abs(a) * math.exp(k * log_x) for k, a in enumerate(coeffs)]
+    zeta_terms = [k * abs(a) * math.exp((k - 1) * log_x) for k, a in enumerate(coeffs) if k]
+    assert max(terms) <= radial_ode.SERIES_CANCELLATION * total
+    assert max(zeta_terms) <= radial_ode.SERIES_CANCELLATION * zeta_sum
+    assert terms[-1] <= radial_ode.SERIES_SWITCH_TOL * total
+    assert zeta_terms[-1] <= radial_ode.SERIES_SWITCH_TOL * zeta_sum
+    # where (p+1)^k leaves the float range the series is shorter, not NaN
+    assert K == radial_ode.SERIES_TERMS or p >= 1e150
+
+
+def test_a_switch_beyond_the_step_budget_is_a_numerical_error():
+    # kappa^(p-1) = 2^1e300: the series ends 1e300 e-folds of q below the grid
+    params = ProblemParams(5, 0.0, 0.0, 1e300)
+    with pytest.raises(NumericalError, match="e-folds of q below the grid at tau = 0.0"):
+        shoot(params, 2.0, 1e3, grid=RadialGrid.logspaced(1e-3, 1e3, 100))
