@@ -17,7 +17,8 @@ module provides
   24 terms give the state in closed form, in logs, up to the switch where
   the series is exact to rounding, and LSODA (the compiled routine of
   scipy.integrate.odeint, loaded without the scipy.integrate package,
-  behind the ``solve_ivp`` seam) continues from there.  The fixed point
+  behind the ``solve_ivp`` seam) continues from there, on u = (p-1) y in
+  place of y where (p-1) times its tolerance exceeds 1.  The fixed point
   (log c0, log m) is the singular solution, zeta > 0 makes v' < 0, a shot
   keeps y and forms v on read, and a spectrum reads y alone,
 * the exact kappa-rescaling v_kappa(r) = kappa * v_1(kappa^((p-1)/(tau+2)) r),
@@ -249,8 +250,10 @@ def shoot(
     1e-6 of the kappa scale (lower near tau = -2).  The origin series gives
     the state on every node up to its switch (``_origin_series``) and LSODA
     the rest, from the switch or from a given ``r_start`` below it, and
-    always at least the last interval.  ``tol`` sets the relative and
-    absolute tolerance of LSODA on the state (y, s), applied as tol/1000.
+    always at least the last interval; an ``r_start`` above the switch
+    leaves the shot unchanged.  ``tol`` sets the relative and absolute
+    tolerance of LSODA on the state (y, s), applied as tol/1000, and on
+    (p-1) y in place of y where (p-1) tol/1000 exceeds 1.
     The hypothesis p above the Sobolev exponent is enforced; there the
     solution is positive, strictly decreasing, and r^m v(r) tends to the
     singular amplitude c0.  It reports the tail fit, classification and
@@ -370,26 +373,32 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
         )
     t_head = np.append(t_eval[:head], t0)
     log_x = log_x0 + (2.0 + tau) * t_head
-    total, zeta_sum = _series_sums(coeffs, np.exp(log_x))
-    y_head = m * t_head + math.log(kappa) + np.log(total)
-    s_head = math.log(2.0 + tau) + log_x + np.log(zeta_sum) - np.log(total)
-    state0 = (float(y_head[-1]), float(s_head[-1]))
-
-    p1, n2 = p - 1.0, np_ - 2.0
-    slope = np.empty(2)  # one per run, so runs share no state
-
-    def rhs(t, state):
-        y, s = state.tolist()  # Python floats: numpy scalar arithmetic costs 4x
-        zeta = math.exp(s)
-        slope[0] = m - zeta
-        slope[1] = math.exp(p1 * y - s) - n2 + zeta
-        return slope  # LSODA reads an array in place but converts a tuple
+    rest, zeta_sum = _series_sums(coeffs, np.exp(log_x))
+    log_total = np.log1p(rest)  # log(1 + rest) would round away a rest below eps
+    y_head = m * t_head + math.log(kappa) + log_total
+    s_head = math.log(2.0 + tau) + log_x + np.log(zeta_sum) - log_total
 
     # LSODA at a thousandth of tol (floored where it rejects rtol as below
     # rounding) keeps the global error in log v inside the ordering band;
     # one e-fold of the series driver q per step keeps its step growth from
     # jumping the series-to-nonlinear transition
     inner_tol = max(tol / 1000.0, 100.0 * np.finfo(float).eps)
+    p1, n2 = p - 1.0, np_ - 2.0
+    # Where (p-1) inner_tol > 1, an absolute error of inner_tol in y would be
+    # more than an e-fold of the nonlinear term e^((p-1) y - s): LSODA then
+    # integrates u = (p-1) y, holding (p-1) y itself to inner_tol
+    gain = p1 if p1 * inner_tol > 1.0 else 1.0
+    gain_m, p1_over_gain = gain * m, p1 / gain
+    state0 = (gain * float(y_head[-1]), float(s_head[-1]))
+    slope = np.empty(2)  # one per run, so runs share no state
+
+    def rhs(t, state):
+        u, s = state.tolist()  # Python floats: numpy scalar arithmetic costs 4x
+        zeta = math.exp(s)
+        slope[0] = gain_m - gain * zeta
+        slope[1] = math.exp(p1_over_gain * u - s) - n2 + zeta
+        return slope  # LSODA reads an array in place but converts a tuple
+
     try:
         sol = solve_ivp(rhs, (t0, float(t_eval[-1])), state0, t_eval=t_eval[head:],
                         rtol=inner_tol, atol=inner_tol, max_step=1.0 / (2.0 + tau))
@@ -401,7 +410,8 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
 
     if not np.all(np.isfinite(sol.y)):
         raise NumericalError("non-finite state or w = e^y overflows in shooting output")
-    y, s = (np.concatenate((lead[:-1], rest)) for lead, rest in zip((y_head, s_head), sol.y))
+    y = np.concatenate((y_head[:-1], sol.y[0] / gain))
+    s = np.concatenate((s_head[:-1], sol.y[1]))
     return grid, y, s, int(sol.nfev)
 
 
@@ -428,7 +438,8 @@ def _origin_series(np_: float, tau: float, p: float) -> tuple[list[float], float
     log_tol, log_last = math.log(SERIES_SWITCH_TOL), math.log(max(abs(a[K]), 1e-300))
     log_x = min((log_tol - log_last) / K, (log_tol - log_last - math.log(K)) / (K - 1), 0.0)
     while True:
-        total, zeta_sum = _series_sums(a, math.exp(log_x))
+        rest, zeta_sum = _series_sums(a, math.exp(log_x))
+        total = 1.0 + rest
         terms = [abs(a[k]) * math.exp(k * log_x) for k in range(K + 1)]
         zeta_terms = [k * abs(a[k]) * math.exp((k - 1) * log_x) for k in range(1, K + 1)]
         if (terms[-1] <= SERIES_SWITCH_TOL * total and zeta_terms[-1] <= SERIES_SWITCH_TOL * zeta_sum
@@ -439,13 +450,14 @@ def _origin_series(np_: float, tau: float, p: float) -> tuple[list[float], float
 
 
 def _series_sums(a, x):
-    """S = sum a_k x^k and Z = -sum k a_k x^(k-1) (1 at x = 0) by Horner, for
-    x a float or an array: v = kappa S and zeta = -r v'/v = (2+tau) x Z/S."""
-    total = zeta_sum = 0.0
+    """S - 1 = sum_(k>=1) a_k x^k and Z = -sum k a_k x^(k-1) (1 at x = 0) by
+    Horner, for x a float or an array: v = kappa S and zeta = -r v'/v =
+    (2+tau) x Z/S.  S - 1 keeps the digits of a sum within eps of 1."""
+    rest = zeta_sum = 0.0
     for k in range(len(a) - 1, 0, -1):
-        total = total * x + a[k]
+        rest = rest * x + a[k]
         zeta_sum = zeta_sum * x - k * a[k]
-    return total * x + 1.0, zeta_sum
+    return rest * x, zeta_sum
 
 
 def rescale(v1: ShootingResult, kappa: float) -> RadialFunction:

@@ -498,6 +498,19 @@ def test_spectrum_shoot_profile_whose_series_start_lies_at_log_r_minus_2300(caps
     assert env["results"]["min_eigenvalue"] == pytest.approx(81.0186, rel=1e-5)
 
 
+def test_spectrum_of_a_huge_p_shot_sees_its_hardy_type_potential(capsys):
+    # at p = 1e300 the shot's P r^2 = p e^((p-1) y) is the Gelfand limit's
+    # e^psi = 0.1458, above the Hardy level (N'-2)^2/4 = 0.0013 at N' = 2.073:
+    # four decades hold one oscillation, so one negative eigenvalue
+    env = run_json(
+        ["spectrum", "--N", "3", "--theta=-0.9271105946461669", "--l=-0.9271105946461669",
+         "--p=1e300", "--profile=shoot:1.0", "--n", "400", "--a=5.058372187918504e-06",
+         "--b=0.04144809704688392"],
+        capsys,
+    )
+    assert env["results"]["negative_count"] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

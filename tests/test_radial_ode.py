@@ -383,7 +383,7 @@ def test_shoot_diagnostics():
 
 
 
-@pytest.mark.parametrize("N, p, nfev", [(11, 7.0, 1191), (40, 3.0, 2377), (100, 2.0, 1816)],
+@pytest.mark.parametrize("N, p, nfev", [(11, 7.0, 1200), (40, 3.0, 2303), (100, 2.0, 1816)],
                          ids=["N11-p7", "N40-p3", "N100-p2"])
 def test_shooting_work_is_pinned(N, p, nfev):
     # the RHS evaluation count of LSODA on these shots: a change to the
@@ -627,6 +627,17 @@ def test_a_non_positive_series_start_on_a_given_grid_is_invalid(r_start):
         shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid, r_start=r_start)
 
 
+def test_a_series_start_above_the_switch_leaves_the_shot_unchanged():
+    # r_start only lowers LSODA's start below the switch (r = 0.66 here):
+    # above it the series holds there and the shot is the same to the bit
+    grid = RadialGrid.logspaced(1e-3, 1e3, 200)
+    base = shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid)
+    for r_start in (1.0, 10.0, 1e4):
+        again = shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid, r_start=r_start)
+        assert again.nfev == base.nfev
+        assert np.array_equal(again.log_scaled.values, base.log_scaled.values)
+
+
 def test_tail_fit_that_lagged_the_amplitude_gate():
     # The mid-decade value of a linear fit over the last decade read
     # |A/c0 - 1| = 1.04e-6 here, where the tail has decayed to e^-16.65
@@ -734,7 +745,8 @@ def test_the_origin_series_matches_a_40_digit_series():
         draw = (np_, c - 2.0, 1.0 + (sobolev - 1.0) * math.exp(rng.uniform(0.0, 3.0)))
         coeffs, log_x = radial_ode._origin_series(*draw)
         for x in (math.exp(log_x), math.exp(log_x + rng.uniform(-8.0, 0.0))):
-            got, want = radial_ode._series_sums(coeffs, x), _mp_sums(*draw, x)
+            rest, zeta_sum = radial_ode._series_sums(coeffs, x)
+            got, want = (1.0 + rest, zeta_sum), _mp_sums(*draw, x)
             worst = max(worst, *(float(abs(g / w - 1)) for g, w in zip(got, want)))
     assert mp and worst <= 4.0 * eps, worst / eps
 
@@ -749,7 +761,8 @@ def test_the_switch_bounds_the_series_at_the_domain_edges(np_, tau, p):
     coeffs, log_x = radial_ode._origin_series(np_, tau, p)
     K = len(coeffs) - 1
     assert all(map(math.isfinite, coeffs)) and math.isfinite(log_x) and log_x <= 0.0
-    total, zeta_sum = radial_ode._series_sums(coeffs, math.exp(log_x))
+    rest, zeta_sum = radial_ode._series_sums(coeffs, math.exp(log_x))
+    total = 1.0 + rest
     terms = [abs(a) * math.exp(k * log_x) for k, a in enumerate(coeffs)]
     zeta_terms = [k * abs(a) * math.exp((k - 1) * log_x) for k, a in enumerate(coeffs) if k]
     assert max(terms) <= radial_ode.SERIES_CANCELLATION * total
@@ -765,3 +778,39 @@ def test_a_switch_beyond_the_step_budget_is_a_numerical_error():
     params = ProblemParams(5, 0.0, 0.0, 1e300)
     with pytest.raises(NumericalError, match="e-folds of q below the grid at tau = 0.0"):
         shoot(params, 2.0, 1e3, grid=RadialGrid.logspaced(1e-3, 1e3, 100))
+
+
+@pytest.mark.parametrize("N, p", [(11, 1e18), (11, 1e20), (3, 1e300), (100, 1e300)])
+def test_huge_p_shots_keep_their_verdict(N, p):
+    # (p-1) times LSODA's absolute tolerance on y exceeds 1, so it integrates
+    # u = (p-1) y through the transition at x p ~ 1 that the series hands it;
+    # the verdict is 0.17.0's, and the tail reaches c0 = 1 - O(1/p)
+    params = ProblemParams(N, 0.0, 0.0, p)
+    res = shoot(params, 1.0, 1e6)
+    assert (res.classification, res.ordering_vs_singular, res.converged) == (
+        DecayClass.SLOW_DECAY, Ordering.BELOW, True)
+    assert abs(res.asymptotic_constant - params.c0) < 1e-14
+
+
+@pytest.mark.parametrize("params, a, b", [
+    (ProblemParams(11, 0.0, 0.0, 1e300), 1e-6, 1e6),
+    (ProblemParams(5, 0.0, -1.9, 1e300), 1.8e-5, 3e8),
+    (ProblemParams(3, -0.9271105946461669, -0.9271105946461669, 1e300), 5e-6, 0.04),
+], ids=["N11", "tau-1.9", "N'2.07"])
+def test_a_huge_p_shot_is_the_gelfand_limit(params, a, b):
+    # v = 1 - phi/p with kappa = 1 turns the equation into the Gelfand problem
+    # phi'' + (N'-1)/rho phi' = rho^tau e^(-phi) in rho = p^(1/(2+tau)) r; in
+    # s = log rho, psi = (2+tau) s - phi solves psi'' + (N'-2) psi' =
+    # (2+tau)(N'-2) - e^psi, and (p-1) log(r^m v) = psi - log p up to O(1/p)
+    from scipy.integrate import solve_ivp as reference
+
+    np_, c = params.n_prime, 2.0 + params.tau
+    grid = log_nodes(a, b, 300)
+    _, y, _, _ = radial_ode._shot_state(params, 1.0, b, 1e-10, grid=grid)
+    s_eval = grid.log_points + math.log(params.p) / c
+    s0 = -10.0 / c  # psi = c s - x with x = e^(c s)/(c (N'+tau)) below 1e-5 there
+    x0 = math.exp(c * s0) / (c * (np_ + params.tau))
+    ref = reference(lambda s, z: (z[1], c * (np_ - 2.0) - math.exp(z[0]) - (np_ - 2.0) * z[1]),
+                    (s0, s_eval[-1]), (c * s0 - x0, c - c * x0), method="DOP853",
+                    t_eval=s_eval, rtol=1e-13, atol=1e-13)
+    assert np.max(np.abs((params.p - 1.0) * y + math.log(params.p) - ref.y[0])) < 1e-7
