@@ -30,11 +30,11 @@ from enum import Enum
 
 from .errors import InvalidParameterError, NumericalError
 
-#: Bisection terminates when the bracket width drops below this.
+#: Bisection in m stops when the bracket is narrower than this times m.
 BISECTION_WIDTH = 1e-12
-#: Every returned root must satisfy |f(root) - hardy_level| below this.
-ROOT_RESIDUAL_TOL = 1e-10
-#: Allowed disagreement between closed-form and bisection roots, relative to max(1, |root|).
+#: A returned root m must satisfy |g(m)| <= this * (m + c) * A (see ``critical_exponents``).
+ROOT_RESIDUAL_TOL = 8.0 * 2.0**-52
+#: Allowed disagreement between closed-form and bisection roots, relative to the root.
 CROSSCHECK_TOL = 1e-8
 
 
@@ -182,7 +182,7 @@ class SchrodingerParams(namedtuple("SchrodingerParams", "N alpha ell p")):
 
     def __new__(cls, N: int, alpha: float, ell: float, p: float):
         self = _check_fields(cls, N, alpha, ell, p)
-        cap = (self.N - 2.0) ** 2 / 4.0
+        cap = _hardy_level(self.N)
         if not self.ell < cap:
             raise InvalidParameterError(
                 f"ell must be below (N-2)^2/4 = {cap}, got {self.ell}"
@@ -278,108 +278,93 @@ def _hardy_level(n_prime: float) -> float:
         ) from None
 
 
-def _bisect_crossing(n_prime: float, tau: float, level: float, lo: float, hi: float) -> float:
-    """Bisection root of f(p) = level on a sign-changing bracket."""
-    glo = f_eval(lo, n_prime, tau) - level if lo > 1.0 else -level
-    ghi = f_eval(hi, n_prime, tau) - level
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0.0) == (ghi > 0.0):
-        raise NumericalError(
-            f"no sign change for f crossing on [{lo}, {hi}] at N'={n_prime}, tau={tau}"
-        )
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= max(BISECTION_WIDTH, 4.0 * math.ulp(mid)):
-            return mid
-        gmid = f_eval(mid, n_prime, tau) - level
-        if gmid == 0.0:
-            return mid
-        if (gmid > 0.0) == (ghi > 0.0):
-            hi, ghi = mid, gmid
-        else:
-            lo, glo = mid, gmid
-    raise NumericalError("bisection failed to converge")
+def _indices(n_prime: float, tau: float) -> tuple[float, float, float]:
+    """(N'-2)^2/4, A = N'-2 and c = 2+tau, once N' and tau are in the regime."""
+    if not -2.0 < tau < math.inf:
+        raise InvalidParameterError(f"need a finite tau > -2, got {tau}")
+    level = hardy_constant(n_prime)  # InvalidParameterError unless 2 < N' < inf
+    return level, n_prime - 2.0, 2.0 + tau
+
+
+def _hardy_gap(m: float, A: float, c: float) -> float:
+    """g(m)/A, where g(m) = (m+c)(A-m) - A^2/4 is f(p) - (N'-2)^2/4 at m = c/(p-1).
+
+    Written as (c - A/4) + (m/A)(A-c-m): no term overflows, and near
+    N' = 10 + 4*tau, where m_c -> 0, c - A/4 is exact and nothing cancels.
+    """
+    return (c - 0.25 * A) + m / A * (A - c - m)
 
 
 def crossing_by_bisection(n_prime: float, tau: float, which: str = "plus") -> float:
     """Root of f(p) = (N'-2)^2/4 found by bisection alone.
 
-    ``which='minus'`` brackets between the Serrin and Sobolev exponents;
-    ``which='plus'`` (valid only for N' > 10 + 4*tau) brackets above the
-    Sobolev exponent, doubling the upper end until f drops back below the
-    Hardy level.  Serves as the independent cross-check of the closed
-    forms.
+    Bisects g(m) = (m+c)(A-m) - A^2/4 in m = c/(p-1), with A = N'-2 and
+    c = 2+tau, until the bracket is narrower than ``BISECTION_WIDTH`` times
+    m, and returns p = 1 + c/m.  The brackets are fixed: ``which='minus'``
+    bisects (A/2, A), which p maps onto (Serrin, Sobolev) and where g
+    falls through zero; ``which='plus'`` (valid only for N' > 10 + 4*tau,
+    i.e. A/4 > c) bisects (0, A/2), above the Sobolev exponent, where g
+    rises through zero.  A p out of the float range is a
+    :class:`NumericalError`.  Serves as the independent cross-check of the
+    closed forms.
     """
-    if not -2.0 < tau < math.inf:
-        raise InvalidParameterError(f"need a finite tau > -2, got {tau}")
-    level = hardy_constant(n_prime)  # InvalidParameterError unless 2 < N' < inf
-    serrin, sobolev = _serrin_sobolev(n_prime, tau)
+    _, A, c = _indices(n_prime, tau)
     if which == "minus":
-        return _bisect_crossing(n_prime, tau, level, serrin, sobolev)
-    if which != "plus":
+        lo, hi = 0.5 * A, A
+    elif which != "plus":
         raise InvalidParameterError("which must be 'plus' or 'minus'")
-    if not n_prime > 10.0 + 4.0 * tau:
+    elif not 0.25 * A > c:
         raise InvalidParameterError("upper crossing exists only for N' > 10 + 4*tau")
-    hi = max(100.0, 2.0 * sobolev)
-    for _ in range(200):
-        if f_eval(hi, n_prime, tau) < level:
-            break
-        hi *= 2.0
     else:
-        raise NumericalError("could not bracket the upper crossing")
-    return _bisect_crossing(n_prime, tau, level, sobolev, hi)
+        lo, hi = 0.0, 0.5 * A
+    while hi - lo > BISECTION_WIDTH * hi:
+        mid = 0.5 * (lo + hi)
+        if (_hardy_gap(mid, A, c) > 0.0) == (which == "minus"):
+            lo = mid
+        else:
+            hi = mid
+    p = 1.0 + c / (0.5 * (lo + hi))
+    if p == math.inf:
+        raise NumericalError(f"the crossing leaves the float range at N'={n_prime}, tau={tau}")
+    return p
 
 
 def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
-    """Critical powers at (N', tau) via the quadratic a*p**2 - b*p + c = 0.
+    """Critical powers at (N', tau), solved in the Emden-Fowler exponent m = (2+tau)/(p-1).
 
-    The coefficients are a = (N'-2)*(N'-4*tau-10),
-    b = 2*(N'-2)^2 - 4*(tau+2)*(tau+N') and c = (N'-2)^2.  When
-    N' = 4*tau + 10 the quadratic degenerates to a linear equation with
-    root c/b = 4/3.  Each returned root is verified against the defining
-    equation f(p) = (N'-2)^2/4 at absolute tolerance 1e-10 and against an
-    independent bisection root at 1e-8 max(1, |root|); any disagreement
-    raises :class:`NumericalError`.
+    With A = N'-2 and c = 2+tau, f(p) = (N'-2)^2/4 reads
+    m^2 - (A-c)*m + A*(A/4-c) = 0, whose discriminant c*(c+2A) is positive
+    on the whole regime.  Its larger root m_tilde = A/2 + A*c/(c + sqrt(c*(c+2A)))
+    lies in (A/2, A) and gives p_tilde_c = 1 + c/m_tilde; when
+    N' > 10 + 4*tau (A/4 > c) the smaller one, m_c = A*(A/4-c)/m_tilde,
+    lies in (0, A/2) and gives p_c = 1 + c/m_c.  No step cancels, so both
+    are within a few ulps of the exact roots of that A and c; at
+    N' = 10 + 4*tau, p_tilde_c is 4/3 and p_c is None.  Each root m must
+    satisfy |g(m)| <= ``ROOT_RESIDUAL_TOL`` * (m+c)*A,
+    g(m) = (m+c)(A-m) - A^2/4, and each p must agree with
+    :func:`crossing_by_bisection` to ``CROSSCHECK_TOL`` relative; any miss
+    raises :class:`NumericalError`.  ``quadratic_coeffs`` are the same
+    equation in p: a = (N'-2)*(N'-4*tau-10), b = 2*(N'-2)^2 - 4*(tau+2)*(tau+N')
+    and c = (N'-2)^2.
 
     Raises :class:`InvalidParameterError` for N' <= 2 or tau <= -2, where
     the theory provides no positive solutions on punctured balls, and for
     a non-finite N' or tau; a coefficient out of the float range is a
     :class:`NumericalError`.
     """
-    if not -2.0 < tau < math.inf:
-        raise InvalidParameterError(f"need a finite tau > -2, got {tau}")
-    level = hardy_constant(n_prime)  # InvalidParameterError unless 2 < N' < inf
-    c = 4.0 * level  # (N'-2)^2 exactly
-    a = (n_prime - 2.0) * (n_prime - 4.0 * tau - 10.0)
-    b = 2.0 * c - 4.0 * (tau + 2.0) * (tau + n_prime)
+    level, A, c = _indices(n_prime, tau)
+    a = A * (n_prime - 4.0 * tau - 10.0)
+    b = 2.0 * (4.0 * level) - 4.0 * (tau + 2.0) * (tau + n_prime)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericalError(f"quadratic coefficients overflow at N'={n_prime}, tau={tau}")
     serrin, sobolev = _serrin_sobolev(n_prime, tau)
 
-    if a == 0.0:
-        p_minus = c / b
-        p_plus = None
-    else:
-        # b^2 - 4ac factored as 16*(2+tau)^3*(2N'+tau-2): positive throughout
-        # the admissible region and free of the catastrophic cancellation the
-        # raw expression suffers as tau approaches -2.
-        sq = 4.0 * (2.0 + tau) * math.sqrt((2.0 + tau) * (2.0 * n_prime + tau - 2.0))
-        # Numerically stable root pair of a*p^2 - b*p + c = 0.
-        q = 0.5 * (b + sq) if b >= 0.0 else 0.5 * (b - sq)
-        roots = sorted((q / a, c / q))
-        if a > 0.0:
-            p_minus, p_plus = roots
-        else:
-            # One root is spurious (negative); the admissible one is > 1.
-            candidates = [r for r in roots if r > 1.0]
-            if len(candidates) != 1:
-                raise NumericalError(
-                    f"unexpected root pattern {roots} at N'={n_prime}, tau={tau}"
-                )
-            p_minus, p_plus = candidates[0], None
+    m_tilde = 0.5 * A + A * c / (c + math.sqrt(c * (c + 2.0 * A)))
+    roots = {"minus": m_tilde}
+    if 0.25 * A > c:
+        roots["plus"] = A * (0.25 * A - c) / m_tilde
+    p = {which: 1.0 + c / m for which, m in roots.items()}
+    p_minus, p_plus = p["minus"], p.get("plus")
 
     # The window ordering is part of the contract: fail loudly if violated.
     if not (serrin < p_minus < sobolev):
@@ -390,24 +375,16 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
         raise NumericalError(
             f"upper crossing {p_plus} is not above the Sobolev exponent at N'={n_prime}, tau={tau}"
         )
-
-    for root in (p_minus,) if p_plus is None else (p_minus, p_plus):
-        if abs(f_eval(root, n_prime, tau) - level) > ROOT_RESIDUAL_TOL:
+    for which, m in roots.items():
+        if not abs(_hardy_gap(m, A, c)) <= ROOT_RESIDUAL_TOL * (m + c):
             raise NumericalError(
-                f"closed-form root {root} misses the Hardy level at N'={n_prime}, tau={tau}"
+                f"closed-form root {p[which]} misses the Hardy level at N'={n_prime}, tau={tau}"
             )
-
-    # Independent bisection cross-check of every returned root.
-    bis_minus = crossing_by_bisection(n_prime, tau, "minus")
-    if abs(bis_minus - p_minus) > CROSSCHECK_TOL * max(1.0, abs(p_minus)):
-        raise NumericalError(
-            f"closed-form P_minus {p_minus} disagrees with bisection {bis_minus}"
-        )
-    if p_plus is not None:
-        bis_plus = crossing_by_bisection(n_prime, tau, "plus")
-        if abs(bis_plus - p_plus) > CROSSCHECK_TOL * max(1.0, abs(p_plus)):
+        # Independent bisection cross-check of every returned root.
+        bis = crossing_by_bisection(n_prime, tau, which)
+        if not abs(bis - p[which]) <= CROSSCHECK_TOL * p[which]:
             raise NumericalError(
-                f"closed-form P_plus {p_plus} disagrees with bisection {bis_plus}"
+                f"closed-form P_{which} {p[which]} disagrees with bisection {bis}"
             )
 
     return CriticalExponents(
@@ -415,7 +392,7 @@ def critical_exponents(n_prime: float, tau: float) -> CriticalExponents:
         sobolev=sobolev,
         p_c=p_plus,
         p_tilde_c=p_minus,
-        quadratic_coeffs=(a, b, c),
+        quadratic_coeffs=(a, b, 4.0 * level),
     )
 
 

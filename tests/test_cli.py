@@ -211,6 +211,44 @@ def test_transform_sigma_invalid_ell(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", [
+    ["sigma", "--alpha", "0", "--ell", "1"],
+    ["sigma_inverse", "--theta", "0", "--l", "0"],
+], ids=["sigma", "sigma_inverse"])
+def test_transform_sigma_at_a_huge_dimension_is_a_numerical_failure(kind, capsys):
+    # (N-2)^2/4 leaves the float range at N = 10^200: typed, not an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = run_json(["transform", "--kind", *kind, "--N", "1" + "0" * 200, "--p", "3"],
+                       capsys, expect_code=3)
+    assert env["error"]["type"] == "numerical_failure"
+    assert "(N'-2)^2/4 overflows" in env["error"]["message"]
+
+
+@pytest.mark.parametrize(("argv", "p_tilde_c", "p_c"), [
+    (["exponents", "--N", "100", "--theta", "0", "--l=-1.997"],
+     1.0000607509931772502, 1.0000617092331061803),
+    (["classify", "--N", "100", "--theta", "0", "--l=-1.997", "--p", "2"],
+     None, 1.0000617092331061803),
+    (["exponents", "--N", "10", "--theta", "1e-9", "--l", "1e-9"],
+     1.3333333332962962932, 5999999504.4744817479),
+], ids=["tau-near-minus-two", "classify-tau-near-minus-two", "p_c-near-infinity"])
+def test_critical_powers_near_the_ends_of_the_regime(argv, p_tilde_c, p_c, capsys):
+    # tau = -1.997 at N' = 100, and N' = 10 + 1e-9 at tau = 0, where p_c is
+    # about 6e9; the expected values are 50-digit roots, to 4.5e-16 relative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = run_json(argv, capsys)
+    results, derived = env["results"], env["derived"]
+    if argv[0] == "classify":
+        assert results["regime"] == "at_or_above_pc"
+        assert results["p_c_weighted"] == pytest.approx(p_c, rel=4.5e-16, abs=0.0)
+        return
+    assert derived["serrin"] < results["p_tilde_c"] < derived["sobolev"] < results["p_c"]
+    assert results["p_tilde_c"] == pytest.approx(p_tilde_c, rel=4.5e-16, abs=0.0)
+    assert results["p_c"] == pytest.approx(p_c, rel=4.5e-16, abs=0.0)
+
+
 def test_sweep_exponents_monotone(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("mode = exponents\nnprime = 11:15:5\ntau = 0\n")

@@ -13,6 +13,10 @@ exits 2 only where p is not above the Sobolev exponent; ``sweep`` with
 its error.  On annuli as close to the origin as a = 1e-40, where w = r^m v
 underflows, ``profile_spectrum`` about a shot returns whenever p is above
 the Sobolev exponent, since it reads only the shot's state.
+With N'-2 from 1e-6, 2+tau from 1e-8 and N'-(10+4 tau) from 1e-10,
+``critical_exponents`` returns both powers inside their windows and
+within 4 ulp of 50-digit roots, and ``classify_p`` labels p as those
+roots do.
 Across N' 2.05-100.5, b/a 1.5-1e24 and n 8-20000, ``hardy_rayleigh_min``
 returns a finite value above its continuum bound, with no warning.  An
 infinite N', kappa, r_max or tol, or a b/a that overflows, is an
@@ -42,9 +46,11 @@ import pytest
 from emdenlab import (
     EmdenlabError,
     InvalidParameterError,
+    NumericalError,
     ProblemParams,
     RadialFunction,
     RadialGrid,
+    RegimeLabel,
     SchrodingerParams,
     TestFunction,
     TransformKind,
@@ -233,16 +239,17 @@ def test_cli_parameter_commands_exit_with_json_across_the_domain(command, capsys
     assert codes.count(0) >= len(codes) // 2, codes
 
 
-def test_critical_exponents_near_tau_minus_two_at_n_prime_100_is_a_numerical_failure(capsys):
-    # f' is about 6e5 at the root, so the Hardy-level residual misses its
-    # tolerance: a conditioning limit reported as exit 3, not a loosened check
+def test_critical_exponents_near_tau_minus_two_at_n_prime_100_return_inside_their_windows(capsys):
+    # f' is about 6e5 at the root in p; in m = (2+tau)/(p-1) the roots carry
+    # no such factor, so both powers return inside their windows
     theta, tau = 0.50197331908676, -1.996073505806603
     argv = ["exponents", "--N", "100", "--theta", repr(theta), "--l", repr(theta + tau)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
-    envelope = json.loads(capsys.readouterr().out)
-    assert code == 3 and envelope["error"]["type"] == "numerical_failure", envelope
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0, results
+    assert results["serrin"] < results["p_tilde_c"] < results["sobolev"] < results["p_c"]
 
 
 def _shoot_spectrum_draws(seed: int, count: int):
@@ -317,6 +324,99 @@ def test_shot_spectrum_on_annuli_near_the_origin_returns_above_sobolev():
             returned += 1
     assert not failures, "\n".join(failures)
     assert returned >= 150, returned
+
+
+def _critical_power_draws(seed: int, count: int):
+    """(N', tau) with N'-2 from 1e-6, 2+tau from 1e-8 and N'-(10+4 tau) from 1e-10.
+
+    Every third draw lies just above N' = 10 + 4*tau, where p_c -> infinity.
+    tau is c - 2 for a double c, so 2 + tau is that c exactly.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        c = 10.0 ** rng.uniform(-8.0, math.log10(24.0))
+        if i % 3 == 2:  # A = N'-2 just above 4c
+            A = 4.0 * c + 10.0 ** rng.uniform(-10.0, -2.0)
+        else:
+            A = 10.0 ** rng.uniform(-6.0, 2.0)
+        yield 2.0 + A, c - 2.0
+
+
+def _roots_50_digits(n_prime: float, tau: float):
+    """p_tilde_c and p_c (None for infinity) of the doubles A = N'-2 and c = 2+tau, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        A, c = mpmath.mpf(n_prime) - 2, mpmath.mpf(2.0 + tau)
+        s = mpmath.sqrt(c * (c + 2 * A))
+        m_tilde, m_c = (A - c + s) / 2, (A - c - s) / 2
+        return 1 + c / m_tilde, (1 + c / m_c if m_c > 0 else None)
+
+
+def test_critical_exponents_return_inside_their_windows_across_the_regime():
+    # both closed-form roots pass the residual check and both bisection
+    # cross-checks (or critical_exponents raises), with no warning
+    failures, finite_p_c = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_prime, tau in _critical_power_draws(seed=71, count=600):
+            try:
+                exps = critical_exponents(n_prime, tau)
+            except Exception as exc:  # collected, so one run lists every defect
+                failures.append(f"({n_prime!r}, {tau!r}): {type(exc).__name__}: {exc}")
+                continue
+            upper = n_prime > 10.0 + 4.0 * tau
+            if not (exps.serrin < exps.p_tilde_c < exps.sobolev
+                    and (exps.p_c is not None) == upper
+                    and (exps.p_c is None or exps.p_c > exps.sobolev)):
+                failures.append(f"({n_prime!r}, {tau!r}): {exps}")
+            finite_p_c += upper
+    assert not failures, "\n".join(failures)
+    assert finite_p_c >= 200, finite_p_c
+
+
+def test_critical_exponents_are_within_4_ulp_of_50_digit_roots():
+    for n_prime, tau in _critical_power_draws(seed=71, count=600):
+        exps = critical_exponents(n_prime, tau)
+        for p, exact in zip((exps.p_tilde_c, exps.p_c), _roots_50_digits(n_prime, tau)):
+            assert (p is None) == (exact is None), (n_prime, tau)
+            if p is not None:
+                assert abs(p - exact) <= 4.0 * math.ulp(p), (n_prime, tau, p, exact)
+    exps = critical_exponents(10.0, 0.0)
+    assert exps.p_tilde_c == 4.0 / 3.0 and exps.p_c is None
+
+
+def test_classify_labels_match_50_digit_roots_across_the_regime():
+    # p on both sides of each root, from 1e-14 to 10% away, at Sobolev and
+    # across (1, 3 Sobolev); a p within 1e-12 of a root may take either label.
+    # N = 2 and theta = N'-2 give N' exactly; the reference roots take
+    # 2 + tau as the double the library forms, since near N' = 10 + 4*tau
+    # p_c moves with its rounding as 1/(N'-10-4*tau)
+    rng = random.Random(73)
+    labels = set()
+    for n_prime, tau in _critical_power_draws(seed=71, count=300):
+        theta = n_prime - 2.0
+        params = ProblemParams(2, theta, theta + tau, 2.0)
+        roots = [r for r in _roots_50_digits(params.n_prime, params.tau) if r is not None]
+        ps = [float(r * (1 + sign * 10.0 ** rng.uniform(-14.0, -1.0)))
+              for r in roots for sign in (-1, 1)]
+        ps += [params.sobolev, 1.0 + (params.sobolev - 1.0) * 3.0 * rng.random()]
+        for p in ps:
+            if p <= 1.0 or any(abs(p - r) <= 1e-12 * r for r in roots):
+                continue
+            got = classify_p(params._replace(p=p)).label
+            if math.isclose(p, params.sobolev, rel_tol=1e-12, abs_tol=0.0):
+                want = RegimeLabel.SOBOLEV_EXACT
+            elif p <= params.serrin:
+                want = RegimeLabel.BELOW_SERRIN
+            elif p <= roots[0]:
+                want = RegimeLabel.SERRIN_TO_PTILDE
+            elif len(roots) == 1 or p < roots[1]:
+                want = RegimeLabel.REMOVABILITY_WINDOW
+            else:
+                want = RegimeLabel.AT_OR_ABOVE_PC
+            assert got is want, (params._replace(p=p), roots)
+            labels.add(got)
+    assert len(labels) == 5, labels
 
 
 def test_cli_sweep_spectrum_writes_a_row_per_p_across_the_domain(tmp_path, capsys):
@@ -550,6 +650,13 @@ def test_non_finite_indices_are_invalid_input(n_prime, tau):
                  partial(crossing_by_bisection, n_prime, tau, "minus")):
         with pytest.raises(InvalidParameterError):
             call()
+
+
+@pytest.mark.parametrize("n_prime, tau", [(2.5, 1.7e308), (2.0000000000000004, 1e300)])
+def test_a_crossing_beyond_the_float_range_is_a_numerical_failure(n_prime, tau):
+    # p = 1 + (2+tau)/m overflows: 2+tau near the float maximum, or N'-2 one ulp
+    with pytest.raises(NumericalError, match="leaves the float range"):
+        crossing_by_bisection(n_prime, tau, "minus")
 
 
 def test_exponents_whose_coefficients_overflow_are_a_numerical_failure(capsys):
