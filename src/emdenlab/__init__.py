@@ -20,7 +20,7 @@ its file and no scipy package, ``scipy.integrate`` included.
 
 import importlib
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 #: Home module of every public name.
 _HOMES = {

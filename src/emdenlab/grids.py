@@ -70,9 +70,9 @@ class RadialGrid:
 
         if not (0.0 < r_min < r_max < np.inf):
             raise InvalidParameterError("need 0 < r_min < r_max < inf")
-        if not int(n) >= 2:
-            raise InvalidParameterError("grid needs at least two points")
-        return cls(np.geomspace(r_min, r_max, int(n)))
+        if not (n >= 2 and hasattr(n, "__index__")):  # an int as range() takes it, not 8.5
+            raise InvalidParameterError(f"grid needs an integer n of at least two points, got {n}")
+        return cls(np.geomspace(r_min, r_max, n))
 
     @property
     def r_min(self) -> float:

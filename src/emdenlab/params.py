@@ -45,7 +45,7 @@ def _require_p_above_one(p: float) -> None:
 
 def _check_fields(cls, N, a: float, b: float, p: float):
     """The ``cls`` tuple (N, a, b, p): an integer N >= 2 (stored as int), p > 1, finite a, b, p."""
-    if int(N) != N or N < 2:
+    if not (float(N).is_integer() and N >= 2):  # NaN and inf are not integers
         raise InvalidParameterError(f"N must be an integer >= 2, got {N}")
     _require_p_above_one(p)
     for name, value in zip(cls._fields[1:], (a, b, p)):

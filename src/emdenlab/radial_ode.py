@@ -52,7 +52,7 @@ from .params import (
 
 #: First node of ``shoot``'s default grid relative to the intrinsic kappa
 #: scale, lowered near tau = -2 where q = (r/scale)^(2+tau) grows slowly in r.
-SERIES_START_FACTOR = 1e-6
+GRID_START_FACTOR = 1e-6
 #: Terms of the origin series after its constant (fewer where a coefficient
 #: would leave the float range).
 SERIES_TERMS = 24
@@ -240,20 +240,18 @@ def shoot(
     grid: RadialGrid | None = None,
     r_min: float | None = None,
     points_per_decade: int = 128,
-    r_start: float | None = None,
 ) -> ShootingResult:
     """Integrate the regular radial solution with v(0) = kappa out to r_max.
 
     Output is sampled on ``grid`` when given, else on a log grid from
-    ``r_min`` to ``r_max`` with ``points_per_decade`` (positive) nodes per
-    decade; without ``r_min`` the grid starts at ``r_start``, by default
-    1e-6 of the kappa scale (lower near tau = -2).  The origin series gives
-    the state on every node up to its switch (``_origin_series``) and LSODA
-    the rest, from the switch or from a given ``r_start`` below it, and
-    always at least the last interval; an ``r_start`` above the switch
-    leaves the shot unchanged.  ``tol`` sets the relative and absolute
-    tolerance of LSODA on the state (y, s), applied as tol/1000, and on
-    (p-1) y in place of y where (p-1) tol/1000 exceeds 1.
+    ``r_min`` to ``r_max`` with ``points_per_decade`` (positive, finite)
+    nodes per decade; without ``r_min`` the default grid starts at 1e-6 of
+    the kappa scale kappa^(-(p-1)/(2+tau)) (lower near tau = -2), and only
+    that default forms the scale.  The origin series gives the state on
+    every node up to its switch (``_origin_series``) and LSODA the rest,
+    always at least the last interval.  ``tol`` sets the relative and
+    absolute tolerance of LSODA on the state (y, s), applied as tol/1000,
+    and on (p-1) y in place of y where (p-1) tol/1000 exceeds 1.
     The hypothesis p above the Sobolev exponent is enforced; there the
     solution is positive, strictly decreasing, and r^m v(r) tends to the
     singular amplitude c0.  It reports the tail fit, classification and
@@ -262,7 +260,7 @@ def shoot(
     """
     c0 = params.c0  # read first: its NumericalError precedes the shot's checks
     grid, y, s, nfev = _shot_state(params, kappa, r_max, tol, grid=grid, r_min=r_min,
-                                   points_per_decade=points_per_decade, r_start=r_start)
+                                   points_per_decade=points_per_decade)
     if not np.max(y) < math.log(np.finfo(float).max):
         raise NumericalError("non-finite state or w = e^y overflows in shooting output")
     w = RadialFunction(grid=grid, values=np.exp(y))
@@ -302,9 +300,11 @@ def shoot(
     )
 
 
-def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_decade=128,
-                r_start=None) -> tuple[RadialGrid, np.ndarray, np.ndarray, int]:
-    """(grid, y, s, nfev) of ``shoot``'s run: its checks and integration, none of its report."""
+def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None,
+                points_per_decade=128) -> tuple[RadialGrid, np.ndarray, np.ndarray, int]:
+    """(grid, y, s, nfev) of ``shoot``'s run: its checks and integration, none of its report.
+
+    Only the default grid forms the kappa length scale: a given grid or r_min never reads it."""
     _require_regime(params)
     if not params.p > params.sobolev:
         raise InvalidParameterError(
@@ -316,55 +316,51 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None, points_per_
         raise InvalidParameterError("tol must be positive")
     if not points_per_decade > 0:
         raise InvalidParameterError(f"points_per_decade must be positive, got {points_per_decade}")
-    for name, value in (("kappa", kappa), ("r_max", r_max), ("tol", tol)):
+    for name, value in (("kappa", kappa), ("r_max", r_max), ("tol", tol),
+                        ("points_per_decade", points_per_decade)):
         if not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value}")
 
     np_, tau, p, m = params.n_prime, params.tau, params.p, params.m_exp
-    try:  # the intrinsic length kappa^(-(p-1)/(2+tau))
-        scale = kappa ** (-(p - 1.0) / (2.0 + tau))
-    except OverflowError:
-        raise NumericalError(
-            f"length scale of kappa = {kappa} overflows at tau = {tau}"
-        ) from None
-    first = r_start
-    if grid is None and r_min is None and r_start is None:
-        # the default grid starts where q = (r/scale)^(2+tau) is small: at 1e-6
-        # scale, or lower near tau = -2, where x = q/((2+tau)(N'+tau)) is sqrt(tol)
-        log_cap = (0.5 * math.log(tol) + math.log((2.0 + tau) * (np_ + tau))
-                   ) / (2.0 + tau)
-        first = scale * min(SERIES_START_FACTOR, math.exp(min(log_cap, 0.0)))
-        if not first > 0.0:
-            raise NumericalError(f"series start radius underflows at tau = {tau}")
-        if not first < r_max:
+    if grid is None and r_min is None:
+        # the default grid starts where q = (r/scale)^(2+tau) is small, scale the
+        # intrinsic length kappa^(-(p-1)/(2+tau)): at 1e-6 scale, or lower near
+        # tau = -2, where x = q/((2+tau)(N'+tau)) is sqrt(tol)
+        try:
+            scale = kappa ** (-(p - 1.0) / (2.0 + tau))
+        except OverflowError:
+            raise NumericalError(f"length scale of kappa = {kappa} overflows at tau = {tau}"
+                                 ) from None
+        log_cap = (0.5 * math.log(tol) + math.log((2.0 + tau) * (np_ + tau))) / (2.0 + tau)
+        r_min = scale * min(GRID_START_FACTOR, math.exp(min(log_cap, 0.0)))
+        if not r_min > 0.0:
+            raise NumericalError(f"default grid start radius underflows at tau = {tau}")
+        if not r_min < r_max:
             raise NumericalError(
-                f"series start radius {first:.6g} of kappa = {kappa} lies beyond "
+                f"default grid start radius {r_min:.6g} of kappa = {kappa} lies beyond "
                 f"r_max = {r_max:.6g} at tau = {tau}"
             )
-        if r_max / first == math.inf:
-            raise NumericalError(f"series start radius underflows below r_max at tau = {tau}")
+        if r_max / r_min == math.inf:
+            raise NumericalError(
+                f"default grid start radius underflows below r_max at tau = {tau}"
+            )
     if grid is None:
-        lo, name = (r_min, "r_min") if r_min is not None else (first, "r_start")
-        if not (0.0 < lo < r_max):
+        if not (0.0 < r_min < r_max):
             raise InvalidParameterError("need 0 < r_min < r_max")
-        if r_max / lo == math.inf:  # lo was given: a computed series start is checked above
-            raise InvalidParameterError(f"log(r_max/{name}) must be finite")
-        n = max(2, int(round(math.log10(r_max / lo) * points_per_decade)) + 1)
-        grid = RadialGrid.logspaced(lo, r_max, n)
+        if r_max / r_min == math.inf:
+            raise InvalidParameterError("log(r_max/r_min) must be finite")
+        n = max(2, int(round(math.log10(r_max / r_min) * points_per_decade)) + 1)
+        grid = RadialGrid.logspaced(r_min, r_max, n)
     if grid.r_max > r_max * (1.0 + 1e-12):
         raise InvalidParameterError("grid extends beyond r_max")
 
     # The origin series gives the state on every node up to its switch, all
-    # in logs: log x = log x0 + (2+tau) t.  LSODA starts there, or at a given
-    # r_start below it, and always integrates at least the last interval.
+    # in logs: log x = log x0 + (2+tau) t.  LSODA starts at the switch and
+    # always integrates at least the last interval.
     t_eval = grid.log_points
     coeffs, log_x_switch = _origin_series(np_, tau, p)
     log_x0 = (p - 1.0) * math.log(kappa) - math.log((2.0 + tau) * (np_ + tau))
     t0 = min((log_x_switch - log_x0) / (2.0 + tau), float(t_eval[-2]))
-    if r_start is not None:
-        if not r_start > 0.0:
-            raise InvalidParameterError(f"r_start must be positive, got {r_start}")
-        t0 = min(t0, math.log(r_start))
     head = int(np.searchsorted(t_eval, t0, side="right"))
     gap = (2.0 + tau) * (float(t_eval[head]) - t0)  # e-folds of q, at least one step each
     if not gap <= MAX_SERIES_GAP:

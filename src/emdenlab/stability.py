@@ -122,6 +122,8 @@ def _log_step(a: float, b: float, n: int) -> float:
         raise InvalidParameterError("need 0 < a < b")
     if n < 8:
         raise InvalidParameterError("need at least 8 interior nodes")
+    if not hasattr(n, "__index__"):  # an int as range() takes it: not 8.5, NaN or 10.0
+        raise InvalidParameterError(f"the number of interior nodes must be an integer, got {n!r}")
     L = math.log(b / a)
     if not math.isfinite(L):
         raise InvalidParameterError(f"log(b/a) must be finite, got b/a = {b / a!r}")
@@ -388,21 +390,21 @@ def invariance_check(
     grid, the dual transform carries psi unchanged, and the sigma map
     divides by r^sigma and evaluates the Hardy-potential form.  In t every
     map sends the form's (P, phi) to (P(-t), phi(-t)) or leaves it as it
-    is, so the two values agree to rounding.
+    is, so the two values agree to rounding.  Any other kind, ``sigma_inverse``
+    included, is an ``InvalidParameterError``.
     """
-    kind = TransformKind(kind)
+    if kind not in (TransformKind.KELVIN, TransformKind.DUAL, TransformKind.SIGMA):
+        raise InvalidParameterError(f"unsupported transform kind for invariance: {kind}")
     q_source = q_value(params, v, psi)
-    if kind is TransformKind.KELVIN:
+    if kind == TransformKind.KELVIN:
         return q_source, q_value(
             kelvin_params(params), kelvin_apply(v, params), kelvin_apply(psi, params)
         )
-    if kind is TransformKind.DUAL:
+    if kind == TransformKind.DUAL:
         return q_source, q_value(dual_params(params), dual_apply(v), dual_apply(psi))
-    if kind is TransformKind.SIGMA:
-        return q_source, q_value_schrodinger(
-            sigma_inverse(params), sigma_apply(v, params), sigma_apply(psi, params)
-        )
-    raise InvalidParameterError(f"unsupported transform kind for invariance: {kind}")
+    return q_source, q_value_schrodinger(
+        sigma_inverse(params), sigma_apply(v, params), sigma_apply(psi, params)
+    )
 
 
 def stable_estimate_check(
@@ -431,7 +433,7 @@ def stable_estimate_check(
             f"gamma must lie in [1, {gamma_max}), got {gamma}"
         )
     m_floor = max((p + gamma) / (p - 1.0), 2.0)
-    if int(m) != m or m < m_floor:
+    if not (float(m).is_integer() and m >= m_floor):  # NaN and inf are not integers
         raise InvalidParameterError(
             f"m must be an integer >= {m_floor}, got {m}"
         )

@@ -7,7 +7,9 @@ import warnings
 
 import pytest
 
-from emdenlab import ProblemParams, cli, f_eval, hardy_constant, profile_spectrum
+from emdenlab import (
+    ProblemParams, cli, f_eval, hardy_constant, profile_spectrum, radial_morse_index,
+)
 from emdenlab.cli import main
 
 
@@ -503,8 +505,8 @@ def test_v_infinity_spectrum_runs_where_only_c0_leaves_the_float_range(argv, cap
 
 @pytest.mark.parametrize(("argv", "code", "message"), [
     (["--rmax", "1e300", "--rmin", "1e-10"], 2, "log(r_max/r_min) must be finite"),
-    # the series start is about 1e-306
-    (["--kappa", "1e300"], 3, "series start radius underflows below r_max at tau = 0.0"),
+    # the default grid start is about 1e-306
+    (["--kappa", "1e300"], 3, "default grid start radius underflows below r_max at tau = 0.0"),
 ], ids=["r_min", "series-start"])
 def test_shoot_grid_whose_ratio_overflows_is_a_typed_error(argv, code, message, capsys):
     # r_max over the grid's start overflows: a typed error, not an OverflowError
@@ -625,13 +627,28 @@ def test_shoot_length_scale_overflow_is_a_numerical_failure(capsys):
 
 
 def test_shoot_series_start_beyond_r_max_is_a_numerical_failure(capsys):
-    # kappa^(-(p-1)/(2+tau)) = 1e160 at tau = -1.9, so the series start
-    # radius lies far beyond r_max although no r_min was given
+    # kappa^(-(p-1)/(2+tau)) = 1e160 at tau = -1.9, so the default grid
+    # start radius lies far beyond r_max
     argv = ["shoot", "--N", "5", "--theta", "0", "--l=-1.9", "--p", "2.6", "--kappa", "1e-10"]
     err = run_json(argv, capsys, expect_code=3)
     assert err["error"]["type"] == "numerical_failure"
     message = err["error"]["message"]
-    assert "kappa = 1e-10" in message and "series start radius" in message
+    assert "kappa = 1e-10" in message and "default grid start radius" in message
+
+
+def test_a_given_grid_never_forms_the_kappa_length_scale(capsys):
+    # kappa^(-(p-1)/(2+tau)) = 1e1350 at kappa = 1e-300, p = 10, tau = 0: only
+    # the default grid reads it, so a spectrum on its own nodes and a shot from
+    # --rmin return; there P = p r^2 v^9 underflows to 0, and v stays below c0 r^(-m)
+    argv = ["--N", "5", "--theta", "0", "--l", "0", "--p", "10"]
+    env = run_json(["spectrum", *argv, "--profile", "shoot:1e-300", "--a", "1e-3", "--b", "1e3",
+                    "--n", "200"], capsys)
+    free = radial_morse_index(ProblemParams(5, 0.0, 0.0, 10.0), 0.0, 1e-3, 1e3, 200)
+    assert env["results"]["negative_count"] == free.negative_count == 0
+    assert env["results"]["eigenvalues"] == pytest.approx(list(free.eigenvalues), rel=1e-13)
+    env = run_json(["shoot", *argv, "--kappa", "1e-300", "--rmin", "1e-3", "--rmax", "1e6"],
+                   capsys)
+    assert env["results"]["ordering_vs_singular"] == "below"
 
 
 #: N' = 75.14, m = 30.4, b/a = 1e23: v falls to about 1e-669 at b, while
@@ -668,7 +685,7 @@ def test_shoot_where_v_underflows(with_csv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--l=-1.9", "--p", "1.012"],  # the series start lies far below the kappa scale
+    ["--l=-1.9", "--p", "1.012"],  # the default grid starts far below the kappa scale
     ["--l", "0", "--p", "1.045", "--rmin", "1e-8", "--rmax", "1e4"],
 ], ids=["near_tau_minus_two", "deep_rmin"])
 def test_shoot_out_where_w_underflows_at_the_head(argv, tmp_path, capsys):

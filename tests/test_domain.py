@@ -7,7 +7,7 @@ The CLI turns the same inputs into exit 0, 2 or 3 with JSON on stdout,
 and so do ``exponents``, ``classify``, every ``transform`` kind and the
 ``v_infinity`` ``spectrum`` across N' 2-100.5, tau down to -2 + 1e-3 and
 b/a up to 1e24.  ``spectrum --profile shoot:<kappa>`` does the same with
-kappa over twelve decades, series starts above a and b/a up to 1e24, and
+kappa over twelve decades, 1e-6 of the kappa scale above a and b/a up to 1e24, and
 exits 2 only where p is not above the Sobolev exponent; ``sweep`` with
 ``mode = spectrum`` writes one CSV row per p, each with its results or
 its error.  On annuli as close to the origin as a = 1e-40, where w = r^m v
@@ -26,9 +26,12 @@ With NaN, +-inf or +-1e300 in any float input, the exponent algebra,
 ``stable_estimate_check``, ``q_value`` and ``RadialGrid.logspaced`` return
 a finite result or raise an ``EmdenlabError``: a non-finite N' or tau is
 invalid input, and an exponent coefficient out of the float range a
-numerical failure.  So do the function-level entry points and ``residual``
-on annuli as far from r = 1 as [1e100, 1e200] and [1e-200, 1e-100], with
-psi scaled by 1e-300 to 1e300, and so do the form assembly, the radial
+numerical failure.  A dimension N, an exponent m or a node count of 8.5,
+NaN or inf, a non-finite ``points_per_decade`` of ``shoot`` and an
+``invariance_check`` kind with no form map are invalid input too.  So do
+the function-level entry points and ``residual`` on annuli as far from
+r = 1 as [1e100, 1e200] and [1e-200, 1e-100], with psi scaled by 1e-300
+to 1e300, and so do the form assembly, the radial
 spectrum, the tail fits, ``residual``, ``sphere_constant_check`` and
 ``v_infinity`` with N', theta, l or p as large as 1e160 to 1e300.
 """
@@ -67,6 +70,7 @@ from emdenlab import (
     invariance_check,
     kelvin_apply,
     kelvin_params,
+    log_nodes,
     profile_spectrum,
     q_value,
     radial_morse_index,
@@ -83,7 +87,7 @@ from emdenlab import (
 from emdenlab.cli import main
 
 #: Besides log-uniform draws from [1e-3, 1e3]: far below the domain, where
-#: the intrinsic length overflows or the series start leaves [0, r_max].
+#: the intrinsic length overflows or the default grid start leaves [0, r_max].
 TINY_KAPPAS = (1e-10, 1e-30)
 
 
@@ -133,7 +137,7 @@ def test_cli_shoot_exits_with_json_across_the_domain(argv, capsys):
     envelope = json.loads(capsys.readouterr().out)
     assert code in (0, 2, 3)
     assert ("error" in envelope) == (code != 0)
-    if argv[-1] == "1e-10":  # the series start lies beyond r_max: a numerical failure
+    if argv[-1] == "1e-10":  # the default grid start lies beyond r_max: a numerical failure
         assert code == 3, envelope
 
 
@@ -253,7 +257,7 @@ def test_critical_exponents_near_tau_minus_two_at_n_prime_100_return_inside_thei
 
 
 def _shoot_spectrum_draws(seed: int, count: int):
-    """(argv, p above Sobolev, series start above a) with kappa 1e-6-1e6 and b/a to 1e24."""
+    """(argv, p above Sobolev, 1e-6 kappa scale above a) with kappa 1e-6-1e6 and b/a to 1e24."""
     rng = random.Random(seed)
     for _ in range(count):
         N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.95, 3.0)
@@ -266,7 +270,7 @@ def _shoot_spectrum_draws(seed: int, count: int):
         argv = ["spectrum", "--N", str(N), "--theta", f"{theta:.6e}", "--l", f"{theta + tau:.6e}",
                 "--p", f"{p:.9e}", "--profile", f"shoot:{kappa:.6e}", "--a", f"{a:.6e}",
                 "--b", f"{b:.6e}", "--n", str(rng.randint(8, 2000))]
-        start = kappa ** (-(p - 1.0) / (2.0 + tau)) * radial_ode.SERIES_START_FACTOR
+        start = kappa ** (-(p - 1.0) / (2.0 + tau)) * radial_ode.GRID_START_FACTOR
         yield argv, p > sobolev, start > a
 
 
@@ -278,7 +282,7 @@ def test_cli_shoot_spectrum_exits_with_json_across_the_domain(capsys):
             code = main(argv)
             envelope = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
             assert code in (0, 2, 3) and ("error" in envelope) == (code != 0), argv
-            # valid input never exits 2: not for a series start above a, nor
+            # valid input never exits 2: not for a kappa scale above a, nor
             # for too few nodes in the last decade for a tail fit
             assert code != 2 or not valid, (argv, envelope)
             codes.append(code)
@@ -499,6 +503,11 @@ def _finite(x) -> bool:
     return all(_finite(getattr(x, name)) for name in slots)
 
 
+def _shoot_at_density(params, points_per_decade):
+    """``shoot`` with kappa = 1 to r = 1e3 on its default grid at the given density."""
+    return shoot(params, 1.0, 1e3, points_per_decade=points_per_decade)
+
+
 def _extreme_calls(seed: int, draws: int):
     """(function, args) of each library entry point with one or two inputs extreme.
 
@@ -528,10 +537,20 @@ def _extreme_calls(seed: int, draws: int):
             yield kelvin_apply, (v, params)
             yield sigma_apply, (v, params)
             yield q_value, (params, v, psi)
-            for kind in ("kelvin", "dual", "sigma"):
+            for kind in ("kelvin", "dual", "sigma", "sigma_inverse", "bogus"):
                 yield invariance_check, (kind, params, v, psi)
             m = max(2, math.ceil((params.p + 1.0) / (params.p - 1.0)))  # the least m at gamma = 1
             yield stable_estimate_check, (params, v, 1.0, m, psi)
+        yield ProblemParams, (x, theta, l, p)
+        params = ProblemParams(N, theta, l, p)
+        # a node count that is not an integer, NaN and inf among them
+        for n in (x, 8.5):
+            yield hardy_rayleigh_min, (theta, N, 1.0, 10.0, n)
+            yield profile_spectrum, (params, 1e-2, 1e2, n)
+            yield log_nodes, (1e-2, 1e2, n)
+            yield RadialGrid.logspaced, (1e-2, 1e2, n)
+        if x != 1e300:  # 1e300 nodes per decade exceed numpy's largest array: a ValueError
+            yield _shoot_at_density, (params._replace(p=2.0 * params.sobolev), x)
         ell = rng.uniform(-10.0, 0.9 * (N - 2.0) ** 2 / 4.0)
         for args in ((N, x, ell, p), (N, 0.0, x, p), (N, 0.0, ell, x)):
             yield SchrodingerParams, args
@@ -539,7 +558,8 @@ def _extreme_calls(seed: int, draws: int):
                 yield sigma_params, (SchrodingerParams(*args),)
             except EmdenlabError:
                 pass
-        yield stable_estimate_check, (ProblemParams(N, theta, l, p), v, x, 100, psi)
+        yield stable_estimate_check, (params, v, x, 100, psi)
+        yield stable_estimate_check, (params, v, 1.0, x, psi)
         for r_min, r_max in ((x, 1e3), (1e-3, x), (x, x)):
             yield RadialGrid.logspaced, (r_min, r_max, 10)
         values = np.full(grid.n, x)

@@ -52,7 +52,7 @@ def test_derive_c0_out_of_the_float_range_raises_only_where_read():
             params.c0
 
 
-@pytest.mark.parametrize("N", [1, 2.5])
+@pytest.mark.parametrize("N", [1, 2.5, math.inf, math.nan])
 def test_problem_params_rejects_a_non_integer_or_small_dimension(N):
     with pytest.raises(InvalidParameterError, match="N must be an integer >= 2"):
         ProblemParams(N, 0.0, 0.0, 3.0)
@@ -159,6 +159,11 @@ def test_critical_exponents_window_ordering():
         assert serrin < exps.p_tilde_c < sobolev
         if exps.p_c is not None:
             assert sobolev < exps.p_c
+
+
+def test_crossing_by_bisection_rejects_an_unknown_branch():
+    with pytest.raises(InvalidParameterError, match="which must be 'plus' or 'minus'"):
+        crossing_by_bisection(11.0, 0.0, "middle")
 
 
 def test_critical_exponents_rejects_out_of_regime():

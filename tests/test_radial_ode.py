@@ -109,38 +109,12 @@ def test_shooting_result_rejects_a_non_positive_kappa(kappa):
                        DecayClass.SLOW_DECAY, Ordering.BELOW, 0, 0.0, 0.0)
 
 
-def test_shoot_series_start_oracle():
-    # halving the series start radius must not move the solution
-    base = shoot(PARAMS_11, kappa=1.0, r_max=1e3, r_min=1e-4, tol=1e-11)
-    halved = shoot(
-        PARAMS_11, kappa=1.0, r_max=1e3, tol=1e-11,
-        grid=base.solution.grid, r_start=0.5e-6,
-    )
-    dev = np.max(
-        np.abs(halved.solution.values - base.solution.values) / base.solution.values
-    )
-    assert dev < 1e-9
-
-
-@pytest.mark.parametrize("N, l, p", [(5, -1.9, 3.0), (5, -1.9, 1.5), (11, -1.97, 3.0)])
-def test_series_start_near_tau_minus_two(N, l, p):
-    # at r = 1e-6 scale the series parameter q = (r/scale)^(2+tau) is 0.25
-    # (tau = -1.9) or 0.66 (tau = -1.97); the default grid starts lower, and
-    # LSODA started from half its first radius agrees with the series head
-    params = ProblemParams(N, 0.0, l, p)
-    base = shoot(params, kappa=1.0, r_max=1e6)
-    grid = base.solution.grid
-    halved = shoot(params, kappa=1.0, r_max=1e6, grid=grid, r_start=0.5 * grid.r_min)
-    dev = np.max(np.abs(halved.solution.values / base.solution.values - 1.0))
-    assert dev < 1e-9
-
-
 def test_series_start_is_unchanged_away_from_tau_minus_two():
     # where the 1e-6 factor already wins the start radius is bit-identical
     params = ProblemParams(5, 0.0, -0.5, 3.0)
     scale = 2.0 ** (-(params.p - 1.0) / 1.5)
     run = shoot(params, kappa=2.0, r_max=1e3)
-    assert run.solution.grid.r_min == radial_ode.SERIES_START_FACTOR * scale
+    assert run.solution.grid.r_min == radial_ode.GRID_START_FACTOR * scale
 
 
 def test_series_start_underflow_is_a_numerical_error():
@@ -202,6 +176,10 @@ def test_asymptotic_constant_on_singular_solution():
     est, converged = asymptotic_constant(w, PARAMS_11)
     assert converged
     assert est == pytest.approx(PARAMS_11.c0, rel=1e-12)
+    # shoot calls classify_decay only on unconverged tails: its slow-decay return is read here
+    cls, drift, fitted = classify_decay(w, PARAMS_11)
+    assert cls is DecayClass.SLOW_DECAY and drift <= 1e-12
+    assert fitted == pytest.approx(PARAMS_11.m_exp, rel=1e-9)
 
 
 def test_asymptotic_constant_fast_decay_drifts_to_zero():
@@ -615,29 +593,6 @@ def test_a_long_first_interval_gets_a_step_budget_per_max_step(monkeypatch):
     assert np.max(np.abs(np.log(res.solution.values / ref.solution.values))) <= 1e-8
 
 
-def test_a_given_series_start_beyond_r_max_is_an_invalid_range():
-    with pytest.raises(InvalidParameterError, match="r_min < r_max"):
-        shoot(PARAMS_11, kappa=1.0, r_max=1e4, r_start=1e5)
-
-
-@pytest.mark.parametrize("r_start", [0.0, -1e-6, math.nan])
-def test_a_non_positive_series_start_on_a_given_grid_is_invalid(r_start):
-    grid = RadialGrid.logspaced(1e-3, 1e3, 100)
-    with pytest.raises(InvalidParameterError, match="r_start must be positive"):
-        shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid, r_start=r_start)
-
-
-def test_a_series_start_above_the_switch_leaves_the_shot_unchanged():
-    # r_start only lowers LSODA's start below the switch (r = 0.66 here):
-    # above it the series holds there and the shot is the same to the bit
-    grid = RadialGrid.logspaced(1e-3, 1e3, 200)
-    base = shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid)
-    for r_start in (1.0, 10.0, 1e4):
-        again = shoot(PARAMS_11, kappa=1.0, r_max=1e3, grid=grid, r_start=r_start)
-        assert again.nfev == base.nfev
-        assert np.array_equal(again.log_scaled.values, base.log_scaled.values)
-
-
 def test_tail_fit_that_lagged_the_amplitude_gate():
     # The mid-decade value of a linear fit over the last decade read
     # |A/c0 - 1| = 1.04e-6 here, where the tail has decayed to e^-16.65
@@ -667,11 +622,8 @@ def test_asymptotic_constant_extrapolates_the_linearised_tail(params):
 
 
 def test_shoot_names_the_start_radius_whose_ratio_overflows():
-    # with r_start given and no r_min, the grid starts at r_start
-    with pytest.raises(InvalidParameterError, match=r"^log\(r_max/r_start\) must be finite$"):
-        shoot(PARAMS_5, 1.0, 1e300, r_start=1e-10)
     with pytest.raises(InvalidParameterError, match=r"^log\(r_max/r_min\) must be finite$"):
-        shoot(PARAMS_5, 1.0, 1e300, r_min=1e-10, r_start=1e-10)
+        shoot(PARAMS_5, 1.0, 1e300, r_min=1e-10)
 
 
 def _lower_switch(monkeypatch, decades=1.0):
@@ -689,10 +641,14 @@ def _lower_switch(monkeypatch, decades=1.0):
     (PARAMS_11, 1.0, None),
     (ProblemParams(11, 0.0, 0.0, 1.6), 1.0, None),
     (ProblemParams(100, 0.0, 0.0, 2.0), 1.0, None),
+    # q = (r/scale)^(2+tau) is 0.25 at tau = -1.9 and 0.66 at tau = -1.97 at
+    # r = 1e-6 scale: the default grid starts lower
     (ProblemParams(5, 0.0, -1.9, 3.0), 1.0, None),
-    # the spectrum shot whose series start lies at log r = -2300
+    (ProblemParams(5, 0.0, -1.9, 1.5), 1.0, None),
+    (ProblemParams(11, 0.0, -1.97, 3.0), 1.0, None),
+    # the spectrum shot whose switch lies at log r = -2300
     (ProblemParams(20, 0.0, -1.997, 2.201936167302555), 3.0, log_nodes(1e-1, 1e3, 200)),
-], ids=["node", "focus", "n100", "tau-1.9", "tau-1.997"])
+], ids=["node", "focus", "n100", "tau-1.9", "tau-1.9-p1.5", "tau-1.97", "tau-1.997"])
 def test_moving_the_switch_a_decade_lower_moves_y_by_less_than_1e_9(monkeypatch, params, kappa,
                                                                      grid):
     r_max = 1e3 if grid is not None else 1e6

@@ -14,6 +14,7 @@ from emdenlab import (
     RadialGrid,
     SchrodingerParams,
     TestFunction,
+    TransformKind,
     assemble_forms,
     critical_exponents,
     dual_apply,
@@ -852,6 +853,18 @@ def test_invariance_kelvin_dual_sigma():
     for kind in ("kelvin", "dual", "sigma"):
         qs, qi = invariance_check(kind, params, v, psi)
         assert abs(qs - qi) / abs(qs) < 1e-6, kind
+
+
+@pytest.mark.parametrize("kind", ["sigma_inverse", TransformKind.SIGMA_INVERSE, "bogus"],
+                         ids=["sigma_inverse", "sigma_inverse-enum", "bogus"])
+def test_invariance_check_rejects_a_kind_without_a_form_map(kind):
+    # sigma_inverse maps parameters only, so it has no form map; an unknown kind is not
+    # TransformKind's ValueError
+    params = ProblemParams(5, 0.5, 0.7, 3.0)
+    psi = bump_test_function(0.1, 10.0, 65)
+    v = RadialFunction(psi.grid, psi.grid.points**-0.8)
+    with pytest.raises(InvalidParameterError, match="unsupported transform kind for invariance"):
+        invariance_check(kind, params, v, psi)
 
 
 def test_invariance_sigma_identity_when_theta_zero():
