@@ -109,6 +109,46 @@ def test_shooting_result_rejects_a_non_positive_kappa(kappa):
                        DecayClass.SLOW_DECAY, Ordering.BELOW, 0, 0.0, 0.0)
 
 
+def _start_lsoda_at(monkeypatch, kappa, r):
+    """Move the origin series' switch of a kappa shot down to radius ``r``, so
+    LSODA starts there and the series gives only the nodes below it."""
+    real = radial_ode._origin_series
+
+    def moved(np_, tau, p):
+        coeffs, log_x = real(np_, tau, p)
+        log_x0 = (p - 1.0) * math.log(kappa) - math.log((2.0 + tau) * (np_ + tau))
+        lowered = log_x0 + (2.0 + tau) * math.log(r)
+        assert lowered < log_x
+        return coeffs, lowered
+
+    monkeypatch.setattr(radial_ode, "_origin_series", moved)
+
+
+def test_shoot_series_start_oracle(monkeypatch):
+    # starting LSODA at r = 0.5e-6, below the grid, must not move the solution
+    base = shoot(PARAMS_11, kappa=1.0, r_max=1e3, r_min=1e-4, tol=1e-11)
+    _start_lsoda_at(monkeypatch, 1.0, 0.5e-6)
+    halved = shoot(PARAMS_11, kappa=1.0, r_max=1e3, r_min=1e-4, tol=1e-11)
+    dev = np.max(
+        np.abs(halved.solution.values - base.solution.values) / base.solution.values
+    )
+    assert dev < 1e-9
+
+
+@pytest.mark.parametrize("N, l, p", [(5, -1.9, 3.0), (5, -1.9, 1.5), (11, -1.97, 3.0)])
+def test_series_start_near_tau_minus_two(monkeypatch, N, l, p):
+    # at r = 1e-6 scale the series parameter q = (r/scale)^(2+tau) is 0.25
+    # (tau = -1.9) or 0.66 (tau = -1.97); the default grid starts lower, and
+    # LSODA started from half its first radius agrees with the series head
+    params = ProblemParams(N, 0.0, l, p)
+    base = shoot(params, kappa=1.0, r_max=1e6)
+    grid = base.solution.grid
+    _start_lsoda_at(monkeypatch, 1.0, 0.5 * grid.r_min)
+    halved = shoot(params, kappa=1.0, r_max=1e6, grid=grid)
+    dev = np.max(np.abs(halved.solution.values / base.solution.values - 1.0))
+    assert dev < 1e-9
+
+
 def test_series_start_is_unchanged_away_from_tau_minus_two():
     # where the 1e-6 factor already wins the start radius is bit-identical
     params = ProblemParams(5, 0.0, -0.5, 3.0)
@@ -641,14 +681,10 @@ def _lower_switch(monkeypatch, decades=1.0):
     (PARAMS_11, 1.0, None),
     (ProblemParams(11, 0.0, 0.0, 1.6), 1.0, None),
     (ProblemParams(100, 0.0, 0.0, 2.0), 1.0, None),
-    # q = (r/scale)^(2+tau) is 0.25 at tau = -1.9 and 0.66 at tau = -1.97 at
-    # r = 1e-6 scale: the default grid starts lower
     (ProblemParams(5, 0.0, -1.9, 3.0), 1.0, None),
-    (ProblemParams(5, 0.0, -1.9, 1.5), 1.0, None),
-    (ProblemParams(11, 0.0, -1.97, 3.0), 1.0, None),
     # the spectrum shot whose switch lies at log r = -2300
     (ProblemParams(20, 0.0, -1.997, 2.201936167302555), 3.0, log_nodes(1e-1, 1e3, 200)),
-], ids=["node", "focus", "n100", "tau-1.9", "tau-1.9-p1.5", "tau-1.97", "tau-1.997"])
+], ids=["node", "focus", "n100", "tau-1.9", "tau-1.997"])
 def test_moving_the_switch_a_decade_lower_moves_y_by_less_than_1e_9(monkeypatch, params, kappa,
                                                                      grid):
     r_max = 1e3 if grid is not None else 1e6
