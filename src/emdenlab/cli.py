@@ -138,17 +138,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _derived_block(params: ProblemParams, with_p: bool = True, c0_or_null: bool = False) -> dict:
+def _derived_block(params: ProblemParams) -> dict:
     try:
-        c0 = params.c0 if with_p else None  # read first: its NumericalError comes first
+        c0 = params.c0
     except NumericalError:
-        if not c0_or_null:
-            raise
-        c0 = None  # a spectrum reads no c0: null where it leaves the float range
+        c0 = None  # null where it leaves the float range; a command that needs c0 reads it itself
     return {
         "n_prime": params.n_prime,
         "tau": params.tau,
-        "m_exp": params.m_exp if with_p else None,
+        "m_exp": params.m_exp,
         "serrin": params.serrin,
         "sobolev": params.sobolev,
         "c0": c0,
@@ -179,10 +177,12 @@ def _number(key: str, text: str, integer: bool = False) -> float | int:
 
 def cmd_exponents(args) -> dict:
     has_p = args.p is not None
-    # Without --p the placeholder power is never read: m_exp and c0 are reported as null.
+    # Without --p the placeholder power reaches no result: m_exp and c0 are reported as null.
     params = _problem_params(args, args.p if has_p else 2.0)
     _require_regime(params)
-    derived = _derived_block(params, with_p=has_p)  # c0 precedes the exponent checks
+    derived = _derived_block(params)
+    if not has_p:
+        derived["m_exp"] = derived["c0"] = None
     exps = critical_exponents(params.n_prime, params.tau)
     results = {
         "serrin": exps.serrin,
@@ -262,7 +262,7 @@ def cmd_shoot(args) -> dict:
             k: getattr(result, k) for k in ("nfev", "zeta_residual", "log_amplitude_residual")
         },
     }
-    inputs = (*_PARAMS, "kappa", "rmax", "rmin", "tol")
+    inputs = (*_PARAMS, "kappa", "rmax", "rmin", "tol", "points_per_decade")
     return _envelope(args, inputs, _derived_block(params), results)
 
 
@@ -289,7 +289,7 @@ def cmd_spectrum(args) -> dict:
         "diagnostics": {k: getattr(report, k) for k in ("matrix_scale", "count_margin")},
     }
     inputs = (*_PARAMS, "profile", "a", "b", "n", "tol")
-    return _envelope(args, inputs, _derived_block(params, c0_or_null=True), results)
+    return _envelope(args, inputs, _derived_block(params), results)
 
 
 def cmd_transform(args) -> dict:

@@ -24,6 +24,10 @@ if TYPE_CHECKING:
 # Allowed spread of log-spacing increments (grid invariant).
 LOG_SPACING_TOL = 1e-12
 
+#: Most nodes of a grid or an assembled form: a v_infinity spectrum at this
+#: count takes under a second, and a shot about 140 bytes per node.
+MAX_NODES = 10**7
+
 
 def _readonly(a, preserve_dtype=False) -> np.ndarray:
     import numpy as np
@@ -72,6 +76,9 @@ class RadialGrid:
             raise InvalidParameterError("need 0 < r_min < r_max < inf")
         if not (n >= 2 and hasattr(n, "__index__")):  # an int as range() takes it, not 8.5
             raise InvalidParameterError(f"grid needs an integer n of at least two points, got {n}")
+        if n > MAX_NODES:
+            raise InvalidParameterError(f"grid needs at most MAX_NODES = {MAX_NODES} points, "
+                                        f"got {n}")
         return cls(np.geomspace(r_min, r_max, n))
 
     @property

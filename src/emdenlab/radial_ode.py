@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
-from .grids import RadialFunction, RadialGrid
+from .grids import MAX_NODES, RadialFunction, RadialGrid
 from .params import (
     ProblemParams, _checked_make, _hardy_level, _require_regime, _require_singular, f_eval,
 )
@@ -245,9 +245,10 @@ def shoot(
 
     Output is sampled on ``grid`` when given, else on a log grid from
     ``r_min`` to ``r_max`` with ``points_per_decade`` (positive, finite)
-    nodes per decade; without ``r_min`` the default grid starts at 1e-6 of
-    the kappa scale kappa^(-(p-1)/(2+tau)) (lower near tau = -2), and only
-    that default forms the scale.  The origin series gives the state on
+    nodes per decade, fewer than ``grids.MAX_NODES`` in all; without
+    ``r_min`` the default grid starts at 1e-6 of the kappa scale
+    kappa^(-(p-1)/(2+tau)) (lower near tau = -2), and only that default
+    forms the scale.  The origin series gives the state on
     every node up to its switch (``_origin_series``) and LSODA the rest,
     always at least the last interval.  ``tol`` sets the relative and
     absolute tolerance of LSODA on the state (y, s), applied as tol/1000,
@@ -349,7 +350,12 @@ def _shot_state(params, kappa, r_max, tol, *, grid=None, r_min=None,
             raise InvalidParameterError("need 0 < r_min < r_max")
         if r_max / r_min == math.inf:
             raise InvalidParameterError("log(r_max/r_min) must be finite")
-        n = max(2, int(round(math.log10(r_max / r_min) * points_per_decade)) + 1)
+        nodes = math.log10(r_max / r_min) * points_per_decade
+        if not nodes < MAX_NODES:  # before int(): an infinite product overflows it
+            raise InvalidParameterError(
+                f"the grid needs {nodes:.3g} nodes, more than MAX_NODES = {MAX_NODES}"
+            )
+        n = max(2, int(round(nodes)) + 1)
         grid = RadialGrid.logspaced(r_min, r_max, n)
     if grid.r_max > r_max * (1.0 + 1e-12):
         raise InvalidParameterError("grid extends beyond r_max")

@@ -32,7 +32,10 @@ bound min >= (N'-2)^2/4 on every annulus.
 
 Both constant-coefficient forms, the Hardy minimum and the spectrum about
 v_infinity, run on Python floats through ``tridiag.Constant`` and load no
-numpy; numpy is imported inside the functions that touch arrays.
+numpy; numpy is imported inside the functions that touch arrays.  T is
+built in one place, ``assemble_forms``, and ``radial_morse_index`` counts
+the matrix it returns: its off-diagonal is always a ``Constant``, and so
+is its diagonal where P is one number.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, NumericalError
-from .grids import RadialFunction, RadialGrid
+from .grids import MAX_NODES, RadialFunction, RadialGrid
 from .params import (
     ProblemParams,
     SchrodingerParams,
@@ -91,7 +94,9 @@ class FormAssembly(namedtuple("FormAssembly", "diag off h")):
     -phi_tt + ((N'-2)^2/4 - P) phi on the n interior nodes of ``log_nodes``,
     uniform in t = log r with step ``h``.  Its eigenvalues are those of Q_v
     relative to integral(phi^2 dt) = integral(r^(N'-3) psi^2 dr).  A named
-    tuple (diag, off, h).
+    tuple (diag, off, h).  ``off`` is a ``tridiag.Constant`` of n-1 entries
+    -1/h^2; ``diag`` is a ``Constant`` of n entries where P is one number and
+    an array otherwise.  ``numpy.asarray`` of either gives its entries.
     """
 
     __slots__ = ()
@@ -124,6 +129,8 @@ def _log_step(a: float, b: float, n: int) -> float:
         raise InvalidParameterError("need at least 8 interior nodes")
     if not hasattr(n, "__index__"):  # an int as range() takes it: not 8.5, NaN or 10.0
         raise InvalidParameterError(f"the number of interior nodes must be an integer, got {n!r}")
+    if n > MAX_NODES:
+        raise InvalidParameterError(f"need at most MAX_NODES = {MAX_NODES} interior nodes, got {n}")
     L = math.log(b / a)
     if not math.isfinite(L):
         raise InvalidParameterError(f"log(b/a) must be finite, got b/a = {b / a!r}")
@@ -172,24 +179,26 @@ def log_nodes(a: float, b: float, n: int) -> RadialGrid:
 
 
 def _abs_max(x) -> float:
-    """max |x| of a float, a ``tridiag.Constant`` or an array; NaN or inf if an entry is."""
+    """max |x| of a ``tridiag.Constant`` or an array; NaN or inf if an entry is."""
     if isinstance(x, Constant):
         return abs(x.value)
-    if isinstance(x, float):
-        return abs(x)
     import numpy as np
 
     return float(np.max(np.abs(x)))
 
 
-def _diagonal(params: ProblemParams, P, a: float, b: float, n: int):
-    """(diag, h) of the form, with ``assemble_forms``'s checks in its order.
+def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> FormAssembly:
+    """Assemble the stability form with potential P on the annulus [a, b].
 
-    diag is a ``tridiag.Constant`` where P is one number, else an array.
+    P is one number or its n values on the interior nodes of ``log_nodes``,
+    as ``profile_spectrum`` forms them from a shot on those nodes; the ends
+    are Dirichlet.  ``off`` is a ``tridiag.Constant``, and so is ``diag``
+    where P is one number, so that route loads no numpy.  A diagonal out of
+    the float range (a huge N') raises ``NumericalError``.
     """
     h = _log_step(a, b, n)
     if isinstance(P, (int, float)) or getattr(P, "ndim", None) == 0:  # a numpy scalar too
-        P = float(P)
+        P = Constant(P, n)
     else:
         import numpy as np
 
@@ -198,32 +207,18 @@ def _diagonal(params: ProblemParams, P, a: float, b: float, n: int):
             raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
     if not math.isfinite(_abs_max(P)):
         raise InvalidParameterError("potential values must be finite")
-    diag = 2.0 / h**2 + _hardy_level(params.n_prime) - P
-    if isinstance(diag, float):
-        diag = Constant(diag, n)
+    top = 2.0 / h**2 + _hardy_level(params.n_prime)
+    diag = Constant(top - P.value, n) if isinstance(P, Constant) else top - P
     if not math.isfinite(_abs_max(diag)):
         raise NumericalError(f"assembled diagonal leaves the float range at N' = {params.n_prime}")
-    return diag, h
-
-
-def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> FormAssembly:
-    """Assemble the stability form with potential P on the annulus [a, b].
-
-    P is one number or its n values on the interior nodes of ``log_nodes``,
-    as ``profile_spectrum`` forms them from a shot on those nodes; the ends
-    are Dirichlet.  A diagonal out of the float range (a huge N') raises
-    ``NumericalError``.
-    """
-    import numpy as np
-
-    diag, h = _diagonal(params, P, a, b, n)
-    return FormAssembly(diag=np.asarray(diag), off=np.full(n - 1, -1.0 / h**2), h=h)
+    return FormAssembly(diag=diag, off=Constant(-1.0 / h**2, n - 1), h=h)
 
 
 def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> SpectrumReport:
     """Negative count and low spectrum of the stability form with potential P.
 
-    P is taken as by ``assemble_forms``.  Eigenvalues below -1e-9 * (matrix
+    P is taken as by ``assemble_forms``, and the count and the spectrum are
+    those of the matrix it returns.  Eigenvalues below -1e-9 * (matrix
     scale) count as negative; the tolerance separates genuine instability
     from discretization noise.  The count is the inertia count of the
     assembled matrix.  For one number P the matrix is Toeplitz and the k
@@ -238,8 +233,7 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
     no numpy.  A potential given on the nodes takes the eigenvalues from
     LAPACK bisection on the same matrix.
     """
-    d, h = _diagonal(params, P, a, b, n)
-    e = Constant(-1.0 / h**2, n - 1)
+    d, e, h = assemble_forms(params, P, a, b, n)
     scale = _abs_max(d) + 2.0 * _abs_max(e)
     tol = NEGATIVE_TOL_FACTOR * scale
     negative = tridiag.count_below(d, e, -tol)

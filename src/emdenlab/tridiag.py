@@ -23,7 +23,8 @@ A constant diagonal is a ``Constant``, its value and its length with no
 array behind it, which the counts read as the value repeated.  So the two
 constant-coefficient forms (the Hardy pencil and the stability form about
 v_infinity) are counted on Python floats and load no numpy; only an array
-argument loads numpy.
+argument loads numpy.  The stability form's off-diagonal is a ``Constant``
+on every route; ``smallest_eigenvalues`` and numpy read it as its array.
 All routines are pure functions of their inputs, so repeated calls are
 bit-reproducible.
 """

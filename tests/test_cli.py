@@ -359,10 +359,13 @@ def test_shoot_at_n_prime_100(capsys):
 
 @pytest.mark.parametrize("p", ["1.005", "1.00102041"], ids=["overflow", "underflow"])
 def test_singular_amplitude_outside_the_float_range_exit_code(p, capsys):
-    env = run_json(
-        ["exponents", "--N", "100", "--theta", "0", "--l", "-1.9", "--p", p], capsys, expect_code=3
-    )
-    assert env["error"]["type"] == "numerical_failure"
+    # exponents computes nothing from c0 and prints it as null; shoot reads it and fails
+    weights = ["--N", "100", "--theta", "0", "--l", "-1.9", "--p", p]
+    env = run_json(["exponents", *weights], capsys)
+    assert env["derived"]["c0"] is None and env["results"]["c0"] is None
+    err = run_json(["shoot", *weights], capsys, expect_code=3)
+    assert err["error"]["type"] == "numerical_failure"
+    assert err["error"]["message"].startswith("c0 leaves the float range"), err
 
 
 def test_spectrum_at_a_huge_n_prime_is_a_numerical_failure(tmp_path, capsys):
@@ -389,6 +392,36 @@ def test_shoot_non_positive_points_per_decade_is_invalid_input(points, capsys):
     err = run_json(argv, capsys, expect_code=2)
     assert err["error"]["type"] == "invalid_input"
     assert "points_per_decade" in err["error"]["message"]
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (["shoot", "--rmin", "0"], "need 0 < r_min < r_max"),
+    (["shoot", "--rmin=-1"], "need 0 < r_min < r_max"),
+    (["shoot", "--rmin", "1e4", "--rmax", "1e4"], "need 0 < r_min < r_max"),
+    (["shoot", "--rmin", "1e5", "--rmax", "1e4"], "need 0 < r_min < r_max"),
+    (["shoot", "--points-per-decade", "1000000000000000"], "more than MAX_NODES = 10000000"),
+    (["spectrum", "--n", "100000000000000000000"], "at most MAX_NODES = 10000000 interior nodes"),
+    (["spectrum", "--profile", "shoot:1", "--n", "100000000000000000000"],
+     "at most MAX_NODES = 10000000 interior nodes"),
+], ids=["rmin-0", "rmin-negative", "rmin-at-rmax", "rmin-above-rmax", "density-beyond-cap",
+        "v_infinity-beyond-cap", "shot-beyond-cap"])
+def test_a_grid_outside_its_domain_is_invalid_input(argv, message, capsys):
+    # a given start outside (0, r_max), or more nodes than MAX_NODES, is exit 2, not a traceback
+    weights = ["--N", "5", "--theta", "0", "--l", "0", "--p", "3"]
+    err = run_json([argv[0], *weights, *argv[1:]], capsys, expect_code=2)
+    assert err["error"]["type"] == "invalid_input"
+    assert message in err["error"]["message"], err
+
+
+def test_shoot_echoes_every_grid_input(capsys):
+    # points_per_decade sets n_points and every result, so the envelope echoes it
+    argv = ["shoot", "--N", "11", "--theta", "0", "--l", "0", "--p", "7", "--rmax", "1e3"]
+    coarse, fine = (run_json([*argv, "--points-per-decade", points], capsys)
+                    for points in ("32", "64"))
+    assert set(coarse["inputs"]) == {"N", "theta", "l", "p", "kappa", "rmax", "rmin", "tol",
+                                     "points_per_decade"}
+    assert (coarse["inputs"]["points_per_decade"], fine["inputs"]["points_per_decade"]) == (32, 64)
+    assert fine["results"]["n_points"] > coarse["results"]["n_points"]
 
 
 def test_shoot_near_tau_minus_two(capsys):
@@ -481,8 +514,11 @@ def test_spectrum_shoot_profile_reports_c0_outside_the_float_range(capsys):
     report = profile_spectrum(params, 1e-3, 1e3, 2000, kappa=1.0)
     assert env["results"]["negative_count"] == report.negative_count == 0
     assert env["results"]["eigenvalues"] == list(report.eigenvalues)
-    # the parameter commands still read c0
-    err = run_json(["classify", *argv[1:8]], capsys, expect_code=3)
+    # so do the parameter commands, which compute nothing from c0; only shoot reads it
+    transforms = (["transform", "--kind", kind] for kind in ("kelvin", "dual", "sigma_inverse"))
+    for command in (["classify"], ["exponents"], *transforms):
+        assert run_json([*command, *argv[1:8]], capsys)["derived"]["c0"] is None, command
+    err = run_json(["shoot", *argv[1:8]], capsys, expect_code=3)
     assert err["error"]["message"] == "c0 leaves the float range at N' = 100.0, p = 1.005"
 
 
@@ -705,8 +741,8 @@ def test_shoot_out_where_w_underflows_at_the_head(argv, tmp_path, capsys):
 
 
 def test_exponents_without_p_reads_no_singular_amplitude(capsys):
-    # without --p the placeholder power must not reach c0 (which would leave
-    # the float range at p = 2.0): the fault reported is the level's overflow
+    # without --p the placeholder power must not reach the report (its c0 would
+    # leave the float range at p = 2.0): the fault reported is the level's overflow
     argv = ["exponents", "--N", "2", "--theta", "1e200", "--l", "1.5e200"]
     err = run_json(argv, capsys, expect_code=3)
     assert err["error"]["type"] == "numerical_failure"

@@ -27,8 +27,10 @@ With NaN, +-inf or +-1e300 in any float input, the exponent algebra,
 a finite result or raise an ``EmdenlabError``: a non-finite N' or tau is
 invalid input, and an exponent coefficient out of the float range a
 numerical failure.  A dimension N, an exponent m or a node count of 8.5,
-NaN or inf, a non-finite ``points_per_decade`` of ``shoot`` and an
-``invariance_check`` kind with no form map are invalid input too.  So do
+NaN or inf, a node count beyond ``grids.MAX_NODES`` (also one that
+``shoot``'s ``points_per_decade`` implies, 1e300 and 1e308 among them), a
+non-finite ``points_per_decade`` and an ``invariance_check`` kind with no
+form map are invalid input too.  So do
 the function-level entry points and ``residual`` on annuli as far from
 r = 1 as [1e100, 1e200] and [1e-200, 1e-100], with psi scaled by 1e-300
 to 1e300, and so do the form assembly, the radial
@@ -81,10 +83,12 @@ from emdenlab import (
     sigma_inverse,
     sigma_params,
     sphere_constant_check,
+    stability,
     stable_estimate_check,
     v_infinity,
 )
 from emdenlab.cli import main
+from emdenlab.grids import MAX_NODES
 
 #: Besides log-uniform draws from [1e-3, 1e3]: far below the domain, where
 #: the intrinsic length overflows or the default grid start leaves [0, r_max].
@@ -543,14 +547,14 @@ def _extreme_calls(seed: int, draws: int):
             yield stable_estimate_check, (params, v, 1.0, m, psi)
         yield ProblemParams, (x, theta, l, p)
         params = ProblemParams(N, theta, l, p)
-        # a node count that is not an integer, NaN and inf among them
-        for n in (x, 8.5):
+        # a node count that is not an integer, NaN and inf among them, or one beyond MAX_NODES
+        for n in (x, 8.5, 10**20, 2**63):
             yield hardy_rayleigh_min, (theta, N, 1.0, 10.0, n)
             yield profile_spectrum, (params, 1e-2, 1e2, n)
             yield log_nodes, (1e-2, 1e2, n)
             yield RadialGrid.logspaced, (1e-2, 1e2, n)
-        if x != 1e300:  # 1e300 nodes per decade exceed numpy's largest array: a ValueError
-            yield _shoot_at_density, (params._replace(p=2.0 * params.sobolev), x)
+        for density in (x, 1e15, 1e308):  # more nodes than MAX_NODES, or an infinite count
+            yield _shoot_at_density, (params._replace(p=2.0 * params.sobolev), density)
         ell = rng.uniform(-10.0, 0.9 * (N - 2.0) ** 2 / 4.0)
         for args in ((N, x, ell, p), (N, 0.0, x, p), (N, 0.0, ell, x)):
             yield SchrodingerParams, args
@@ -662,6 +666,22 @@ def test_library_entry_points_return_finite_or_raise_typed_on_extreme_input():
     assert not failures, "\n".join(failures)
     # both outcomes occur, so neither path is vacuous
     assert outcomes["result"] and outcomes["error"], outcomes
+
+
+def test_node_counts_beyond_max_nodes_are_invalid_input():
+    # one node past the cap is refused before anything is allocated; the cap itself is not
+    params, n = ProblemParams(5, 0.0, 0.0, 3.0), MAX_NODES + 1
+    for call in (partial(hardy_rayleigh_min, 0.0, 5, 1.0, 10.0, n),
+                 partial(profile_spectrum, params, 1e-2, 1e2, n),
+                 partial(profile_spectrum, params, 1e-2, 1e2, n, 1.0),
+                 partial(assemble_forms, params, 1.0, 1e-2, 1e2, n),
+                 partial(radial_morse_index, params, 1.0, 1e-2, 1e2, n),
+                 partial(log_nodes, 1e-2, 1e2, n),
+                 partial(RadialGrid.logspaced, 1.0, 10.0, n),
+                 partial(shoot, params, 1.0, 10.0, r_min=1.0, points_per_decade=MAX_NODES)):
+        with pytest.raises(InvalidParameterError, match="MAX_NODES = 10000000"):
+            call()
+    assert stability._log_step(1.0, 10.0, MAX_NODES) == math.log(10.0) / (MAX_NODES + 1)
 
 
 @pytest.mark.parametrize("n_prime, tau", [(11.0, math.inf), (math.nan, 0.0), (math.inf, 1.0)])

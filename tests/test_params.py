@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from emdenlab import params as params_module
 from emdenlab import (
     InvalidParameterError,
     NumericalError,
@@ -164,6 +166,21 @@ def test_critical_exponents_window_ordering():
 def test_crossing_by_bisection_rejects_an_unknown_branch():
     with pytest.raises(InvalidParameterError, match="which must be 'plus' or 'minus'"):
         crossing_by_bisection(11.0, 0.0, "middle")
+
+
+@pytest.mark.parametrize("name, wrong, message", [
+    ("_hardy_gap", lambda real, m, A, c: 2.0 * params_module.ROOT_RESIDUAL_TOL * (m + c),
+     "misses the Hardy level"),
+    ("crossing_by_bisection",
+     lambda real, *args: real(*args) * (1.0 + 2.0 * params_module.CROSSCHECK_TOL),
+     "disagrees with bisection"),
+], ids=["residual", "bisection"])
+def test_critical_exponents_rejects_a_root_its_checks_refute(name, wrong, message, monkeypatch):
+    # a root whose Hardy gap is twice the residual bound, or whose bisection
+    # twin lies twice the cross-check bound away, is a numerical failure
+    monkeypatch.setattr(params_module, name, partial(wrong, getattr(params_module, name)))
+    with pytest.raises(NumericalError, match=message):
+        critical_exponents(11.0, 0.0)
 
 
 def test_critical_exponents_rejects_out_of_regime():

@@ -99,6 +99,9 @@ def test_shoot_rejects_bad_inputs():
         shoot(PARAMS_11, kappa=1.0, r_max=1e4, tol=0.0)
     with pytest.raises(InvalidParameterError, match="grid extends beyond r_max"):
         shoot(PARAMS_11, kappa=1.0, r_max=1e4, grid=RadialGrid.logspaced(1e-3, 1e5, 100))
+    for r_min in (0.0, -1.0, 1e4, 1e5):  # a given start must lie in (0, r_max)
+        with pytest.raises(InvalidParameterError, match=r"^need 0 < r_min < r_max$"):
+            shoot(PARAMS_11, kappa=1.0, r_max=1e4, r_min=r_min)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0])
@@ -606,6 +609,14 @@ def test_a_missing_lsoda_extension_is_an_import_error_naming_where(monkeypatch):
                         classmethod(lambda cls, name, path=None, target=None: None))
     where = os.path.join(os.path.dirname(scipy.__file__), "integrate")
     with pytest.raises(ImportError, match=f"missing from {re.escape(where)}$"):
+        radial_ode._lsoda.__wrapped__()  # the uncached loader
+
+
+def test_lsoda_without_scipy_is_an_import_error(monkeypatch):
+    import importlib.util
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ImportError, match="^LSODA needs scipy, which is not installed$"):
         radial_ode._lsoda.__wrapped__()  # the uncached loader
 
 

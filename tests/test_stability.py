@@ -95,8 +95,10 @@ def test_assemble_takes_the_potential_on_its_nodes_or_as_one_number():
     f_p = f_eval(3.0, 11.0, 0.0)
     one = assemble_forms(params, f_p, 1e-2, 1e2, 50)
     each = assemble_forms(params, np.full(50, f_p), 1e-2, 1e2, 50)
-    np.testing.assert_array_equal(one.diag, each.diag)
-    assert one.diag.shape == (50,) and one.h == each.h
+    # one number gives a tridiag.Constant diagonal whose entries are the array's, bit for bit
+    assert isinstance(one.diag, tridiag.Constant) and len(one.diag) == 50
+    assert np.asarray(one.diag).tobytes() == each.diag.tobytes() and one.h == each.h
+    assert one.off.value == each.off.value == -1.0 / one.h**2 and len(one.off) == 49
     for P, reason in ((np.zeros(52), "1 or 50 values"), ([f_p], "1 or 50 values"),
                       (np.full(50, np.inf), "finite"), (math.nan, "finite")):
         with pytest.raises(InvalidParameterError, match=reason):
@@ -827,6 +829,18 @@ def test_radial_morse_index_rejects_a_failed_certificate(call, wrong, monkeypatc
     assert main(argv) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "numerical_failure" and "certificate" in error["message"]
+
+
+def test_radial_morse_index_rejects_a_spectrum_short_of_its_count(monkeypatch):
+    # a potential on the nodes takes its eigenvalues from LAPACK bisection on
+    # the counted matrix: a list one negative eigenvalue short is refused
+    params = ProblemParams(11, 0.0, 0.0, 3.0)
+    P = np.full(100, f_eval(3.0, 11.0, 0.0))
+    assert radial_morse_index(params, P, 1e-2, 1e2, 100).negative_count >= 1
+    smallest = tridiag.smallest_eigenvalues
+    monkeypatch.setattr(tridiag, "smallest_eigenvalues", lambda d, e, k: smallest(d, e, k)[1:])
+    with pytest.raises(NumericalError, match="inertia count disagrees"):
+        radial_morse_index(params, P, 1e-2, 1e2, 100)
 
 
 def test_hardy_rayleigh_matches_liouville_value():
