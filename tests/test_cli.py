@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -815,20 +816,32 @@ def test_every_report_leaf_is_a_plain_python_value(argv, fmt, tmp_path, monkeypa
     assert "np." not in out
 
 
-@pytest.mark.parametrize("config", [
-    "mode = exponents\nnprime = 9:12:4\ntau = 0,1\n",
-    "mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 1.5,3,7\nn = 100\n",
-], ids=["exponents", "spectrum"])
-def test_every_sweep_cell_is_a_plain_python_value(config, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("config, argv", [
+    ("mode = exponents\nnprime = 9:12:4\ntau = 0,1\n", ["sweep"]),
+    ("mode = spectrum\nN = 11\ntheta = 0\nl = 0\np = 1.5,3,7\nn = 100\n", ["sweep"]),
+    (None, ["shoot", "--N", "11", "--theta", "0", "--l", "0", "--p", "7", "--rmax", "1e3"]),
+    (None, ["spectrum", "--N", "11", "--theta", "0", "--l", "0", "--p", "7", "--profile",
+            "shoot:1", "--a", "0.1", "--b", "1e3", "--n", "100", "--format", "csv"]),
+], ids=["exponents", "spectrum", "shoot-out", "csv-report"])
+def test_every_sweep_cell_is_a_plain_python_value(config, argv, tmp_path, monkeypatch, capsys):
+    # every CSV the CLI writes (a sweep, shoot's --out table, a --format csv
+    # report) passes each of its cells through _csv_cell, as a plain value
     cells = []
     real = cli._csv_cell
     monkeypatch.setattr(cli, "_csv_cell", lambda value: cells.append(value) or real(value))
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(config)
-    code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    cfg, table = tmp_path / "sweep.cfg", tmp_path / "table.csv"
+    if config is not None:
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    elif argv[0] == "shoot":
+        argv = [*argv, "--out", str(table)]
+    code, out = run_cli(argv, capsys)
     assert code == 0 and cells, out
     assert {type(x) for x in cells} <= PLAIN_TYPES
     assert "np." not in out
+    if argv[0] == "shoot":
+        lines = table.read_text().splitlines()
+        assert len(cells) == 3 * len(lines) and "np." not in "".join(lines)
 
 
 @pytest.mark.parametrize("config, argv, message", [
@@ -843,15 +856,48 @@ def test_every_sweep_cell_is_a_plain_python_value(config, tmp_path, monkeypatch,
     ("nprime = 11:15:-1\ntau = 0\n", None, "range count must be >= 0"),
     ("nprime = 11\ntau = 0\nmode exponents\n", None, "expected 'key = value'"),
     ("mode = spectra\n", None, "unknown sweep mode 'spectra'"),
+    (b"nprime = 11\ntau = \xd0\n", None, "not UTF-8 text"),
 ], ids=["spectrum-n-prime-2", "classify-tau-minus-2", "exponents-tau-minus-2",
-        "unknown-profile", "two-part-range", "negative-count", "no-equals-sign", "unknown-mode"])
+        "unknown-profile", "two-part-range", "negative-count", "no-equals-sign", "unknown-mode",
+        "not-utf8"])
 def test_input_check_names_its_fault(config, argv, message, tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     if config is not None:
-        cfg.write_text(config)
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
     err = run_json(argv or ["sweep", "--config", str(cfg)], capsys, expect_code=2)
     assert err["error"]["type"] == "invalid_input"
     assert message in err["error"]["message"]
+
+
+def test_a_sweep_config_is_read_as_utf8_text(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("# \u03c4 grid\nnprime = 11\ntau = 0\n", encoding="utf-8")
+    code, out = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0 and out.splitlines()[1].startswith("11.0,0.0,"), out
+
+
+@pytest.mark.parametrize("config, message", [
+    ("nprime = 11\ntau = 0:1:100000000000\n",
+     "tau range count 100000000000 exceeds MAX_SWEEP_CELLS = 1000000"),
+    ("nprime = 3:12:10000\ntau = 0:1:10000\n",
+     "100000000 cells exceed MAX_SWEEP_CELLS = 1000000"),
+], ids=["range-count", "cells"])
+def test_a_sweep_beyond_max_sweep_cells_is_invalid_input(config, message, tmp_path):
+    # run in a child with 400 MB of address space whose critical_exponents is
+    # gone: building the 10**11-value range runs out of memory, and building
+    # any of the 10**8 cells is a TypeError, so exit 2 means neither was built
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    limit = 400 * 2**20
+    child = ("import sys; from emdenlab import cli; cli.critical_exponents = None; "
+             "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "sweep", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "invalid_input", "message": message}
 
 
 def test_sweep_one_point_range_is_its_start(tmp_path, capsys):

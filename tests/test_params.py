@@ -174,10 +174,15 @@ def test_crossing_by_bisection_rejects_an_unknown_branch():
     ("crossing_by_bisection",
      lambda real, *args: real(*args) * (1.0 + 2.0 * params_module.CROSSCHECK_TOL),
      "disagrees with bisection"),
-], ids=["residual", "bisection"])
+    ("_serrin_sobolev", lambda real, *args: (real(*args)[0],) * 2, r"escapes \(serrin, sobolev\)"),
+    ("_serrin_sobolev", lambda real, *args: (real(*args)[0], 1e300),
+     "is not above the Sobolev exponent"),
+], ids=["residual", "bisection", "lower-window", "upper-window"])
 def test_critical_exponents_rejects_a_root_its_checks_refute(name, wrong, message, monkeypatch):
-    # a root whose Hardy gap is twice the residual bound, or whose bisection
-    # twin lies twice the cross-check bound away, is a numerical failure
+    # a root whose Hardy gap is twice the residual bound, whose bisection twin
+    # lies twice the cross-check bound away, or which leaves its window (an
+    # empty (serrin, sobolev), or a Sobolev exponent of 1e300 above p_c) is a
+    # numerical failure
     monkeypatch.setattr(params_module, name, partial(wrong, getattr(params_module, name)))
     with pytest.raises(NumericalError, match=message):
         critical_exponents(11.0, 0.0)

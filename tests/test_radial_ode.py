@@ -24,6 +24,7 @@ from emdenlab import (
     kelvin_apply,
     kelvin_params,
     log_nodes,
+    profile_spectrum,
     radial_ode,
     rescale,
     residual,
@@ -242,6 +243,15 @@ def test_asymptotic_constant_needs_three_decades():
         asymptotic_constant(w, PARAMS_11)
 
 
+def test_a_tail_discriminant_out_of_the_float_range_is_a_numerical_error():
+    # N' = 1.3e154, tau = 5.85e154: c0 is finite (1.5e34) but f(p) overflows, and
+    # with it the discriminant (N'-2)^2/4 - f(p)
+    grid = RadialGrid.logspaced(1.0, 1e4, 400)
+    params = ProblemParams(2, 1.3e154, 7.15e154, 10.0)
+    with pytest.raises(NumericalError, match="tail discriminant leaves the float range"):
+        asymptotic_constant(RadialFunction(grid, np.ones(grid.n)), params)
+
+
 def test_tail_fit_of_an_underflowed_w_is_a_numerical_failure():
     # w = 3 r^-200 is 0 in double precision beyond r ~ 42: the fit would read
     # a converged level 0, so both tail functions raise instead
@@ -389,6 +399,22 @@ def test_state_leaving_the_cone_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(radial_ode, "solve_ivp", start_outside)
     with pytest.raises(NumericalError, match="v > 0, v' < 0"):
         shoot(PARAMS_11, kappa=1.0, r_max=1e4)
+
+
+def test_non_finite_lsoda_output_is_a_numerical_error(monkeypatch):
+    # an integrator that reports success on a NaN state: a shot spectrum has
+    # no later check, and would hand assemble_forms a NaN potential
+    real = radial_ode.solve_ivp
+
+    def nan_state(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return sol._replace(y=np.full_like(sol.y, math.nan), success=True)
+
+    monkeypatch.setattr(radial_ode, "solve_ivp", nan_state)
+    with pytest.raises(NumericalError, match="non-finite state"):
+        shoot(PARAMS_11, kappa=1.0, r_max=1e4)
+    with pytest.raises(NumericalError, match="non-finite state"):
+        profile_spectrum(PARAMS_11, 1e-2, 1e2, 100, kappa=1.0)
 
 
 def test_shoot_diagnostics():

@@ -105,6 +105,13 @@ def test_assemble_takes_the_potential_on_its_nodes_or_as_one_number():
             radial_morse_index(params, P, 1e-2, 1e2, 50)
 
 
+def test_an_assembled_diagonal_out_of_the_float_range_is_a_numerical_error():
+    # N' = 1e154 puts the Hardy level near 2.5e307, and P = -1.79e308 takes
+    # the diagonal top - P past the largest float
+    with pytest.raises(NumericalError, match="assembled diagonal leaves the float range"):
+        assemble_forms(ProblemParams(2, 1e154, 0.0, 3.0), -1.79e308, 1.0, 10.0, 8)
+
+
 def test_assemble_refinement_is_second_order():
     params = ProblemParams(5, 0.0, 0.0, 1.75)
     v = profile_on(params, 1e-2, 1e2, 4096)
