@@ -127,12 +127,17 @@ def _flatten_csv(envelope: dict) -> str:
     return _csv_text([keys, [flat[k] for k in keys]])
 
 
-def _csv_text(rows) -> str:
-    """CSV text of ``rows``, one line each, every cell written by ``_csv_cell``."""
+def _write_csv(fh, rows) -> None:
+    """Write ``rows`` to ``fh`` as CSV as they come, one line each, every cell by ``_csv_cell``."""
     import csv
 
+    csv.writer(fh, lineterminator="\n").writerows(map(_csv_cell, row) for row in rows)
+
+
+def _csv_text(rows) -> str:
+    """CSV text of ``rows``, as ``_write_csv`` writes it."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(map(_csv_cell, row) for row in rows)
+    _write_csv(buf, rows)
     return buf.getvalue()
 
 
@@ -223,11 +228,15 @@ def cmd_classify(args) -> dict:
     return _envelope(args, _PARAMS, _derived_block(params), results)
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write ``text`` to the file ``path`` given as --out; an unwritable path is invalid input."""
+def _emit(path: str | None, write) -> None:
+    """Call ``write`` on stdout, or on the file ``path`` given as --out; an unwritable
+    path is invalid input."""
+    if not path:
+        write(sys.stdout)
+        return
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
@@ -248,9 +257,9 @@ def cmd_shoot(args) -> dict:
     if args.out:
         # v is formed before the file opens: where it underflows, no file is left.
         # Python floats, as _csv_cell would print a numpy scalar as np.float64(...)
-        rows = zip(grid.points.tolist(), result.solution.values.tolist(),
-                   map(math.exp, result.log_scaled.values.tolist()))
-        _write_out(args.out, _csv_text([("r", "v", "scaled"), *rows]))
+        rows = [("r", "v", "scaled"), *zip(grid.points.tolist(), result.solution.values.tolist(),
+                                           map(math.exp, result.log_scaled.values.tolist()))]
+        _emit(args.out, lambda fh: _write_csv(fh, rows))
     results = {
         "kappa": result.kappa,
         "r_min": grid.r_min,
@@ -388,8 +397,9 @@ def _read_config(path: str) -> dict[str, str]:
     return config
 
 
-def cmd_sweep(args) -> str:
-    """CSV text of a sweep: one row per input cell, failures recorded per row."""
+def cmd_sweep(args):
+    """CSV rows of a sweep, header first: one row per input cell, each formed as it is
+    read, failures recorded per row.  The config, axes and cell count are checked first."""
     config = _read_config(args.config)
     mode = config.pop("mode", "exponents")
     if mode not in _SWEEP_KEYS:
@@ -446,7 +456,7 @@ def cmd_sweep(args) -> str:
             return [*point, *[None] * len(outputs), str(exc)]
 
     header = [*inputs, *outputs, "error"]
-    return _csv_text(itertools.chain([header], map(row, itertools.product(*axes))))
+    return itertools.chain([header], map(row, itertools.product(*axes)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,19 +525,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
-        if args.command == "sweep":
-            text = result
-        elif args.format == "json":
-            text = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        if args.command == "sweep":  # each row is written as it is formed
+            def write(fh):
+                _write_csv(fh, result)
         else:
-            text = _flatten_csv(result)
+            if args.format == "json":
+                text = json.dumps(result, sort_keys=True, indent=2) + "\n"
+            else:
+                text = _flatten_csv(result)
+
+            def write(fh):
+                fh.write(text)
         # shoot reserves --out for its solution table; its envelope
         # always goes to stdout
-        out = None if args.command == "shoot" else args.out
-        if out:
-            _write_out(out, text)
-        else:
-            sys.stdout.write(text)
+        _emit(None if args.command == "shoot" else args.out, write)
     except (InvalidParameterError, NumericalError) as exc:
         invalid = isinstance(exc, InvalidParameterError)
         error = {"type": "invalid_input" if invalid else "numerical_failure", "message": str(exc)}

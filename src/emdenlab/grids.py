@@ -140,12 +140,14 @@ class RadialFunction:
     def interp(self, r) -> np.ndarray:
         """Linear-in-log-r interpolation of the values.
 
-        Rejects radii outside the grid range (beyond a relative slack of
-        1e-12); transforms and potentials never extrapolate.
+        Rejects a non-finite radius, and radii outside the grid range (beyond
+        a relative slack of 1e-12); transforms and potentials never extrapolate.
         """
         import numpy as np
 
         r = np.asarray(r, dtype=float)
+        if not np.all(np.isfinite(r)):
+            raise InvalidParameterError("interpolation points must be finite")
         slack = 1e-12
         if np.any(r < self.grid.r_min * (1.0 - slack)) or np.any(
             r > self.grid.r_max * (1.0 + slack)

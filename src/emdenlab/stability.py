@@ -350,7 +350,8 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     cancellation in 1 - cos x.  It is certified against the assembled
     pencil by two inertia counts: none below value - band and exactly one
     below value + band, band = 64 eps (1/h^2 + (N'-2)^2/4).  A failed
-    certificate raises ``NumericalError``.
+    certificate, or a pencil entry out of the float range, raises
+    ``NumericalError``.
     """
     level = hardy_constant(N + theta)
     h = _log_step(a, b, n)
@@ -360,9 +361,13 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     s = math.sin(math.pi / (2.0 * (n + 1))) ** 2
     value = level + 12.0 / h**2 * s / (3.0 - 2.0 * s)
     band = 64.0 * sys.float_info.epsilon * (1.0 / h**2 + level)
-    counts = [
-        tridiag.count_below_pencil(*stiff, *mass, shift) for shift in (value - band, value + band)
-    ]
+    shifts = (value - band, value + band)
+    try:
+        counts = [tridiag.count_below_pencil(*stiff, *mass, shift) for shift in shifts]
+    except InvalidParameterError:  # from valid inputs: an entry overflowed
+        raise NumericalError(
+            f"the Hardy pencil leaves the float range at N' = {N + theta!r}"
+        ) from None
     if counts != [0, 1]:
         raise NumericalError(
             f"Hardy pencil certificate failed: {counts[0]} eigenvalues below "

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import math
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -907,6 +909,36 @@ def test_sweep_one_point_range_is_its_start(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert [(row["n_prime"], row["tau"]) for row in rows] == [("11.0", "0.0")]
+
+
+def test_a_sweep_to_out_is_written_row_by_row(tmp_path, capsys):
+    # 5,000 cells: each row goes to the file as it is formed, so the traced
+    # peak stays below the file's size (a CSV built in memory first peaks at
+    # more than twice it), with the same bytes as on stdout; an invalid
+    # config still prints only its error and creates no file.  The csv
+    # writer's own 128 KiB record buffer and the argument parser take about
+    # 0.2 MB whatever the size, about the file of a 2,000-cell sweep.
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    cfg.write_text("nprime = 11\ntau = 0\n")
+    assert main(argv) == 0  # imports and first-call caches are not traced
+    cfg.write_text("nprime = 3.3:59.9:50\ntau = -1.49:2.97:100\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = out.read_bytes()
+    assert code == 0 and data.count(b"\n") == 5001
+    assert peak < len(data), (peak, len(data))
+    code, stdout = run_cli(argv[:3], capsys)
+    assert code == 0 and stdout.encode() == data
+    cfg.write_text("nprime = 11\ntau = 0\nmode = spectra\n")
+    bad = tmp_path / "bad.csv"
+    err = run_json(["sweep", "--config", str(cfg), "--out", str(bad)], capsys, expect_code=2)
+    assert err["error"]["type"] == "invalid_input" and not bad.exists()
 
 
 @pytest.mark.parametrize("command", ["exponents", "sweep", "shoot"])

@@ -169,6 +169,9 @@ def test_hardy_rayleigh_min_across_the_domain():
                                (math.inf, 5, 1.0, 10.0)):
             with pytest.raises(InvalidParameterError):
                 hardy_rayleigh_min(theta, N, a, b, 100)
+        # a pencil entry that overflows is a numerical failure, not invalid input
+        with pytest.raises(NumericalError, match="Hardy pencil leaves the float range"):
+            hardy_rayleigh_min(1e154, 3, 1.0, 1e300, 8)
         # the spectrum too (it gave 16 equal eigenvalues of 15.25)
         with pytest.raises(InvalidParameterError, match=r"log\(b/a\) must be finite"):
             radial_morse_index(ProblemParams(11, 0, 0, 7), 5.0, 1e-300, 1e300, 50)
@@ -526,6 +529,7 @@ def _extreme_calls(seed: int, draws: int):
         N, theta, tau = rng.randint(3, 100), rng.uniform(-0.5, 0.5), rng.uniform(-1.9, 3.0)
         p, l = rng.uniform(1.1, 12.0), theta + tau
         v = RadialFunction(grid, grid.points ** -rng.uniform(0.1, 3.0))
+        yield v.interp, (x,)
         for n_prime, t in ((x, tau), (N + theta, x), (x, x)):
             yield critical_exponents, (n_prime, t)
             for which in ("minus", "plus"):

@@ -353,6 +353,12 @@ def test_count_below_pivot_guard_on_exact_zero_pivots():
         (np.array([-1e-310, 3.0, -1e-310]), np.array([0.0, 1.0]), 0.0),
         (np.array([-1e-310]), np.array([]), 0.0),
         (np.array([1e-310]), np.array([]), -0.0),
+        (np.array([1e-310, -1e-310, 1e-310]), np.array([1.0, 1.0]), 0.0),
+        (np.array([-1e-310, 3.0, -1e-310]), np.array([-2.0, -2.0]), 0.0),
+        (np.array([-1e-310, 1e-310]), np.array([0.0]), 0.0),
+        (np.array([1e-310, -0.0, -1e-310]), np.array([-0.0, -0.0]), -0.0),
+        # a floored pivot that a huge coupling turns into a finite one (unfloored: inf)
+        (np.array([-1e-310, 0.0, 1e-8]), np.array([1e150, 1e150]), 0.0),
     ]
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -363,6 +369,8 @@ def test_count_below_pivot_guard_on_exact_zero_pivots():
         e[e == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(e == 0.0))
         cases.append((d, e, float(d[0])))
         cases.append((d, e, float(rng.choice([0.0, -0.0, 0.5, -1.5]))))
+        # a constant coupling of either sign, zeros included
+        cases.append((d, np.full(n - 1, float(rng.choice([0.0, -0.0, 1.0, -2.0]))), float(d[0])))
         # sub-floor entries of both signs where a pivot starts (row 0 or
         # after a zero off-diagonal), the other couplings at least 1
         d, e = d.copy(), e.copy()
@@ -370,17 +378,59 @@ def test_count_below_pivot_guard_on_exact_zero_pivots():
         d[sub] = rng.choice([1e-310, -1e-310], np.count_nonzero(sub))
         e[e != 0.0] = np.copysign(1.0 + np.abs(e[e != 0.0]), e[e != 0.0])
         cases.append((d, e, 0.0))
-    away = 0
+        cases.append((d, np.full(n - 1, float(rng.choice([1.0, -2.0, 3.0]))), 0.0))
+    away = constant_e = 0
     for d, e, shift in cases:
         count = tridiag.count_below(d, e, shift)
         # a Python int, also where a pivot was floored
         assert type(count) is int and count == _count_below_copysign(d, e, shift), (d, e, shift)
+        if np.all(e == e[:1]):
+            # the same count from the loop that reads a Constant coupling once
+            same = tridiag.count_below(d, tridiag.Constant(e[0] if e.size else 1.0, e.size), shift)
+            assert type(same) is int and same == count, (d, e, shift)
+            constant_e += 1
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         lam = np.linalg.eigvalsh(T)
         if np.min(np.abs(lam - shift)) > 1e-8 * max(1.0, np.max(np.abs(lam))):
             assert count == np.count_nonzero(lam < shift), (d, e, shift)
             away += 1
-    assert away > 200
+    assert away > 200 and constant_e > 300
+
+
+_C = tridiag.Constant
+
+
+@pytest.mark.parametrize("call, message", [
+    # lengths that disagree: a zip would cut the longer diagonal short
+    (lambda: tridiag.count_below(np.full(5, -1.0), np.full(2, 0.1), 0.0), "off-diagonal"),
+    (lambda: tridiag.count_below(_C(-1.0, 5), _C(0.1, 2), 0.0), "off-diagonal"),
+    # an empty matrix, and NaN or infinite shifts and entries
+    (lambda: tridiag.count_below(_C(-1.0, 0), _C(0.0, 0), 0.0), "n >= 1"),
+    (lambda: tridiag.count_below(np.array([]), np.array([]), 0.0), "n >= 1"),
+    (lambda: tridiag.count_below(np.ones(3), np.ones(2), math.nan), "finite"),
+    (lambda: tridiag.count_below(_C(1.0, 3), _C(1.0, 2), math.inf), "finite"),
+    (lambda: tridiag.count_below(np.array([1.0, math.nan, 1.0]), np.ones(2), 0.0), "finite"),
+    (lambda: tridiag.count_below(_C(1.0, 3), _C(-math.inf, 2), 0.0), "finite"),
+    # a mass whose lengths differ from the matrix's (numpy would broadcast a length-1 one)
+    (lambda: tridiag.count_below_pencil(np.ones(5), np.full(4, 0.1), np.ones(1), np.zeros(1),
+                                        2.0), "mass"),
+    (lambda: tridiag.count_below_pencil(np.ones(5), np.full(4, 0.1), np.ones(3), np.zeros(1),
+                                        2.0), "mass"),
+    (lambda: tridiag.count_below_pencil(_C(2.0, 4), _C(-1.0, 3), _C(1.0, 4), _C(0.1, 2),
+                                        1.0), "mass"),
+    (lambda: tridiag.count_below_pencil(_C(2.0, 4), _C(-1.0, 3), _C(1.0, 4), _C(0.1, 3),
+                                        math.nan), "finite"),
+    (lambda: tridiag.count_below_pencil(np.ones(4), np.zeros(3), np.full(4, math.inf),
+                                        np.zeros(3), 0.5), "finite"),
+    (lambda: tridiag.smallest_eigenvalues(np.ones(5), np.ones(2), 2), "off-diagonal"),
+    (lambda: tridiag.smallest_eigenvalues(np.array([1.0, math.inf]), np.ones(1), 1), "finite"),
+], ids=["arrays-short-e", "constants-short-e", "empty-constants", "empty-arrays", "nan-shift",
+        "inf-shift", "nan-diagonal", "inf-constant-coupling", "pencil-mass-length-1",
+        "pencil-mass-length-3", "pencil-constant-mass-short", "pencil-nan-shift",
+        "pencil-inf-mass", "eigenvalues-short-e", "eigenvalues-inf-diagonal"])
+def test_malformed_tridiagonal_input_is_invalid_input(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("N, p", [(11, 7.0), (15, 3.0)])
@@ -777,8 +827,9 @@ def test_constant_diagonals_count_as_their_arrays():
         for shift in [*_toeplitz_shifts(lam, rng, 8).tolist(), d, 0.0, -0.0]:
             count = tridiag.count_below(*const, shift)
             assert type(count) is int and count == tridiag.count_below(*full, shift), (d, e, n)
+            # an array diagonal with a Constant coupling, as a shot's form is
+            assert tridiag.count_below(full[0], const[1], shift) == count, (d, e, n, shift)
             checked += 1
-        assert tridiag.count_below(full[0], const[1], d) == tridiag.count_below(*full, d)
         # an SPD mass m_d > 2 |m_e| shares the sine eigenvectors
         md = rng.uniform(1.0, 4.0)
         me = rng.uniform(-0.49, 0.49) * md
