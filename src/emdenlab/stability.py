@@ -66,7 +66,7 @@ from .transforms import (
     sigma_inverse,
 )
 from . import tridiag
-from .tridiag import Constant
+from .tridiag import Constant, _max_abs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -178,15 +178,6 @@ def log_nodes(a: float, b: float, n: int) -> RadialGrid:
     return RadialGrid.logspaced(a, b, n + 2)
 
 
-def _abs_max(x) -> float:
-    """max |x| of a ``tridiag.Constant`` or an array; NaN or inf if an entry is."""
-    if isinstance(x, Constant):
-        return abs(x.value)
-    import numpy as np
-
-    return float(np.max(np.abs(x)))
-
-
 def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> FormAssembly:
     """Assemble the stability form with potential P on the annulus [a, b].
 
@@ -205,11 +196,11 @@ def assemble_forms(params: ProblemParams, P, a: float, b: float, n: int) -> Form
         P = np.asarray(P, dtype=float)
         if P.shape != (n,):
             raise InvalidParameterError(f"potential needs 1 or {n} values, got shape {P.shape}")
-    if not math.isfinite(_abs_max(P)):
+    if not math.isfinite(_max_abs(P)):
         raise InvalidParameterError("potential values must be finite")
     top = 2.0 / h**2 + _hardy_level(params.n_prime)
     diag = Constant(top - P.value, n) if isinstance(P, Constant) else top - P
-    if not math.isfinite(_abs_max(diag)):
+    if not math.isfinite(_max_abs(diag)):
         raise NumericalError(f"assembled diagonal leaves the float range at N' = {params.n_prime}")
     return FormAssembly(diag=diag, off=Constant(-1.0 / h**2, n - 1), h=h)
 
@@ -234,7 +225,7 @@ def radial_morse_index(params: ProblemParams, P, a: float, b: float, n: int) -> 
     LAPACK bisection on the same matrix.
     """
     d, e, h = assemble_forms(params, P, a, b, n)
-    scale = _abs_max(d) + 2.0 * _abs_max(e)
+    scale = _max_abs(d) + 2.0 * _max_abs(e)
     tol = NEGATIVE_TOL_FACTOR * scale
     negative = tridiag.count_below(d, e, -tol)
     k = min(max(negative + 8, 16), n)

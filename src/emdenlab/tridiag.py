@@ -1,37 +1,32 @@
 """Deterministic eigenvalue tools for symmetric tridiagonal pencils.
 
-Inertia counts come from LDL^T pivots (Sturm sequences), in a loop on
-Python floats.  A ``Constant`` off-diagonal's square is formed once and the
-loop runs over the diagonal alone; an array off-diagonal is zipped with
-the diagonal row by row.  A pivot at or above the pivot floor costs one
-comparison per row; the count of negative pivots and the +-floor sit in
-the rare branch below it.  The pencil count of (A, M) below a shift is
-the standard count of A - shift*M below 0 (Sylvester inertia).  The k smallest
-eigenvalues of a standard matrix come from LAPACK ``dstebz`` bisection
-with an absolute tolerance near underflow; only this routine loads
-``scipy.linalg``, and only a matrix with no closed-form spectrum (a
-stability form whose potential varies along the nodes) needs it.  The
-default tolerance is eps times the Gershgorin width: it resolves the low
-end only to an absolute eps * ||T|| (a few 1e-9 on a stability matrix
+Inertia counts come from LDL^T pivots (Sturm sequences) in a loop on
+Python floats (see ``count_below``); the pencil count of (A, M) below a
+shift is the standard count of A - shift*M below 0 (Sylvester inertia).
+The k smallest eigenvalues of a standard matrix come from LAPACK
+``dstebz`` bisection with an absolute tolerance near underflow; only this
+routine loads ``scipy.linalg``, and only a matrix with no closed-form
+spectrum (a stability form whose potential varies along the nodes) needs
+it.  The default tolerance, eps times the Gershgorin width, resolves the
+low end only to an absolute eps * ||T|| (a few 1e-9 on a stability matrix
 with 2/h^2 = 1e7) and loses the small eigenvalues of a graded matrix
-altogether.  The pinned
-tolerance keeps every eigenvalue to full relative accuracy whatever the
-scale or grading (Barlow & Demmel, SIAM J. Numer. Anal. 27, 1990).  No
-pencil eigenvalue is computed here: the pencil count certifies one known
-in closed form, with no eigenvalue just below it and one just above it,
-and the standard count certifies the closed-form spectrum of a Toeplitz
-stability form in the same way.
+altogether; the pinned one keeps every eigenvalue to full relative
+accuracy whatever the scale or grading (Barlow & Demmel, SIAM J. Numer.
+Anal. 27, 1990).  No pencil eigenvalue is computed here: the pencil count
+certifies one known in closed form, with no eigenvalue just below it and
+one just above it, and the standard count certifies the closed-form
+spectrum of a Toeplitz stability form in the same way.
+
 A constant diagonal is a ``Constant``, its value and its length with no
-array behind it, which the counts read as the value repeated.  So the two
-constant-coefficient forms (the Hardy pencil and the stability form about
-v_infinity) are counted on Python floats and load no numpy; only an array
-argument loads numpy.  The stability form's off-diagonal is a ``Constant``
-on every route; ``smallest_eigenvalues`` and numpy read it as its array.
-Every routine takes a matrix of order n >= 1 with n - 1 off-diagonal
-entries, a mass of the same shape, and finite entries and shift; anything
-else is ``InvalidParameterError``, checked in O(1) on ``Constant``s.
-All routines are pure functions of their inputs, so repeated calls are
-bit-reproducible.
+array behind it, which every routine reads as the value repeated; each
+diagonal of a matrix or a mass may be a ``Constant`` or an array, in any
+mix.  So the two constant-coefficient forms (the Hardy pencil and the
+stability form about v_infinity) are counted on Python floats and load no
+numpy; only an array argument loads numpy.  Every routine takes a matrix
+of order n >= 1 with n - 1 off-diagonal entries, a mass of the same shape,
+and finite entries and shift; anything else is ``InvalidParameterError``,
+checked in O(1) on ``Constant``s.  All routines are pure functions of
+their inputs, so repeated calls are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -86,24 +81,16 @@ def count_below(d, e, shift: float) -> int:
     ``Constant`` e is squared once, outside the loop.
     """
     _check(d, e, shift)
-    if isinstance(e, Constant):
-        emax = e.value * e.value
-    else:
-        import numpy as np
-
-        e = np.asarray(e, dtype=float)
-        e2 = e * e
-        emax = float(np.max(e2)) if e2.size else 0.0
-        e2 = e2.tolist()
+    m = _max_abs(e)
+    emax = m * m  # e^2 of a Constant e, and the pivot floor's scale
     piv = sys.float_info.min * max(1.0, emax)  # unused where e is empty
     if isinstance(d, Constant):
-        q = d.value - shift
-        rows = repeat(q, d.n - 1)
+        rows = repeat(d.value - shift, d.n)
     else:
         import numpy as np
 
-        d = (np.asarray(d, dtype=float) - shift).tolist()
-        q, rows = d[0], d[1:]
+        rows = iter((np.asarray(d, dtype=float) - shift).tolist())
+    q = next(rows)
     count = 0
     # the same pivot guard in both loops; the first reads e^2 from a local
     if isinstance(e, Constant):
@@ -118,7 +105,10 @@ def count_below(d, e, shift: float) -> int:
                     q = piv
             q = di - emax / q
     else:
-        for di, ei2 in zip(rows, e2):
+        import numpy as np
+
+        e = np.asarray(e, dtype=float)
+        for di, ei2 in zip(rows, (e * e).tolist()):
             if q < piv:
                 if q < 0.0:
                     count += 1
@@ -134,8 +124,7 @@ def smallest_eigenvalues(d, e, k: int):
     """The k smallest eigenvalues of tridiag(d, e), ascending (LAPACK dstebz)."""
     from scipy.linalg import eigh_tridiagonal
 
-    _check(d, e, 0.0)
-    n = len(d)
+    n = _check(d, e, 0.0)
     if not 1 <= k <= n:
         raise NumericalError(f"cannot extract {k} eigenvalues from order {n}")
     return eigh_tridiagonal(
@@ -152,10 +141,14 @@ def smallest_eigenvalues(d, e, k: int):
 def count_below_pencil(ad, ae, md, me, shift: float) -> int:
     """Eigenvalues of the pencil (A, M) strictly below shift, M tridiagonal SPD.
 
-    The standard count of the tridiagonal A - shift*M below 0, which is a
-    ``Constant`` on each diagonal where A's and M's both are.
+    The standard count of the tridiagonal A - shift*M below 0: a ``Constant`` on
+    each diagonal where A's and M's both are, an array otherwise.
     """
-    _check(ad, ae, shift, md, me)
+    n = _order(ad, ae)
+    if (len(md), len(me)) != (n, n - 1):
+        raise InvalidParameterError(
+            f"the mass needs {n} and {n - 1} entries like the matrix, got {len(md)} and {len(me)}"
+        )
     return count_below(_minus(ad, shift, md), _minus(ae, shift, me), 0.0)
 
 
@@ -163,35 +156,36 @@ def _minus(a, shift: float, m):
     """a - shift*m entry by entry; a ``Constant`` where a and m both are."""
     if isinstance(a, Constant) and isinstance(m, Constant):
         return Constant(a.value - shift * m.value, a.n)
-    return a - shift * m
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # count_below refuses what is not finite
+        return np.asarray(a, dtype=float) - shift * np.asarray(m, dtype=float)
 
 
-def _check(d, e, shift: float, *mass) -> None:
-    """``InvalidParameterError`` unless tridiag(d, e) is a matrix of order n >= 1
-    with finite entries, a mass (md, me) if given has its lengths, and the shift
-    is finite; O(1) on ``Constant``s.
+def _check(d, e, shift: float) -> int:
+    """n, or ``InvalidParameterError`` unless ``_order`` holds and entries and shift are finite."""
+    n = _order(d, e)
+    if not (math.isfinite(shift) and math.isfinite(_max_abs(d)) and math.isfinite(_max_abs(e))):
+        raise InvalidParameterError("tridiagonal entries and the shift must be finite")
+    return n
 
-    With a mass the entries go unchecked here: the pencil count checks those of
-    A - shift*M, which are non-finite where an entry of A or M is.
-    """
+
+def _order(d, e) -> int:
+    """n, or ``InvalidParameterError`` unless d has n >= 1 entries and e has n - 1."""
     n = len(d)
     if n < 1 or len(e) != n - 1:
         raise InvalidParameterError(
             f"a tridiagonal matrix needs n >= 1 diagonal and n - 1 off-diagonal entries, "
             f"got {n} and {len(e)}"
         )
-    if mass and (len(mass[0]), len(mass[1])) != (n, n - 1):
-        raise InvalidParameterError(
-            f"the mass needs {n} and {n - 1} entries like the matrix, "
-            f"got {len(mass[0])} and {len(mass[1])}"
-        )
-    if not (math.isfinite(shift) and (mass or _finite(d) and _finite(e))):
-        raise InvalidParameterError("tridiagonal entries and the shift must be finite")
+    return n
 
 
-def _finite(x) -> bool:
+def _max_abs(x) -> float:
+    """max |entry| of a ``Constant`` or an array; 0.0 if empty, NaN or inf if an entry is."""
     if isinstance(x, Constant):
-        return math.isfinite(x.value)
+        return abs(x.value) if x.n else 0.0
     import numpy as np
 
-    return bool(np.isfinite(np.asarray(x, dtype=float)).all())
+    x = np.abs(np.asarray(x, dtype=float))
+    return float(x.max()) if x.size else 0.0
