@@ -20,7 +20,7 @@ its file and no scipy package, ``scipy.integrate`` included.
 
 import importlib
 
-__version__ = "0.21.2"
+__version__ = "0.21.3"
 
 #: Home module of every public name.
 _HOMES = {

@@ -43,10 +43,14 @@ def _require_p_above_one(p: float) -> None:
         raise InvalidParameterError(f"p must exceed 1, got {p}")
 
 
-def _check_fields(cls, N, a: float, b: float, p: float):
-    """The ``cls`` tuple (N, a, b, p): an integer N >= 2 (stored as int), p > 1, finite a, b, p."""
+def _require_dimension(N) -> None:
     if not (float(N).is_integer() and N >= 2):  # NaN and inf are not integers
         raise InvalidParameterError(f"N must be an integer >= 2, got {N}")
+
+
+def _check_fields(cls, N, a: float, b: float, p: float):
+    """The ``cls`` tuple (N, a, b, p): an integer N >= 2 (stored as int), p > 1, finite a, b, p."""
+    _require_dimension(N)
     _require_p_above_one(p)
     for name, value in zip(cls._fields[1:], (a, b, p)):
         if not math.isfinite(value):

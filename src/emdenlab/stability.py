@@ -51,6 +51,7 @@ from .params import (
     ProblemParams,
     SchrodingerParams,
     _hardy_level,
+    _require_dimension,
     _require_singular,
     f_eval,
     gamma_of_p,
@@ -269,11 +270,16 @@ def profile_spectrum(
     About v_infinity P is the constant f(p) and no profile is sampled.  A shot runs
     ``shoot``'s checks and integration, not its report, on ``log_nodes(a, b, n)`` to b
     with tolerance ``tol``; P = p e^((p-1) y) from its state y = log(r^m v) is exact
-    where v underflows.  a, b and n are checked before the profile's conditions.
+    where v underflows.  a, b and n are checked before the profile's conditions, and
+    ``tol`` on both routes as a shot checks it (positive, then finite).
     """
     _log_step(a, b, n)
     if kappa is None:
         _require_singular(params)
+        if not tol > 0.0:  # the shot's two checks of tol, in its order
+            raise InvalidParameterError("tol must be positive")
+        if not math.isfinite(tol):
+            raise InvalidParameterError(f"tol must be finite, got {tol}")
         P = f_eval(params.p, params.n_prime, params.tau)  # = p r^(2+tau) (c0 r^(-m))^(p-1)
     else:
         from .radial_ode import _shot_state  # not loaded on the v_infinity and Hardy paths
@@ -326,7 +332,7 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     """Discrete minimum of the weighted Hardy Rayleigh quotient on [a, b].
 
     Minimizes integral(r^(N-1+theta) psi'^2) / integral(r^(N-3+theta) psi^2)
-    over psi vanishing at a and b.  In t = log r with
+    over psi vanishing at a and b, for an integer N >= 2.  In t = log r with
     phi = r^((N'-2)/2) psi the quotient is exactly
     (N'-2)^2/4 + integral(phi_t^2) / integral(phi^2), so phi is taken
     piecewise linear on n interior nodes uniform in t, with exact element
@@ -344,6 +350,7 @@ def hardy_rayleigh_min(theta: float, N: int, a: float, b: float, n: int) -> floa
     certificate, or a pencil entry out of the float range, raises
     ``NumericalError``.
     """
+    _require_dimension(N)
     level = hardy_constant(N + theta)
     h = _log_step(a, b, n)
     md, me = 4.0 * h / 6.0, h / 6.0

@@ -385,8 +385,9 @@ def refresh() -> None:
             key = json.dumps([case["argv"], case["config"]])
             if key not in old:
                 print("new:", shlex.join(case["argv"]))
-            elif mismatches(old[key], got):
-                print("moved:", shlex.join(case["argv"]), *mismatches(old[key], got), sep="\n    ")
+            elif moved := mismatches(old[key], got):
+                more = [f"and {len(moved) - 3} more"] if len(moved) > 3 else []
+                print("moved:", shlex.join(case["argv"]), *moved[:3], *more, sep="\n    ")
             lines.append(json.dumps(got, sort_keys=True) + "\n")
     EXPECTATIONS.write_text("".join(lines))
     print(f"{len(lines)} entries written to {EXPECTATIONS.name}")

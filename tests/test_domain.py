@@ -163,10 +163,11 @@ def test_hardy_rayleigh_min_across_the_domain():
             val = hardy_rayleigh_min(theta, N, a, b, n)
             bound = hardy_constant(N + theta) + (math.pi / math.log(b / a)) ** 2
             assert math.isfinite(val) and val >= bound * (1.0 - 1e-12), (N, theta, a, b, n)
-        # log(b/a) overflows, b is infinite, N' is infinite: invalid input,
-        # not a failed certificate
+        # log(b/a) overflows, b is infinite, N' is infinite, N is not an
+        # integer >= 2: invalid input, not a failed certificate
         for theta, N, a, b in ((0.0, 5, 1e-300, 1e300), (0.0, 5, 1.0, math.inf),
-                               (math.inf, 5, 1.0, 10.0)):
+                               (math.inf, 5, 1.0, 10.0), (0.0, 2.5, 1.0, 10.0),
+                               (3.5, -1, 1.0, 10.0)):
             with pytest.raises(InvalidParameterError):
                 hardy_rayleigh_min(theta, N, a, b, 100)
         # a pencil entry that overflows is a numerical failure, not invalid input
@@ -182,7 +183,8 @@ def test_hardy_rayleigh_min_across_the_domain():
     [["shoot", "--rmax", "inf"], ["shoot", "--rmax", "nan"], ["shoot", "--kappa", "inf"],
      ["shoot", "--tol", "inf"], ["spectrum", "--profile", "shoot:inf"],
      ["spectrum", "--profile", "shoot:1", "--tol", "inf"],
-     ["spectrum", "--n", "100", "--a", "1e-300", "--b", "1e300"], ["spectrum", "--b", "inf"]],
+     ["spectrum", "--n", "100", "--a", "1e-300", "--b", "1e300"], ["spectrum", "--b", "inf"],
+     ["spectrum", "--tol", "nan"], ["spectrum", "--tol", "inf"], ["spectrum", "--tol=-1"]],
 )
 def test_cli_non_finite_input_exits_2(argv, capsys):
     # inf or nan, or a b/a that overflows, is invalid input: exit 2 with

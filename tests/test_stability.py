@@ -422,12 +422,27 @@ _C = tridiag.Constant
                                         math.nan), "finite"),
     (lambda: tridiag.count_below_pencil(np.ones(4), np.zeros(3), np.full(4, math.inf),
                                         np.zeros(3), 0.5), "finite"),
+    # A's lengths are checked before the mass's: no numpy broadcast error
+    (lambda: tridiag.count_below_pencil(np.ones(5), np.full(2, 0.1), np.ones(5), np.zeros(4),
+                                        1.0), "off-diagonal"),
+    (lambda: tridiag.count_below_pencil(np.full(4, 2.0), np.full(3, -1.0), _C(1.0, 4), _C(0.1, 2),
+                                        0.5), "mass"),
+    (lambda: tridiag.count_below_pencil(np.full(4, 2.0), np.full(3, -1.0), _C(math.inf, 4),
+                                        _C(0.0, 3), 0.5), "finite"),
+    # A - shift*M formed on arrays: an infinite shift times a zero entry, and an
+    # overflow, are refused, not a numpy RuntimeWarning
+    (lambda: tridiag.count_below_pencil(np.ones(4), np.zeros(3), np.ones(4), np.zeros(3),
+                                        math.inf), "finite"),
+    (lambda: tridiag.count_below_pencil(np.full(4, 1e308), np.zeros(3), np.full(4, -1e308),
+                                        np.zeros(3), 2.0), "finite"),
     (lambda: tridiag.smallest_eigenvalues(np.ones(5), np.ones(2), 2), "off-diagonal"),
     (lambda: tridiag.smallest_eigenvalues(np.array([1.0, math.inf]), np.ones(1), 1), "finite"),
 ], ids=["arrays-short-e", "constants-short-e", "empty-constants", "empty-arrays", "nan-shift",
         "inf-shift", "nan-diagonal", "inf-constant-coupling", "pencil-mass-length-1",
         "pencil-mass-length-3", "pencil-constant-mass-short", "pencil-nan-shift",
-        "pencil-inf-mass", "eigenvalues-short-e", "eigenvalues-inf-diagonal"])
+        "pencil-inf-mass", "pencil-short-e-before-mass", "mixed-pencil-mass-short",
+        "mixed-pencil-inf-mass", "array-pencil-inf-shift", "array-pencil-overflow",
+        "eigenvalues-short-e", "eigenvalues-inf-diagonal"])
 def test_malformed_tridiagonal_input_is_invalid_input(call, message):
     with pytest.raises(InvalidParameterError, match=message):
         call()
@@ -839,6 +854,10 @@ def test_constant_diagonals_count_as_their_arrays():
         for shift in _toeplitz_shifts(ratio, rng, 4).tolist():
             count = tridiag.count_below_pencil(*const, *mass, shift)
             assert count == tridiag.count_below_pencil(*full, *mass_full, shift), (d, e, n, shift)
+            # either operand a Constant and the other an array, as the P1 pencil of a
+            # potential on the nodes is
+            assert tridiag.count_below_pencil(*full, *mass, shift) == count, (d, e, n, shift)
+            assert tridiag.count_below_pencil(*const, *mass_full, shift) == count, (d, e, n, shift)
             checked += 1
     assert checked > 1000
 
