@@ -32,7 +32,6 @@ import os
 import random
 import re
 import shlex
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -87,7 +86,9 @@ def _critical_powers(n_prime: float, tau: float) -> list[float]:
         return []
     A = n_prime - 2.0
     powers = [(n_prime + tau) / A, (n_prime + 2.0 + 2.0 * tau) / A]
-    a, b, c = A * (n_prime - 4.0 * tau - 10.0), 2.0 * A * A - 4.0 * (tau + 2.0) * (tau + n_prime), A * A
+    a = A * (n_prime - 4.0 * tau - 10.0)
+    b = 2.0 * A * A - 4.0 * (tau + 2.0) * (tau + n_prime)
+    c = A * A
     disc = b * b - 4.0 * a * c
     if a == 0.0:
         powers.append(c / b)
@@ -109,7 +110,9 @@ def _readme_cases():
     configs = re.findall(r"```ini\n(.*?)```", section, re.S)
     for line in block.splitlines():
         optional = re.search(r"\[(.*?)\]", line)
-        variants = [line.replace(optional[0], ""), line.replace(optional[0], optional[1])] if optional else [line]
+        variants = [line]
+        if optional:
+            variants = [line.replace(optional[0], ""), line.replace(optional[0], optional[1])]
         for variant in variants:
             argv = shlex.split(variant)[1:]
             for config in configs if argv[0] == "sweep" else [None]:
@@ -172,14 +175,15 @@ def _drawn_cases(rng, count):
         elif command == "spectrum":
             a, b = rng.choice((("1e-3", "1e3"), ("1e-1", "10"), ("1e-6", "1"), ("1e-12", "1e12")))
             argv += ["--a", a, "--b", b, "--n", rng.choice(("8", "40", "200", "2000"))]
-            if rng.random() < 0.15:
+            if rng.random() < 0.15:  # a shot's spectrum instead: p above Sobolev, n = 200
                 p = round(sobolev * (1.0 + 10.0 ** rng.uniform(-2.0, 0.7)), 6)
                 argv[-8:] = ["--p", repr(p), "--profile", "shoot:" + rng.choice(("1", "0.1", "10")),
                              "--a", a, "--b", b, "--n", "200"]
         elif command == "transform":
             kind = rng.choice(("kelvin", "dual", "sigma_inverse", "sigma"))
             if kind == "sigma":
-                argv = ["transform", "--N", str(family[0]), "--alpha", rng.choice(("0", "1", "-1.5")),
+                argv = ["transform", "--N", str(family[0]),
+                        "--alpha", rng.choice(("0", "1", "-1.5")),
                         "--ell", rng.choice(("2", "0.5", "-1", "1e3")), "--p", repr(p)]
             argv[1:1] = ["--kind", kind]
         if rng.random() < 0.2:
@@ -222,8 +226,10 @@ def _error_cases():
                          ("tol", ("nan", "inf", "-1"))):
         argvs += [["shoot", *base, f"--{name}={v}"] for v in values]
     for v in ("nan", "inf", "-1", "0"):  # the tol of a v_infinity spectrum and of a shot's
-        argvs += [["spectrum", *base, "--n", "40", f"--tol={v}"], [*shot, "--n", "40", f"--tol={v}"]]
-    argvs += [["spectrum", *base, "--profile", f"shoot:{k}", "--n", "40"] for k in ("inf", "nan", "0")]
+        argvs += [["spectrum", *base, "--n", "40", f"--tol={v}"],
+                  [*shot, "--n", "40", f"--tol={v}"]]
+    argvs += [["spectrum", *base, "--profile", f"shoot:{k}", "--n", "40"]
+              for k in ("inf", "nan", "0")]
     return [{"argv": argv, "config": None} for argv in argvs]
 
 
@@ -284,7 +290,8 @@ def _floats(parsed):
     if "fields" in parsed:
         pairs = ((key.rsplit(".", 1)[-1], value) for key, value in parsed["fields"].items())
     else:
-        pairs = ((col, value) for _, row in parsed["rows"] for col, value in zip(parsed["header"], row))
+        pairs = ((col, value) for _, row in parsed["rows"]
+                 for col, value in zip(parsed["header"], row))
     for field, value in pairs:
         for x in value if isinstance(value, list) else [value]:
             if isinstance(x, float):
@@ -347,7 +354,8 @@ def _output_mismatches(where, want, got):
                 yield f"{where} {key}: {w.get(key, '<absent>')!r} != {g.get(key, '<absent>')!r}"
         return
     if (want["header"], want["n_rows"]) != (got["header"], got["n_rows"]):
-        yield f"{where}: header and rows {want['header']}, {want['n_rows']} != {got['header']}, {got['n_rows']}"
+        yield (f"{where}: header and rows {want['header']}, {want['n_rows']} "
+               f"!= {got['header']}, {got['n_rows']}")
         return
     for (i, w), (_, g) in zip(want["rows"], got["rows"]):
         for col, wc, gc in zip(want["header"], w, g):
